@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-benchmarks bench bench-check bench-smoke validate lint analyze check faults-smoke rack-smoke serve-smoke tenants-smoke
+.PHONY: test test-benchmarks validate lint analyze check faults-smoke rack-smoke tenants-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -40,30 +40,8 @@ rack-smoke:
 tenants-smoke:
 	$(PYTHON) tools/tenants_smoke.py
 
-# Result-cache daemon smoke gate: boot `repro serve` on a throwaway
-# socket/cache, run the same tiny sweep twice, and require the second
-# pass to be answered entirely from the warm cache with byte-identical
-# fingerprints (see docs/caching.md).
-serve-smoke:
-	$(PYTHON) tools/serve_smoke.py
-
 test-benchmarks:
 	$(PYTHON) -m pytest benchmarks -q
-
-bench:
-	$(PYTHON) tools/bench.py
-
-# Fails if any workload's wall time regressed >25% vs the last
-# committed BENCH_*.json (see tools/bench.py --help).
-bench-check:
-	$(PYTHON) tools/bench.py --check
-
-# CI smoke gate: the trimmed matrix (reference burst + both ends of the
-# sweep scaling curve) under a generous threshold that only catches
-# order-of-magnitude breakage -- shared-runner timing is too noisy for
-# the 25% gate (see docs/performance.md).
-bench-smoke:
-	$(PYTHON) tools/bench.py --quick --check --threshold 150
 
 validate:
 	$(PYTHON) -m repro.cli validate --quick

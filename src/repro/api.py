@@ -27,14 +27,12 @@ The facade covers the three things external code does:
   :func:`run_tenants`, the policy x intensity isolation matrix;
 * **result caching** — :class:`ResultCache`, the fingerprint-keyed
   on-disk memoization every runner entry point consults (hits are
-  byte-identical to cold recomputes), and :func:`run_serve`, the
-  ``repro serve`` sweep daemon answering repeated sweeps from the warm
-  cache (``docs/caching.md``).
+  byte-identical to cold recomputes; ``docs/caching.md``).
 """
 
 from __future__ import annotations
 
-from .cache import ResultCache, run_serve
+from .cache import ResultCache
 from .core.policies import PolicyConfig, all_policies, ddio, idio, ioca
 from .faults import (
     FAULT_KINDS,
@@ -107,7 +105,6 @@ __all__ = [
     "run_experiments",
     "run_policy_comparison",
     "run_rack",
-    "run_serve",
     "run_sweep",
     "run_tenants",
     "standard_plan",

@@ -3,12 +3,11 @@
 ``repro.cache`` memoizes :class:`~repro.harness.experiment.
 ExperimentSummary` objects on disk, keyed by a canonical *config digest*
 over the whole experiment (every config field, every seed, the fault
-plan, and ``repro.__version__`` — see :mod:`repro.cache.digest`).  The
-sweep runner consults it before dispatching to the warm pool, the rack
-tier reuses unchanged per-server shards, and the ``repro serve`` daemon
-(:mod:`repro.cache.serve`) answers repeated sweeps from the warm cache
-over a local socket.  ``docs/caching.md`` documents the key derivation,
-the invalidation rules, and the serve protocol.
+plan, and the code version: ``repro.__version__`` plus a hash of the
+package sources — see :mod:`repro.cache.digest`).  The sweep runner
+consults it before dispatching to the warm pool, and the rack tier
+reuses unchanged per-server shards.  ``docs/caching.md`` documents the
+key derivation and the invalidation rules.
 
 Correctness anchor: a cache hit returns a summary whose fingerprint is
 byte-identical to a cold recompute — entries self-verify on load, and
@@ -17,8 +16,8 @@ mode) and evicts any divergence.
 
 Two ways to use it:
 
-* explicitly — pass a :class:`ResultCache` to ``run_experiments`` /
-  ``run_sweep`` / ``SimulatedRack.run``;
+* explicitly — pass a :class:`ResultCache` to ``run_sweep`` /
+  ``run_experiments`` / ``SimulatedRack.run``;
 * ambiently — install a process-default cache (:func:`set_default_cache`
   or the :func:`cache_session` context manager) and every runner call
   without an explicit ``cache=`` picks it up.  This is how the CLI's
@@ -37,31 +36,28 @@ from .digest import (
     CACHE_SCHEMA,
     UNCACHEABLE_FAULT_LAYERS,
     canonical,
+    code_version,
     config_digest,
     is_cacheable,
     uncacheable_reason,
 )
-from .serve import ServeDaemon, experiment_from_spec, run_serve, submit
 from .store import GcReport, ResultCache, VerifyReport
 
 __all__ = [
     "CACHE_SCHEMA",
     "GcReport",
     "ResultCache",
-    "ServeDaemon",
     "UNCACHEABLE_FAULT_LAYERS",
     "VerifyReport",
     "cache_session",
     "canonical",
+    "code_version",
     "config_digest",
     "default_cache_dir",
-    "experiment_from_spec",
     "get_default_cache",
     "is_cacheable",
     "resolve_cache",
-    "run_serve",
     "set_default_cache",
-    "submit",
     "uncacheable_reason",
 ]
 
@@ -111,11 +107,9 @@ def resolve_cache(cache=None) -> Optional[ResultCache]:
 
 
 @contextlib.contextmanager
-def cache_session(
-    root, bus=None, version: Optional[str] = None
-) -> Iterator[ResultCache]:
+def cache_session(root, version: Optional[str] = None) -> Iterator[ResultCache]:
     """Install a cache at ``root`` as the process default for a ``with`` block."""
-    cache = ResultCache(root, bus=bus, version=version)
+    cache = ResultCache(root, version=version)
     previous = set_default_cache(cache)
     try:
         yield cache

@@ -8,19 +8,22 @@ nested :class:`~repro.harness.server.ServerConfig`, policy, NIC,
 classifier, cost-model, and :class:`~repro.faults.plan.FaultPlan`
 dataclasses, and every traffic parameter and seed — is walked field by
 field into a canonical nested tuple, prefixed with the cache schema
-version and ``repro.__version__``, and hashed.  A field we cannot
+version and the code version (:func:`code_version`: ``repro.__version__``
+plus a hash of the package sources), and hashed.  A field we cannot
 canonicalize makes the experiment *uncacheable* rather than guessed at.
 
-Invalidation therefore falls out of the key: bump any config field, any
-seed, the fault plan, or the package version and the digest moves, so
-stale entries are simply never looked up (``repro cache gc`` reclaims
-them).  See ``docs/caching.md`` for the full rules.
+Invalidation therefore falls out of the key: change any config field,
+any seed, the fault plan, the package version or any source file and
+the digest moves, so stale entries are simply never looked up
+(``repro cache gc`` reclaims them).  See ``docs/caching.md`` for the full rules.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+from pathlib import Path
 from typing import Any, Optional, Tuple
 
 #: Bumped whenever the entry layout or the digest derivation changes:
@@ -89,16 +92,35 @@ def is_cacheable(experiment) -> bool:
     return uncacheable_reason(experiment) is None
 
 
+@functools.lru_cache(maxsize=None)
+def code_version() -> str:
+    """``repro.__version__`` plus a SHA-256 of the package's sources.
+
+    The default code component of every cache key, so an edit to any
+    ``repro/**/*.py`` file moves every digest even without a version
+    bump: a persistent cache never replays summaries computed by other
+    code.  Computed once per process.
+    """
+    from .. import __version__
+
+    root = Path(__file__).resolve().parent.parent
+    sources = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        sources.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        sources.update(path.read_bytes() + b"\0")
+    return f"{__version__}+{sources.hexdigest()}"
+
+
 def config_digest(experiment, version: Optional[str] = None) -> str:
     """SHA-256 hex digest keying one experiment's cached result.
 
-    ``version`` defaults to the installed ``repro.__version__``; passing
-    it explicitly exists for tests that prove a version bump invalidates
-    every entry.  Raises :class:`TypeError` for uncanonicalizable
-    experiments — use :func:`is_cacheable` first.
+    ``version`` defaults to :func:`code_version`; passing it explicitly
+    exists for tests that prove a version change invalidates every
+    entry.  Raises :class:`TypeError` for uncanonicalizable experiments
+    — use :func:`is_cacheable` first.
     """
     if version is None:
-        from .. import __version__ as version
+        version = code_version()
     payload = repr(
         ("repro-result-cache", CACHE_SCHEMA, version, canonical(experiment))
     ).encode("utf-8")

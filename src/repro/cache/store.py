@@ -3,7 +3,7 @@
 A :class:`ResultCache` memoizes :class:`~repro.harness.experiment.
 ExperimentSummary` objects keyed by the canonical config digest
 (:func:`~repro.cache.digest.config_digest`).  Entries are self-describing
-pickles — schema version, producing ``repro`` version, config digest,
+pickles — schema version, producing code version, config digest,
 the experiment itself, the summary, and the summary's fingerprint digest
 — laid out two-level under the cache root (``ab/abcdef....pkl``) so a
 big cache never piles one directory high.
@@ -23,10 +23,8 @@ Correctness rules:
   diverged; :meth:`ResultCache.gc` reclaims foreign-version, stale, and
   over-budget entries.
 
-Cache traffic is observable: every lookup and store publishes a typed
-:class:`~repro.obs.events.CacheHitEvent` / ``CacheMissEvent`` /
-``CacheStoreEvent`` on the cache's bus, which the serve daemon streams
-to clients and the rack tier uses to mark reused lanes.
+Cache traffic is counted in-process (``hits`` / ``misses`` / ``stores``);
+the CLI's ``[cache: ...]`` trailer reports those counters.
 """
 
 from __future__ import annotations
@@ -41,9 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..analysis.determinism import fingerprint_digest
-from ..obs.bus import EventBus
-from ..obs.events import CacheHitEvent, CacheMissEvent, CacheStoreEvent
-from .digest import CACHE_SCHEMA, config_digest, uncacheable_reason
+from .digest import CACHE_SCHEMA, code_version, config_digest, uncacheable_reason
 
 ENTRY_SUFFIX = ".pkl"
 
@@ -122,24 +118,15 @@ class GcReport:
 class ResultCache:
     """Fingerprint-keyed, on-disk memoization of experiment summaries.
 
-    ``root`` is the cache directory (created on demand); ``bus`` is the
-    observability bus cache events are published on (a private bus by
-    default — pass one to share it); ``version`` overrides the
-    ``repro.__version__`` component of the key derivation (tests use this
-    to prove version bumps invalidate).
+    ``root`` is the cache directory (created on demand); ``version``
+    overrides the code component of the key derivation (default:
+    :func:`~repro.cache.digest.code_version`; tests use this to prove a
+    code change invalidates).
     """
 
-    def __init__(
-        self,
-        root,
-        bus: Optional[EventBus] = None,
-        version: Optional[str] = None,
-    ) -> None:
-        if version is None:
-            from .. import __version__ as version
+    def __init__(self, root, version: Optional[str] = None) -> None:
         self.root = Path(root)
-        self.bus = bus if bus is not None else EventBus()
-        self.version = version
+        self.version = version if version is not None else code_version()
         #: In-process traffic counters (the on-disk truth is ``stats()``).
         self.hits = 0
         self.misses = 0
@@ -161,24 +148,23 @@ class ResultCache:
     def get(self, experiment):
         """The stored summary for ``experiment``, or ``None`` on a miss.
 
-        Publishes a :class:`CacheHitEvent` or :class:`CacheMissEvent`;
-        an entry that exists but fails validation is evicted and counted
-        as a ``"corrupt"`` miss, so one bad byte can never replay as a
-        result.
+        Uncacheable experiments and absent entries count as misses; an
+        entry that exists but fails validation is evicted and counted as
+        a miss too, so one bad byte can never replay as a result.
         """
         digest = self.digest_for(experiment)
-        if digest is None:
-            return self._miss("", experiment.name, "uncacheable")
-        path = self.path_for(digest)
-        try:
-            entry = self._load(path, expect_digest=digest)
-        except FileNotFoundError:
-            return self._miss(digest, experiment.name, "absent")
-        except CacheEntryError:
-            self.evict(digest)
-            return self._miss(digest, experiment.name, "corrupt")
+        entry = None
+        if digest is not None:
+            try:
+                entry = self._load(self.path_for(digest), expect_digest=digest)
+            except FileNotFoundError:
+                pass
+            except CacheEntryError:
+                self.evict(digest)
+        if entry is None:
+            self.misses += 1
+            return None
         self.hits += 1
-        self.bus.publish(CacheHitEvent(digest=digest, name=experiment.name))
         return entry["summary"]
 
     def put(self, experiment, summary) -> Optional[str]:
@@ -203,11 +189,6 @@ class ResultCache:
         payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
         _atomic_write_bytes(self.path_for(digest), payload)
         self.stores += 1
-        self.bus.publish(
-            CacheStoreEvent(
-                digest=digest, name=experiment.name, num_bytes=len(payload)
-            )
-        )
         return digest
 
     def evict(self, digest: str) -> bool:
@@ -217,11 +198,6 @@ class ResultCache:
             return True
         except OSError:
             return False
-
-    def _miss(self, digest: str, name: str, reason: str):
-        self.misses += 1
-        self.bus.publish(CacheMissEvent(digest=digest, name=name, reason=reason))
-        return None
 
     def _load(self, path: Path, expect_digest: Optional[str] = None) -> Dict:
         """Read and validate one entry; raises :class:`CacheEntryError`.
@@ -351,7 +327,7 @@ class ResultCache:
         """Reclaim space: foreign, stale, then oldest-over-budget entries.
 
         Unreadable entries and entries written by another schema or
-        ``repro`` version go first (the current version can never hit
+        code version go first (the current version can never hit
         them).  Entries older than ``max_age_days`` go next.  If the
         survivors still exceed ``max_bytes``, the oldest are evicted
         until the cache fits.

@@ -15,7 +15,6 @@ Installed as the ``idio-repro`` console script::
     idio-repro tenants --policies ddio,idio,ioca   # isolation matrix
     idio-repro compare --cache-dir .repro-cache    # memoize the sweep
     idio-repro cache stats                         # result-cache census
-    idio-repro serve --socket /tmp/repro.sock      # sweep daemon
 
 The flag vocabulary is shared across subcommands via argparse parent
 parsers: every command that runs experiments accepts the same
@@ -388,26 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="D",
         help="evict entries older than D days",
-    )
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the sweep daemon: answer repeated sweeps from the warm "
-        "result cache over a local socket",
-        parents=[_jobs_parent(), _cache_parent()],
-    )
-    serve_p.add_argument(
-        "--socket",
-        required=True,
-        metavar="PATH",
-        help="Unix-domain socket path to listen on",
-    )
-    serve_p.add_argument(
-        "--max-requests",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="exit after N requests (default: run until a shutdown request)",
     )
 
     trace_p = sub.add_parser(
@@ -939,13 +918,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
 def cmd_rack(args: argparse.Namespace) -> int:
     """Run one rack sweep and print the per-server + aggregate table.
 
-    With ``--trace-out`` a :class:`~repro.obs.trace.RackTraceRecorder`
+    With ``--trace-out`` a :class:`~repro.obs.trace.TraceRecorder`
     subscribes to the rack bus before the sweep, so every server shows up
     as its own Chrome-trace process with counter lanes per stream.
     """
     import json
 
-    from .obs.trace import RackTraceRecorder
+    from .obs.trace import TraceRecorder
     from .rack import RackConfig, SimulatedRack
 
     tenant_set = _tenant_set(args, args.seed)
@@ -968,10 +947,7 @@ def cmd_rack(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     rack = SimulatedRack(config)
-    recorder = None
-    if args.trace_out:
-        recorder = RackTraceRecorder()
-        recorder.attach(rack.bus)
+    recorder = TraceRecorder().attach(rack.bus) if args.trace_out else None
     summary = rack.run(jobs=args.jobs)
     print(summary.render())
     print(f"rack fingerprint: {summary.fingerprint}")
@@ -997,13 +973,13 @@ def cmd_tenants(args: argparse.Namespace) -> int:
     through the resilient sweep runner, so they shard over the warm pool
     (``--jobs``) and memoize in the result cache; the footer scores each
     policy's worst victim-p99 degradation.  With ``--trace-out`` a
-    :class:`~repro.obs.trace.TenantTraceRecorder` captures the
-    per-tenant degradation curves as a Chrome trace.
+    :class:`~repro.obs.trace.TraceRecorder` captures the per-tenant
+    degradation curves as a Chrome trace.
     """
     import json
 
     from .obs.bus import EventBus
-    from .obs.trace import TenantTraceRecorder
+    from .obs.trace import TraceRecorder
     from .tenants.sweep import run_tenants
 
     names = [n.strip() for n in args.policies.split(",") if n.strip()]
@@ -1031,7 +1007,7 @@ def cmd_tenants(args: argparse.Namespace) -> int:
     recorder = None
     if args.trace_out:
         bus = EventBus()
-        recorder = TenantTraceRecorder().attach(bus)
+        recorder = TraceRecorder().attach(bus)
     summary = run_tenants(
         configs,
         mix=args.tenant_mix,
@@ -1140,25 +1116,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the sweep daemon (``repro.cache.serve``) until shutdown."""
-    from . import cache as cache_mod
-    from .cache.serve import run_serve
-
-    root = args.cache_dir or cache_mod.default_cache_dir()
-    cache = None if args.no_cache else cache_mod.ResultCache(root)
-    print(f"serving on {args.socket} (cache: {root if cache else 'off'})")
-    served = run_serve(
-        args.socket,
-        cache=cache,
-        cache_dir=root,
-        jobs=args.jobs,
-        max_requests=args.max_requests,
-    )
-    print(f"served {served} request(s)")
-    return 0
-
-
 def _install_cache(args: argparse.Namespace):
     """Install the invocation's default result cache from CLI flags.
 
@@ -1197,10 +1154,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "faults": cmd_faults,
         "tenants": cmd_tenants,
         "cache": cmd_cache,
-        "serve": cmd_serve,
     }
     cache, restore = (None, lambda: None)
-    if args.command not in ("cache", "serve"):
+    if args.command != "cache":
         cache, restore = _install_cache(args)
     try:
         code = handlers[args.command](args)

@@ -1,4 +1,4 @@
-"""Parallel experiment runner: fan sweeps out over a warm process pool.
+"""Sweep runner: one dispatcher for every batch of seeded experiments.
 
 Every figure in the evaluation is a sweep of independent, seeded
 :class:`~repro.harness.experiment.Experiment` runs, so the natural unit
@@ -7,26 +7,30 @@ of parallelism is one experiment per worker process.  Workers return
 picklable slice of a run — never the live server, which keeps the
 transfer cheap and the parent's memory flat over long sweeps.
 
+:func:`run_sweep` is the only dispatcher.  It partitions a batch into
+result-cache hits and misses, picks serial or warm-pool execution for
+the misses, and runs one attempt/retry/record loop over them; the serial
+and pool paths differ only in how an attempt's result is fetched.
+:func:`run_experiments` is the raising view of the same call.
+
 The pool is *warm*: created once per session (first parallel call) and
-reused by every subsequent ``run_experiments`` / ``run_sweep`` until
-:func:`shutdown_pool` (registered via ``atexit``, wrapped by
-:func:`pool_session`).  Short sweeps no longer pay pool spawn on every
-call, and tasks no longer carry pickled experiments: each batch is
-broadcast once through a spool file tagged with a generation counter,
-workers memoize the table per generation, and the per-task payload is a
-``(generation, index)`` tuple.  Fork hosts additionally inherit all
-read-only module state (configs, policies) for free at pool creation.
+reused by every subsequent sweep until :func:`shutdown_pool` (registered
+via ``atexit``, wrapped by :func:`pool_session`).  Short sweeps do not
+pay pool spawn on every call, and tasks do not carry pickled
+experiments: each batch is broadcast once through a spool file tagged
+with a generation counter, workers memoize the table per generation,
+and the per-task payload is a ``(generation, index, attempt)`` tuple.
 
 Guarantees:
 
 * **Determinism** — an experiment carries its own seeds; a worker process
   replays it identically to a serial run (the determinism regression test
   compares the two fingerprints byte for byte).
-* **Ordered results** — ``run_experiments`` returns summaries in the
-  order the experiments were given, regardless of completion order.
-* **Graceful fallback** — ``jobs <= 1``, a single experiment, or a host
-  where process pools cannot be created (sandboxes without ``fork`` /
-  semaphores) all degrade to the serial path with identical results.
+* **Ordered results** — summaries and records come back in the order the
+  experiments were given, regardless of completion order.
+* **Graceful fallback** — ``jobs <= 1``, a single experiment without a
+  timeout, or a host where process pools cannot be created (sandboxes
+  without ``fork`` / semaphores) all run serially with identical results.
 * **Containment** — a sweep timeout terminates and discards the session
   pool (a wedged worker cannot be reclaimed); the next parallel call
   transparently warms a fresh one.
@@ -43,7 +47,7 @@ import random
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, cast
 
 from ..cache import resolve_cache
 from .experiment import Experiment, ExperimentSummary, run_experiment
@@ -65,8 +69,42 @@ def run_experiment_summary(experiment: Experiment) -> ExperimentSummary:
     return summary
 
 
-def _run_serial(experiments: Sequence[Experiment]) -> List[ExperimentSummary]:
-    return [run_experiment_summary(exp) for exp in experiments]
+class InjectedCrash(RuntimeError):
+    """Raised by a worker whose experiment carries a ``harness.crash``
+    fault — the deterministic stand-in for a worker that dies mid-sweep."""
+
+
+def _apply_harness_faults(experiment: Experiment, attempt: int) -> None:
+    """Execute the ``harness.*`` fault kinds for one worker attempt.
+
+    ``harness.crash`` raises before the simulation starts; ``magnitude``
+    is the number of attempts that crash (0 = every attempt, so the
+    experiment can never succeed).  ``harness.hang`` sleeps ``magnitude``
+    wall seconds, which is how the timeout path is tested without a real
+    wedge.  ``probability`` gates each fault with a draw derived from
+    ``(plan seed, spec index, attempt)`` so retries re-roll
+    deterministically.
+    """
+    plan = experiment.server.fault_plan
+    for i, spec in plan.specs_for("harness"):
+        if spec.probability < 1.0:
+            draw = random.Random((plan.rng_seed(i) << 7) ^ attempt).random()
+            if draw >= spec.probability:
+                continue
+        if spec.kind == "harness.crash":
+            crashing = int(spec.magnitude)
+            if crashing == 0 or attempt <= crashing:
+                raise InjectedCrash(
+                    f"injected worker crash (attempt {attempt})"
+                )
+        elif spec.kind == "harness.hang":
+            time.sleep(spec.magnitude)
+
+
+def _run_attempt(experiment: Experiment, attempt: int) -> ExperimentSummary:
+    """One attempt at one experiment: harness faults, then the run."""
+    _apply_harness_faults(experiment, attempt)
+    return run_experiment_summary(experiment)
 
 
 # ----------------------------------------------------------------------
@@ -104,36 +142,18 @@ def _worker_experiment(generation: int, index: int) -> Experiment:
     return _worker_table[index]
 
 
-def _run_indexed(task: Tuple[int, int]) -> ExperimentSummary:
-    """Pool entry point for plain batches: ``(generation, index)``."""
-    generation, index = task
-    return run_experiment_summary(_worker_experiment(generation, index))
-
-
 def _run_indexed_attempt(task: Tuple[int, int, int]) -> ExperimentSummary:
-    """Pool entry point for resilient sweeps: applies harness faults."""
+    """Pool entry point: ``(generation, index, attempt)``."""
     generation, index, attempt = task
-    experiment = _worker_experiment(generation, index)
-    _apply_harness_faults(experiment, attempt)
-    return run_experiment_summary(experiment)
-
-
-def _chunksize(num_tasks: int, workers: int) -> int:
-    """Adaptive chunk size: ~4 chunks per worker.
-
-    Large enough to amortize IPC per task, small enough that a slow
-    chunk cannot idle the rest of the pool for long (each worker gets
-    several bites at the queue, so stragglers rebalance).
-    """
-    return max(1, num_tasks // (workers * 4))
+    return _run_attempt(_worker_experiment(generation, index), attempt)
 
 
 class WarmPool:
     """A reusable process pool fed through a generation-tagged spool file.
 
-    ``broadcast`` pickles the batch *once* to the spool file;
-    ``map``/``submit`` then dispatch ``(generation, index)`` tuples.
-    Workers reload the table only when the generation changes, so a
+    ``broadcast`` pickles the batch *once* to the spool file; ``submit``
+    then dispatches ``(generation, index, attempt)`` tuples.  Workers
+    reload the table only when the generation changes, so a
     thousand-experiment sweep pickles its experiments once rather than a
     thousand times, and repeat sweeps over the same pool pay no spawn.
     """
@@ -170,15 +190,8 @@ class WarmPool:
         self.batches_dispatched += 1
         return self.generation
 
-    def map(
-        self, experiments: Sequence[Experiment], chunksize: int
-    ) -> List[ExperimentSummary]:
-        generation = self.broadcast(experiments)
-        tasks = [(generation, index) for index in range(len(experiments))]
-        return self._pool.map(_run_indexed, tasks, chunksize=chunksize)
-
     def submit(self, generation: int, index: int, attempt: int):
-        """Async dispatch of one sweep attempt; returns the pool handle."""
+        """Async dispatch of one attempt; returns the pool handle."""
         return self._pool.apply_async(
             _run_indexed_attempt, ((generation, index, attempt),)
         )
@@ -195,8 +208,9 @@ class WarmPool:
 
 _session_pool: Optional[WarmPool] = None
 
-#: Introspection of the most recent dispatch decision (read by the bench
-#: harness to record chunk sizes alongside throughput numbers).
+#: Introspection of the most recent dispatch decision: ``mode`` is
+#: ``"serial"``, ``"warm-pool"`` or ``"cached"`` (nothing to compute),
+#: ``batch`` the number of experiments dispatched (read by the benchmark).
 last_dispatch: Dict[str, Any] = {}
 
 
@@ -259,112 +273,14 @@ def pool_session(jobs: Optional[int] = None) -> Iterator[Optional[WarmPool]]:
         shutdown_pool()
 
 
-def run_experiments(
-    experiments: Iterable[Experiment], jobs: int = 1, cache=None
-) -> List[ExperimentSummary]:
-    """Run a batch of experiments, ``jobs`` at a time, preserving order.
-
-    ``jobs=1`` (the default) runs serially in-process; ``jobs=None`` uses
-    one worker per available core.  Parallel batches run on the warm
-    session pool (created on first use, reused across calls) with an
-    adaptive chunk size.  The pool path and the serial path produce
-    identical summaries for seeded experiments.
-
-    ``cache`` is consulted *before* dispatch: hits skip simulation
-    entirely and only the misses fan out to the pool, after which each
-    freshly computed summary is stored atomically.  ``cache=None``
-    (default) uses the process-default cache if one is installed
-    (:func:`repro.cache.set_default_cache`); ``cache=False`` disables
-    caching for this call.  Cached and computed summaries are returned
-    interleaved in input order, and a hit's fingerprint is byte-identical
-    to what a cold run of the same experiment would produce.
-    """
-    batch = list(experiments)
-    resolved = resolve_cache(cache)
-    if resolved is None:
-        return _run_uncached(batch, jobs)
-    hits: Dict[int, ExperimentSummary] = {}
-    misses: List[Tuple[int, Experiment]] = []
-    for index, exp in enumerate(batch):
-        summary = resolved.get(exp)
-        if summary is not None:
-            hits[index] = summary
-        else:
-            misses.append((index, exp))
-    if not misses:
-        _note_dispatch("cached", 0, 0, len(batch))
-        return [hits[i] for i in range(len(batch))]
-    computed = _run_uncached([exp for _, exp in misses], jobs)
-    for (index, exp), summary in zip(misses, computed):
-        resolved.put(exp, summary)
-        hits[index] = summary
-    return [hits[i] for i in range(len(batch))]
-
-
-def _run_uncached(
-    batch: List[Experiment], jobs: Optional[int]
-) -> List[ExperimentSummary]:
-    """The pre-cache dispatch logic: serial or warm-pool, order-preserving."""
-    if jobs is None:
-        jobs = default_jobs()
-    pool = None
-    if jobs > 1 and len(batch) > 1:
-        pool = get_pool(jobs)
-    if pool is None:
-        _note_dispatch("serial", 1, 0, len(batch))
-        return _run_serial(batch)
-    chunksize = _chunksize(len(batch), pool.workers)
-    _note_dispatch("warm-pool", pool.workers, chunksize, len(batch))
-    return pool.map(batch, chunksize)
-
-
 # ----------------------------------------------------------------------
-# resilient sweeps
+# sweeps
 # ----------------------------------------------------------------------
-
-
-class InjectedCrash(RuntimeError):
-    """Raised by a worker whose experiment carries a ``harness.crash``
-    fault — the deterministic stand-in for a worker that dies mid-sweep."""
-
-
-def _apply_harness_faults(experiment: Experiment, attempt: int) -> None:
-    """Execute the ``harness.*`` fault kinds for one worker attempt.
-
-    ``harness.crash`` raises before the simulation starts; ``magnitude``
-    is the number of attempts that crash (0 = every attempt, so the
-    experiment can never succeed).  ``harness.hang`` sleeps ``magnitude``
-    wall seconds, which is how the timeout path is tested without a real
-    wedge.  ``probability`` gates each fault with a draw derived from
-    ``(plan seed, spec index, attempt)`` so retries re-roll
-    deterministically.
-    """
-    plan = experiment.server.fault_plan
-    for i, spec in plan.specs_for("harness"):
-        if spec.probability < 1.0:
-            draw = random.Random((plan.rng_seed(i) << 7) ^ attempt).random()
-            if draw >= spec.probability:
-                continue
-        if spec.kind == "harness.crash":
-            crashing = int(spec.magnitude)
-            if crashing == 0 or attempt <= crashing:
-                raise InjectedCrash(
-                    f"injected worker crash (attempt {attempt})"
-                )
-        elif spec.kind == "harness.hang":
-            time.sleep(spec.magnitude)
-
-
-def _sweep_worker(job: Tuple[Experiment, int]) -> ExperimentSummary:
-    """Serial entry point: apply harness faults, then run one experiment."""
-    experiment, attempt = job
-    _apply_harness_faults(experiment, attempt)
-    return run_experiment_summary(experiment)
 
 
 @dataclass
 class SweepRecord:
-    """The fate of one experiment inside a resilient sweep."""
+    """The fate of one experiment inside a sweep."""
 
     name: str
     #: "ok", "retried" (succeeded after >= 1 crash), "cached" (served
@@ -373,6 +289,9 @@ class SweepRecord:
     attempts: int
     error: Optional[str] = None
     wall_seconds: float = 0.0
+    #: The exception the last attempt raised ("failed" records only);
+    #: :func:`run_experiments` re-raises it.
+    exception: Optional[BaseException] = field(default=None, repr=False, compare=False)
 
     @property
     def succeeded(self) -> bool:
@@ -432,79 +351,9 @@ class SweepResult:
         }
 
 
-def _finish_summary(
-    summary: ExperimentSummary, attempts: int
-) -> Tuple[ExperimentSummary, SweepRecord]:
-    summary.status = "ok" if attempts == 1 else "retried"
-    summary.attempts = attempts
-    record = SweepRecord(
-        name=summary.experiment.name,
-        status=summary.status,
-        attempts=attempts,
-        wall_seconds=summary.wall_seconds,
-    )
-    return summary, record
-
-
-def _run_sweep_serial(
-    batch: Sequence[Experiment],
-    timeout_s: Optional[float],
-    retries: int,
-    retry_backoff_s: float,
-) -> SweepResult:
-    """In-process sweep with the same crash/retry semantics as the pool.
-
-    Timeouts are best-effort here: a run is marked ``timeout`` when its
-    wall time *exceeded* the budget (serial execution cannot interrupt a
-    wedged simulation the way the pool's ``get(timeout)`` can).
-    """
-    result = SweepResult()
-    for exp in batch:
-        attempts = 0
-        start = time.perf_counter()
-        while True:
-            attempts += 1
-            try:
-                summary = _sweep_worker((exp, attempts))
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                if attempts <= retries:
-                    time.sleep(retry_backoff_s * attempts)
-                    continue
-                result.summaries.append(None)
-                result.records.append(
-                    SweepRecord(
-                        name=exp.name,
-                        status="failed",
-                        attempts=attempts,
-                        error=f"{type(exc).__name__}: {exc}",
-                        wall_seconds=time.perf_counter() - start,
-                    )
-                )
-                break
-            wall = time.perf_counter() - start
-            if timeout_s is not None and wall > timeout_s:
-                result.summaries.append(None)
-                result.records.append(
-                    SweepRecord(
-                        name=exp.name,
-                        status="timeout",
-                        attempts=attempts,
-                        error=f"exceeded {timeout_s}s budget",
-                        wall_seconds=wall,
-                    )
-                )
-                break
-            summary, record = _finish_summary(summary, attempts)
-            record.wall_seconds = wall
-            result.summaries.append(summary)
-            result.records.append(record)
-            break
-    return result
-
-
 def run_sweep(
     experiments: Iterable[Experiment],
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     timeout_s: Optional[float] = None,
     retries: int = 1,
     retry_backoff_s: float = 0.05,
@@ -512,132 +361,125 @@ def run_sweep(
 ) -> SweepResult:
     """Run a sweep that survives crashed, hung, and failing experiments.
 
-    Unlike :func:`run_experiments` (which propagates the first worker
-    exception and loses the whole batch), every experiment here resolves
-    to a :class:`SweepRecord`: crashes are retried up to ``retries``
-    extra attempts with linear backoff, a worker that exceeds
-    ``timeout_s`` wall seconds is abandoned and reported as ``timeout``,
-    and the rest of the sweep completes regardless.  ``jobs``/``jobs=None``
-    follow :func:`run_experiments` and share the same warm session pool;
-    a host without process pools degrades to the serial path (where
-    timeouts are detected after the fact rather than enforced).
+    Every experiment resolves to a :class:`SweepRecord`: crashes are
+    retried up to ``retries`` extra attempts with linear backoff, a run
+    that exceeds ``timeout_s`` wall seconds is reported as ``timeout``,
+    and the rest of the sweep completes regardless.  ``jobs=1`` (the
+    default) runs in-process; ``jobs=None`` uses one worker per available
+    core.  The warm session pool is used when ``jobs > 1`` and there is
+    more than one experiment to compute or a timeout to enforce; a host
+    without process pools degrades to the serial path, where a timeout is
+    detected after the attempt returns rather than enforced.
 
-    ``cache`` follows :func:`run_experiments`: hits are reported with
-    status ``"cached"`` (``attempts=0``) and skip the worker entirely;
-    clean first-try results are stored.  Experiments whose fault plan
-    carries ``harness.*`` kinds are *uncacheable by design* — their
-    crashes and hangs act on this runner, so they force-miss on every
-    sweep and are never stored, keeping resilience paths live.
+    ``cache`` is consulted before dispatch: hits skip simulation, are
+    reported with status ``"cached"`` (``attempts=0``), and keep their
+    place in input order; clean first-try results are stored.
+    ``cache=None`` uses the process-default cache if one is installed
+    (:func:`repro.cache.set_default_cache`); ``cache=False`` disables
+    caching for this call.  Experiments whose fault plan carries
+    ``harness.*`` kinds are *uncacheable by design* — their crashes and
+    hangs act on this runner, so they force-miss on every sweep and are
+    never stored, keeping resilience paths live.
 
-    A timeout poisons the pool — the wedged worker still occupies a
+    A pool timeout poisons the pool — the wedged worker still occupies a
     slot — so the session pool is terminated and discarded; the next
     parallel call warms a fresh one.
     """
     batch = list(experiments)
-    if not batch:
-        return SweepResult()
-    resolved = resolve_cache(cache)
-    if resolved is None:
-        return _run_sweep_uncached(batch, jobs, timeout_s, retries, retry_backoff_s)
-    hits: Dict[int, ExperimentSummary] = {}
-    misses: List[Tuple[int, Experiment]] = []
-    for index, exp in enumerate(batch):
-        summary = resolved.get(exp)
-        if summary is not None:
-            summary.status = "cached"
-            summary.attempts = 0
-            hits[index] = summary
-        else:
-            misses.append((index, exp))
-    inner = _run_sweep_uncached(
-        [exp for _, exp in misses], jobs, timeout_s, retries, retry_backoff_s
-    )
-    result = SweepResult(
-        summaries=[hits.get(i) for i in range(len(batch))],
-        records=[
-            SweepRecord(name=batch[i].name, status="cached", attempts=0)
-            if i in hits
-            else None  # type: ignore[list-item] - filled below
-            for i in range(len(batch))
-        ],
-    )
-    for (index, exp), summary, record in zip(
-        misses, inner.summaries, inner.records
-    ):
-        if summary is not None and summary.status == "ok":
-            resolved.put(exp, summary)
-        result.summaries[index] = summary
-        result.records[index] = record
-    return result
-
-
-def _run_sweep_uncached(
-    batch: Sequence[Experiment],
-    jobs: Optional[int],
-    timeout_s: Optional[float],
-    retries: int,
-    retry_backoff_s: float,
-) -> SweepResult:
-    """The pre-cache sweep machinery: warm pool with crash/timeout handling."""
     if jobs is None:
         jobs = default_jobs()
-    if not batch:
-        return SweepResult()
-    pool = get_pool(jobs) if jobs > 1 else None
-    if pool is None:
-        return _run_sweep_serial(batch, timeout_s, retries, retry_backoff_s)
+    resolved = resolve_cache(cache)
+    # Every record starts as a cache hit; the attempt loop below
+    # overwrites the records of the misses.
+    result = SweepResult(
+        summaries=[None] * len(batch),
+        records=[SweepRecord(name=exp.name, status="cached", attempts=0) for exp in batch],
+    )
+    misses: List[int] = []
+    for index, exp in enumerate(batch):
+        summary = resolved.get(exp) if resolved is not None else None
+        if summary is None:
+            misses.append(index)
+        else:
+            summary.status = "cached"
+            summary.attempts = 0
+            result.summaries[index] = summary
 
-    generation = pool.broadcast(batch)
-    _note_dispatch("warm-pool", pool.workers, 1, len(batch))
-    result = SweepResult()
+    pool = None
+    if jobs > 1 and (len(misses) > 1 or (misses and timeout_s is not None)):
+        pool = get_pool(jobs)
+    if pool is None:
+        _note_dispatch("serial" if misses else "cached", 1 if misses else 0, 0, len(misses))
+
+        def fetch(slot: int, attempt: int) -> ExperimentSummary:
+            start = time.perf_counter()
+            summary = _run_attempt(batch[misses[slot]], attempt)
+            if timeout_s is not None and time.perf_counter() - start > timeout_s:
+                raise multiprocessing.TimeoutError()
+            return summary
+
+    else:
+        _note_dispatch("warm-pool", pool.workers, 1, len(misses))
+        warm = pool
+        generation = warm.broadcast([batch[index] for index in misses])
+        handles = [warm.submit(generation, slot, 1) for slot in range(len(misses))]
+
+        def fetch(slot: int, attempt: int) -> ExperimentSummary:
+            if attempt > 1:
+                handles[slot] = warm.submit(generation, slot, attempt)
+            return handles[slot].get(timeout_s)
+
     timed_out = False
-    pending = [pool.submit(generation, i, 1) for i in range(len(batch))]
-    for index, (exp, handle) in enumerate(zip(batch, pending)):
-        attempts = 1
+    for slot, index in enumerate(misses):
+        exp = batch[index]
+        record = result.records[index]
         start = time.perf_counter()
         while True:
+            record.attempts += 1
             try:
-                summary = handle.get(timeout_s)
+                summary = fetch(slot, record.attempts)
             except multiprocessing.TimeoutError:
-                # The worker is still wedged in its pool slot; remaining
+                # A pool worker is still wedged in its slot; remaining
                 # handles are drained first, then the pool is torn down.
                 timed_out = True
-                result.summaries.append(None)
-                result.records.append(
-                    SweepRecord(
-                        name=exp.name,
-                        status="timeout",
-                        attempts=attempts,
-                        error=f"no result within {timeout_s}s",
-                        wall_seconds=time.perf_counter() - start,
-                    )
-                )
-                break
+                record.status = "timeout"
+                record.error = f"no result within {timeout_s}s"
             except Exception as exc:  # noqa: BLE001 - report, don't die
-                if attempts <= retries:
-                    time.sleep(retry_backoff_s * attempts)
-                    attempts += 1
-                    handle = pool.submit(generation, index, attempts)
+                if record.attempts <= retries:
+                    time.sleep(retry_backoff_s * record.attempts)
                     continue
-                result.summaries.append(None)
-                result.records.append(
-                    SweepRecord(
-                        name=exp.name,
-                        status="failed",
-                        attempts=attempts,
-                        error=f"{type(exc).__name__}: {exc}",
-                        wall_seconds=time.perf_counter() - start,
-                    )
-                )
-                break
-            summary, record = _finish_summary(summary, attempts)
-            record.wall_seconds = time.perf_counter() - start
-            result.summaries.append(summary)
-            result.records.append(record)
+                record.status = "failed"
+                record.error = f"{type(exc).__name__}: {exc}"
+                record.exception = exc
+            else:
+                record.status = "ok" if record.attempts == 1 else "retried"
+                summary.status = record.status
+                summary.attempts = record.attempts
+                result.summaries[index] = summary
+                if resolved is not None and record.status == "ok":
+                    resolved.put(exp, summary)
             break
-    if timed_out:
+        record.wall_seconds = time.perf_counter() - start
+    if timed_out and pool is not None:
         shutdown_pool(terminate=True)
     return result
+
+
+def run_experiments(
+    experiments: Iterable[Experiment], jobs: Optional[int] = 1, cache=None
+) -> List[ExperimentSummary]:
+    """Run a batch through :func:`run_sweep` and raise on the first failure.
+
+    The sweep runs without retries or a timeout; summaries come back in
+    input order.  If any experiment failed, the first failed experiment's
+    own exception (in input order) is re-raised once the batch is done.
+    ``jobs`` and ``cache`` follow :func:`run_sweep`.
+    """
+    result = run_sweep(experiments, jobs=jobs, retries=0, cache=cache)
+    for record in result.records:
+        if record.exception is not None:
+            raise record.exception
+    return cast(List[ExperimentSummary], result.summaries)
 
 
 def run_named_experiments(

@@ -6,34 +6,28 @@ hierarchy used to expose (``mlc_wb_listeners``/``llc_wb_listeners``);
 every interested party — the statistics bundle, the IDIO controller's
 control plane, the IAT baseline, the optional trace recorder — is now a
 subscriber to typed events published by the hierarchy and the software
-stack.  The rack tier publishes per-server lane events on a rack-level
-bus; :class:`~repro.obs.trace.RackTraceRecorder` renders them as one
-Chrome-trace process per server.
+stack.  Sweeps (the rack and tenant tiers) publish
+:class:`~repro.obs.events.LaneSeries` on a sweep-level bus; the same
+:class:`~repro.obs.trace.TraceRecorder` renders those as one
+Chrome-trace process per server or tenant.
 """
 
 from .bus import EventBus
 from .events import (
-    CacheHitEvent,
-    CacheMissEvent,
-    CacheStoreEvent,
+    LaneSeries,
     LlcWritebackEvent,
     MlcWritebackEvent,
     PmdBatchEvent,
     ServerCompletedEvent,
-    ServerLaneSeries,
 )
-from .trace import RackTraceRecorder, TraceRecorder
+from .trace import TraceRecorder
 
 __all__ = [
-    "CacheHitEvent",
-    "CacheMissEvent",
-    "CacheStoreEvent",
     "EventBus",
+    "LaneSeries",
     "LlcWritebackEvent",
     "MlcWritebackEvent",
     "PmdBatchEvent",
-    "RackTraceRecorder",
     "ServerCompletedEvent",
-    "ServerLaneSeries",
     "TraceRecorder",
 ]

@@ -41,21 +41,26 @@ class PmdBatchEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class ServerLaneSeries:
-    """One server's timeline for one event stream, published rack-level.
+class LaneSeries:
+    """One counter lane of a sweep-level trace process.
 
-    The rack tier runs its servers in worker processes, so per-hop
-    tracing cannot ride home in a summary; instead each finished server
-    contributes its binned ``(time_us, MTPS)`` series per summary stream.
-    A :class:`~repro.obs.trace.RackTraceRecorder` subscribed to the
-    rack's bus renders these as per-server counter lanes in the Chrome
-    trace (one process per server).
+    Sweeps run their experiments in worker processes, so per-hop tracing
+    cannot ride home in a summary; instead the sweep publishes binned
+    samples per (process, lane) on its own bus once the runs finish.  The
+    rack publishes a ``server-N`` process per server with one lane per
+    summary stream (``(time_us, MTPS)``); the tenants sweep publishes a
+    ``tenant-N`` process per tenant with one ``policy:pXX_us`` lane per
+    percentile (``(intensity x 1000, us)``).  A
+    :class:`~repro.obs.trace.TraceRecorder` attached to the bus renders
+    each as a Chrome-trace counter lane.
     """
 
-    server: int
-    stream: str
-    #: ``((time_us, mtps), ...)`` — binned throughput samples.
+    process: str
+    lane: str
+    #: ``((timestamp, value), ...)`` — timestamps in trace microseconds.
     points: tuple
+    #: Name of the counter value (``"mtps"``, ``"us"``).
+    unit: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,21 +78,6 @@ class TenantDmaEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class TenantLaneSeries:
-    """One tenant's timeline for one event stream, published sweep-level.
-
-    The tenant-tier analogue of :class:`ServerLaneSeries`: each finished
-    tenants-sweep cell contributes binned ``(time_us, value)`` samples
-    per tenant so recorders can render per-tenant lanes.
-    """
-
-    tenant: int
-    stream: str
-    #: ``((time_us, value), ...)`` — binned samples.
-    points: tuple
-
-
-@dataclass(frozen=True, slots=True)
 class ServerCompletedEvent:
     """A rack server's experiment finished (one per server per sweep)."""
 
@@ -99,40 +89,3 @@ class ServerCompletedEvent:
     #: Whether the lane was served from the result cache (no simulation).
     cached: bool = False
 
-
-@dataclass(frozen=True, slots=True)
-class CacheHitEvent:
-    """A sweep experiment was served from the result cache.
-
-    Published by :class:`~repro.cache.ResultCache` on its bus whenever a
-    lookup returns a stored summary — the experiment skipped simulation
-    entirely.  ``digest`` is the canonical config digest the entry is
-    keyed by (see ``docs/caching.md``).
-    """
-
-    digest: str
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class CacheMissEvent:
-    """A sweep experiment was not served from the result cache.
-
-    ``reason`` says why: ``"absent"`` (no entry), ``"corrupt"`` (entry
-    failed validation and was evicted), or ``"uncacheable"`` (the
-    experiment is excluded from caching, e.g. it carries ``harness.*``
-    fault kinds whose crashes must never be memoized).
-    """
-
-    digest: str
-    name: str
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class CacheStoreEvent:
-    """A freshly computed summary was persisted to the result cache."""
-
-    digest: str
-    name: str
-    num_bytes: int

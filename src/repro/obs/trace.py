@@ -1,26 +1,32 @@
-"""Per-hop transaction tracing with Chrome-trace (Perfetto) export.
+"""Chrome-trace (Perfetto) recording: one recorder, one (process, lane) model.
 
-A :class:`TraceRecorder` subscribes to the hierarchy's event bus and
-records every completed :class:`~repro.mem.transaction.MemoryTransaction`
-together with its hop records, plus the writeback and PMD-batch events.
-The recording serves two consumers:
+A :class:`TraceRecorder` keeps a table of trace processes and the lanes
+(Chrome-trace threads) inside them, and records into it from one of two
+sources:
 
-* ``to_chrome_trace()`` / ``export()`` produce a Chrome-trace JSON
-  (``chrome://tracing`` / Perfetto ``ui.perfetto.dev`` both load it)
-  where DDIO-way fills, MLC steering fills, direct-DRAM writes and
-  invalidate drops are distinguishable by category;
-* ``latency_breakdown_ns()`` produces the per-component latency split
-  (L1/MLC/LLC/DRAM share of the mean access) that the harness surfaces —
-  a real component breakdown, not just queueing-vs-service.
+* **one server's memory path** — ``attach(hierarchy)`` subscribes to the
+  hierarchy's bus and records every completed
+  :class:`~repro.mem.transaction.MemoryTransaction` hop by hop, plus the
+  writeback, PMD-batch and injected-fault events, on the server process
+  (pid 0) with one lane per component (tids 1-7).  DDIO-way fills, MLC
+  steering fills, direct-DRAM writes and invalidate drops are
+  distinguishable by category, and ``latency_breakdown_ns()`` yields the
+  per-component split (L1/MLC/LLC/DRAM share of the mean access) that
+  the harness surfaces.  Attaching flips the hierarchy's ``record_hops``
+  switch, which is what makes the hop lists non-empty.
+* **a sweep** — ``attach(bus)`` on a sweep-level bus records
+  :class:`~repro.obs.events.LaneSeries` counter samples (one ``server-N``
+  process per rack server, one ``tenant-N`` process per tenant) and rack
+  :class:`~repro.obs.events.ServerCompletedEvent` instants.
 
-Tracing is strictly opt-in: attaching a recorder flips the hierarchy's
-``record_hops`` switch, which is what makes the hop lists non-empty.
+``export()`` writes the trace; ``chrome://tracing`` and Perfetto
+(``ui.perfetto.dev``) both load it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.events import FaultEvent
 from ..mem.transaction import (
@@ -31,19 +37,19 @@ from ..mem.transaction import (
     MemoryTransaction,
 )
 from ..sim import units
+from .bus import EventBus
 from .events import (
+    LaneSeries,
     LlcWritebackEvent,
     MlcWritebackEvent,
     PmdBatchEvent,
     ServerCompletedEvent,
-    ServerLaneSeries,
-    TenantLaneSeries,
 )
 
-#: Stable Chrome-trace thread ids, one lane per component.
-_COMPONENT_TIDS = {"l1": 1, "mlc": 2, "llc": 3, "dram": 4, "directory": 5}
-_EVENT_TID = 6  # writebacks / PMD batches
-_FAULT_TID = 7  # injected faults (repro.faults)
+#: The per-hop server process (always pid 0) and its lanes in tid order:
+#: one per component, then writebacks / PMD batches, then injected faults.
+SERVER_PROCESS = "idio-repro server"
+SERVER_LANES = ("l1", "mlc", "llc", "dram", "directory", "events", "faults")
 
 
 def categorize(txn: MemoryTransaction, hop: Hop) -> str:
@@ -66,7 +72,7 @@ def categorize(txn: MemoryTransaction, hop: Hop) -> str:
 
 
 class TraceRecorder:
-    """Records transactions from a hierarchy's bus; exports Chrome traces.
+    """Records trace events per (process, lane); exports Chrome traces.
 
     ``max_events`` bounds memory for long runs; once reached, further
     trace events are counted in ``dropped_events`` instead of stored
@@ -78,41 +84,75 @@ class TraceRecorder:
         self.trace_events: List[Dict[str, Any]] = []
         self.dropped_events = 0
         self.transactions = 0
-        #: Per-category hop counts ("ddio-fill", "mlc-steer-fill", ...).
+        #: Per-category event counts ("ddio-fill", "mlc-steer-fill", ...).
         self.category_counts: Dict[str, int] = {}
         self._component_ticks: Dict[str, int] = {}
+        #: Process name -> pid, and (pid, lane name) -> tid.
+        self._pids: Dict[str, int] = {}
+        self._tids: Dict[Tuple[int, str], int] = {}
         self._hierarchy = None
-        self._bus = None
+        self._bus: Optional[EventBus] = None
+
+    # -- the (process, lane) table --------------------------------------
+
+    def _lane(self, process: str, lane: str) -> Tuple[int, int]:
+        """The ``(pid, tid)`` of a lane, registering both on first use.
+
+        The server process is pid 0; other processes number from 1 in
+        first-use order, and lanes number from 1 within their process.
+        """
+        pid = self._pids.get(process)
+        if pid is None:
+            pid = 0 if process == SERVER_PROCESS else max(self._pids.values(), default=0) + 1
+            self._pids[process] = pid
+        tid = self._tids.get((pid, lane))
+        if tid is None:
+            tid = 1 + sum(1 for owner, _ in self._tids if owner == pid)
+            self._tids[(pid, lane)] = tid
+        return pid, tid
 
     # -- wiring ---------------------------------------------------------
 
-    def attach(self, hierarchy) -> "TraceRecorder":
-        """Subscribe to ``hierarchy``'s bus and enable hop recording."""
+    def attach(self, source) -> "TraceRecorder":
+        """Subscribe to a sweep-level :class:`EventBus`, or to a
+        hierarchy's bus with hop recording enabled."""
         if self._bus is not None:
             raise RuntimeError("recorder is already attached")
-        bus = hierarchy.bus
+        if isinstance(source, EventBus):
+            source.subscribe(LaneSeries, self.on_lane_series)
+            source.subscribe(ServerCompletedEvent, self.on_server_completed)
+            self._bus = source
+            return self
+        bus = source.bus
         bus.subscribe(MemoryTransaction, self.on_transaction)
         bus.subscribe(MlcWritebackEvent, self.on_mlc_writeback)
         bus.subscribe(LlcWritebackEvent, self.on_llc_writeback)
         bus.subscribe(PmdBatchEvent, self.on_pmd_batch)
         bus.subscribe(FaultEvent, self.on_fault)
-        self._hierarchy = hierarchy
+        for name in SERVER_LANES:
+            self._lane(SERVER_PROCESS, name)
+        self._hierarchy = source
         self._bus = bus
-        hierarchy.record_hops = True
+        source.record_hops = True
         return self
 
     def detach(self) -> None:
-        """Unsubscribe and disable hop recording on the hierarchy."""
-        if self._bus is None:
+        """Unsubscribe; a hierarchy's hop recording goes off with its last
+        transaction subscriber."""
+        bus = self._bus
+        if bus is None:
             return
-        self._bus.unsubscribe(MemoryTransaction, self.on_transaction)
-        self._bus.unsubscribe(MlcWritebackEvent, self.on_mlc_writeback)
-        self._bus.unsubscribe(LlcWritebackEvent, self.on_llc_writeback)
-        self._bus.unsubscribe(PmdBatchEvent, self.on_pmd_batch)
-        self._bus.unsubscribe(FaultEvent, self.on_fault)
-        if self._hierarchy is not None and not self._bus.has_subscribers(
-            MemoryTransaction
+        for event_type, handler in (
+            (MemoryTransaction, self.on_transaction),
+            (MlcWritebackEvent, self.on_mlc_writeback),
+            (LlcWritebackEvent, self.on_llc_writeback),
+            (PmdBatchEvent, self.on_pmd_batch),
+            (FaultEvent, self.on_fault),
+            (LaneSeries, self.on_lane_series),
+            (ServerCompletedEvent, self.on_server_completed),
         ):
+            bus.unsubscribe(event_type, handler)
+        if self._hierarchy is not None and not bus.has_subscribers(MemoryTransaction):
             self._hierarchy.record_hops = False
         self._hierarchy = None
         self._bus = None
@@ -129,6 +169,7 @@ class TraceRecorder:
             self._component_ticks[hop.component] = (
                 self._component_ticks.get(hop.component, 0) + hop.latency
             )
+            pid, tid = self._lane(SERVER_PROCESS, hop.component)
             self._emit(
                 {
                     "name": f"{hop.component}:{hop.action}",
@@ -136,8 +177,8 @@ class TraceRecorder:
                     "ph": "X",
                     "ts": ts + units.to_microseconds(offset),
                     "dur": units.to_microseconds(hop.latency),
-                    "pid": 0,
-                    "tid": _COMPONENT_TIDS.get(hop.component, 0),
+                    "pid": pid,
+                    "tid": tid,
                     "args": {
                         "kind": txn.kind,
                         "addr": f"{txn.addr:#x}",
@@ -149,47 +190,86 @@ class TraceRecorder:
             offset += hop.latency
 
     def on_mlc_writeback(self, event: MlcWritebackEvent) -> None:
-        self._instant(f"mlc-writeback-c{event.core}", "mlc-writeback", event.now)
+        self._instant("events", f"mlc-writeback-c{event.core}", "mlc-writeback", event.now)
 
     def on_llc_writeback(self, event: LlcWritebackEvent) -> None:
-        self._instant("llc-writeback", "llc-writeback", event.now)
+        self._instant("events", "llc-writeback", "llc-writeback", event.now)
 
     def on_pmd_batch(self, event: PmdBatchEvent) -> None:
         self._instant(
-            f"pmd-batch-c{event.core} ({event.size})", "pmd-batch", event.now
+            "events", f"pmd-batch-c{event.core} ({event.size})", "pmd-batch", event.now
         )
 
     def on_fault(self, event: FaultEvent) -> None:
         """Injected faults get their own lane, categorized by fault kind,
         so degradation in the component lanes can be read against the
         exact injection times that caused it."""
-        self.category_counts[event.kind] = self.category_counts.get(event.kind, 0) + 1
+        self._instant(
+            "faults",
+            event.kind,
+            event.kind,
+            event.now,
+            args={"layer": event.layer, "detail": event.detail},
+        )
+
+    def on_lane_series(self, event: LaneSeries) -> None:
+        pid, tid = self._lane(event.process, event.lane)
+        for ts, value in event.points:
+            self._emit(
+                {
+                    "name": event.lane,
+                    "ph": "C",
+                    "ts": ts,
+                    "pid": pid,
+                    "tid": tid,
+                    "args": {event.unit: value},
+                }
+            )
+
+    def on_server_completed(self, event: ServerCompletedEvent) -> None:
+        pid, tid = self._lane(f"server-{event.server}", "completion")
+        self.category_counts["rack"] = self.category_counts.get("rack", 0) + 1
         self._emit(
             {
-                "name": event.kind,
-                "cat": event.kind,
+                "name": f"server-{event.server} done",
+                "cat": "rack",
                 "ph": "i",
-                "s": "g",
-                "ts": units.to_microseconds(event.now),
-                "pid": 0,
-                "tid": _FAULT_TID,
-                "args": {"layer": event.layer, "detail": event.detail},
+                "s": "p",
+                "ts": 0.0,
+                "pid": pid,
+                "tid": tid,
+                "args": {
+                    "flows": event.flows,
+                    "completed": event.completed,
+                    "drops": event.drops,
+                    "fingerprint": event.fingerprint,
+                },
             }
         )
 
-    def _instant(self, name: str, category: str, now: int) -> None:
+    def _instant(
+        self,
+        lane: str,
+        name: str,
+        category: str,
+        now: int,
+        args: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """A global instant event on one of the server process's lanes."""
         self.category_counts[category] = self.category_counts.get(category, 0) + 1
-        self._emit(
-            {
-                "name": name,
-                "cat": category,
-                "ph": "i",
-                "s": "g",
-                "ts": units.to_microseconds(now),
-                "pid": 0,
-                "tid": _EVENT_TID,
-            }
-        )
+        pid, tid = self._lane(SERVER_PROCESS, lane)
+        event: Dict[str, Any] = {
+            "name": name,
+            "cat": category,
+            "ph": "i",
+            "s": "g",
+            "ts": units.to_microseconds(now),
+            "pid": pid,
+            "tid": tid,
+        }
+        if args is not None:
+            event["args"] = args
+        self._emit(event)
 
     def _emit(self, event: Dict[str, Any]) -> None:
         if len(self.trace_events) >= self.max_events:
@@ -208,46 +288,31 @@ class TraceRecorder:
             for component, ticks in sorted(self._component_ticks.items())
         }
 
+    def _metadata(self) -> List[Dict[str, Any]]:
+        """``process_name`` / ``thread_name`` records for every lane."""
+        names = {pid: process for process, pid in self._pids.items()}
+        metadata: List[Dict[str, Any]] = []
+        for pid in sorted(names):
+            metadata.append(
+                {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": names[pid]}}
+            )
+            for (owner, lane), tid in sorted(self._tids.items(), key=lambda kv: kv[1]):
+                if owner == pid:
+                    metadata.append(
+                        {
+                            "name": "thread_name",
+                            "ph": "M",
+                            "pid": pid,
+                            "tid": tid,
+                            "args": {"name": lane},
+                        }
+                    )
+        return metadata
+
     def to_chrome_trace(self) -> Dict[str, Any]:
         """The full trace as a Chrome-trace JSON object."""
-        metadata = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 0,
-                "args": {"name": "idio-repro server"},
-            }
-        ]
-        for component, tid in sorted(_COMPONENT_TIDS.items(), key=lambda kv: kv[1]):
-            metadata.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 0,
-                    "tid": tid,
-                    "args": {"name": component},
-                }
-            )
-        metadata.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": _EVENT_TID,
-                "args": {"name": "events"},
-            }
-        )
-        metadata.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": _FAULT_TID,
-                "args": {"name": "faults"},
-            }
-        )
         return {
-            "traceEvents": metadata + self.trace_events,
+            "traceEvents": self._metadata() + self.trace_events,
             "displayTimeUnit": "ns",
             "otherData": {
                 "transactions": self.transactions,
@@ -271,232 +336,6 @@ class TraceRecorder:
         )
         dropped = f", {self.dropped_events} dropped" if self.dropped_events else ""
         return f"{self.transactions} transactions traced ({cats}){dropped}"
-
-
-class RackTraceRecorder:
-    """Per-server lanes for a rack sweep, exported as a Chrome trace.
-
-    Subscribes to a *rack-level* bus for :class:`ServerLaneSeries` and
-    :class:`ServerCompletedEvent`.  Each server becomes its own trace
-    process (``pid = server + 1``) with one counter lane per summary
-    stream, so a rack's servers read side by side in Perfetto the way a
-    single server's components do in :class:`TraceRecorder`.  Counter
-    values are MTPS, timestamped in microseconds of simulated time.
-    """
-
-    #: Stable per-stream thread ids inside each server's process lane.
-    _STREAM_TIDS = {
-        "pcie_writes": 1,
-        "mlc_writebacks": 2,
-        "llc_writebacks": 3,
-        "mlc_invalidations": 4,
-        "dram_reads": 5,
-        "dram_writes": 6,
-    }
-    _COMPLETION_TID = 7
-
-    def __init__(self) -> None:
-        self.trace_events: List[Dict[str, Any]] = []
-        self.servers_seen: Dict[int, int] = {}  # server -> lane series count
-        self.completions = 0
-        self._bus = None
-
-    def attach(self, bus) -> "RackTraceRecorder":
-        if self._bus is not None:
-            raise RuntimeError("recorder is already attached")
-        bus.subscribe(ServerLaneSeries, self.on_lane_series)
-        bus.subscribe(ServerCompletedEvent, self.on_server_completed)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        self._bus.unsubscribe(ServerLaneSeries, self.on_lane_series)
-        self._bus.unsubscribe(ServerCompletedEvent, self.on_server_completed)
-        self._bus = None
-
-    def on_lane_series(self, event: ServerLaneSeries) -> None:
-        self.servers_seen[event.server] = self.servers_seen.get(event.server, 0) + 1
-        tid = self._STREAM_TIDS.get(event.stream, 0)
-        for t_us, mtps in event.points:
-            self.trace_events.append(
-                {
-                    "name": event.stream,
-                    "ph": "C",
-                    "ts": t_us,
-                    "pid": event.server + 1,
-                    "tid": tid,
-                    "args": {"mtps": mtps},
-                }
-            )
-
-    def on_server_completed(self, event: ServerCompletedEvent) -> None:
-        self.completions += 1
-        self.trace_events.append(
-            {
-                "name": f"server-{event.server} done",
-                "cat": "rack",
-                "ph": "i",
-                "s": "p",
-                "ts": 0.0,
-                "pid": event.server + 1,
-                "tid": self._COMPLETION_TID,
-                "args": {
-                    "flows": event.flows,
-                    "completed": event.completed,
-                    "drops": event.drops,
-                    "fingerprint": event.fingerprint,
-                },
-            }
-        )
-
-    def to_chrome_trace(self) -> Dict[str, Any]:
-        metadata: List[Dict[str, Any]] = []
-        for server in sorted(self.servers_seen):
-            metadata.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": server + 1,
-                    "args": {"name": f"server-{server}"},
-                }
-            )
-            for stream, tid in sorted(
-                self._STREAM_TIDS.items(), key=lambda kv: kv[1]
-            ):
-                metadata.append(
-                    {
-                        "name": "thread_name",
-                        "ph": "M",
-                        "pid": server + 1,
-                        "tid": tid,
-                        "args": {"name": stream},
-                    }
-                )
-        return {
-            "traceEvents": metadata + self.trace_events,
-            "displayTimeUnit": "ns",
-            "otherData": {
-                "servers": len(self.servers_seen),
-                "completions": self.completions,
-            },
-        }
-
-    def export(self, path: str) -> int:
-        """Write the Chrome-trace JSON to ``path``; returns event count."""
-        trace = self.to_chrome_trace()
-        with open(path, "w") as fh:
-            json.dump(trace, fh)
-            fh.write("\n")
-        return len(trace["traceEvents"])
-
-    def summary_line(self) -> str:
-        return (
-            f"{len(self.servers_seen)} server lanes, "
-            f"{len(self.trace_events)} samples, "
-            f"{self.completions} completions"
-        )
-
-
-class TenantTraceRecorder:
-    """Per-tenant degradation curves from an isolation sweep.
-
-    Subscribes to a sweep-level bus for :class:`TenantLaneSeries` (as
-    published by ``repro.tenants.sweep.run_tenants``).  Each tenant
-    becomes its own trace process with one counter lane per
-    ``policy:percentile`` stream; the x axis is aggressor intensity
-    scaled to integer microticks (Chrome traces want monotonic numeric
-    timestamps), the counter value the percentile in microseconds.
-    """
-
-    #: Intensity is a small float (0.25, 1.0, ...); scale it into the
-    #: integer timestamp domain the trace format expects.
-    _INTENSITY_SCALE = 1000.0
-
-    def __init__(self) -> None:
-        self.trace_events: List[Dict[str, Any]] = []
-        self.tenants_seen: Dict[int, int] = {}  # tenant -> series count
-        self._stream_tids: Dict[str, int] = {}
-        self._bus = None
-
-    def attach(self, bus) -> "TenantTraceRecorder":
-        if self._bus is not None:
-            raise RuntimeError("recorder is already attached")
-        bus.subscribe(TenantLaneSeries, self.on_tenant_series)
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is None:
-            return
-        self._bus.unsubscribe(TenantLaneSeries, self.on_tenant_series)
-        self._bus = None
-
-    def _tid(self, stream: str) -> int:
-        if stream not in self._stream_tids:
-            self._stream_tids[stream] = len(self._stream_tids) + 1
-        return self._stream_tids[stream]
-
-    def on_tenant_series(self, event: TenantLaneSeries) -> None:
-        self.tenants_seen[event.tenant] = (
-            self.tenants_seen.get(event.tenant, 0) + 1
-        )
-        tid = self._tid(event.stream)
-        for intensity, value_us in event.points:
-            self.trace_events.append(
-                {
-                    "name": event.stream,
-                    "ph": "C",
-                    "ts": intensity * self._INTENSITY_SCALE,
-                    "pid": event.tenant + 1,
-                    "tid": tid,
-                    "args": {"us": value_us},
-                }
-            )
-
-    def to_chrome_trace(self) -> Dict[str, Any]:
-        metadata: List[Dict[str, Any]] = []
-        for tenant in sorted(self.tenants_seen):
-            metadata.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": tenant + 1,
-                    "args": {"name": f"tenant-{tenant}"},
-                }
-            )
-            for stream, tid in sorted(
-                self._stream_tids.items(), key=lambda kv: kv[1]
-            ):
-                metadata.append(
-                    {
-                        "name": "thread_name",
-                        "ph": "M",
-                        "pid": tenant + 1,
-                        "tid": tid,
-                        "args": {"name": stream},
-                    }
-                )
-        return {
-            "traceEvents": metadata + self.trace_events,
-            "displayTimeUnit": "ns",
-            "otherData": {"tenants": len(self.tenants_seen)},
-        }
-
-    def export(self, path: str) -> int:
-        """Write the Chrome-trace JSON to ``path``; returns event count."""
-        trace = self.to_chrome_trace()
-        with open(path, "w") as fh:
-            json.dump(trace, fh)
-            fh.write("\n")
-        return len(trace["traceEvents"])
-
-    def summary_line(self) -> str:
-        return (
-            f"{len(self.tenants_seen)} tenant lanes, "
-            f"{len(self.trace_events)} samples"
-        )
 
 
 def merge_latency_breakdowns(

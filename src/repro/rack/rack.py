@@ -24,12 +24,11 @@ import random
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
-from ..cache import resolve_cache
 from ..harness.experiment import Experiment, ExperimentSummary
 from ..harness.runner import run_experiments
 from ..net.flow import FlowSteering, _mix64, make_flows
 from ..obs.bus import EventBus
-from ..obs.events import CacheHitEvent, ServerCompletedEvent, ServerLaneSeries
+from ..obs.events import LaneSeries, ServerCompletedEvent
 from ..sim import units
 from .config import RackConfig
 from .summary import RackSummary, fingerprint_digest
@@ -140,39 +139,20 @@ class SimulatedRack:
         rack fingerprint is unaffected: cached digests are byte-identical
         to cold recomputes.
         """
-        resolved = resolve_cache(cache)
-        experiments = self.experiments()
-        cached_names: set = set()
-        if resolved is None:
-            summaries = run_experiments(experiments, jobs=jobs, cache=False)
-        else:
-            handler = resolved.bus.subscribe(
-                CacheHitEvent, lambda event: cached_names.add(event.name)
-            )
-            try:
-                summaries = run_experiments(
-                    experiments, jobs=jobs, cache=resolved
-                )
-            finally:
-                resolved.bus.unsubscribe(CacheHitEvent, handler)
-        return self.fold(summaries, cached_names=cached_names)
+        summaries = run_experiments(self.experiments(), jobs=jobs, cache=cache)
+        return self.fold(summaries)
 
-    def fold(
-        self,
-        summaries: Sequence[ExperimentSummary],
-        cached_names: Optional[set] = None,
-    ) -> RackSummary:
+    def fold(self, summaries: Sequence[ExperimentSummary]) -> RackSummary:
         """Fold per-server summaries (server order) and publish lanes.
 
-        ``cached_names`` marks the lanes whose experiment (by its unique
-        ``{rack}-sNN`` name) was served from the result cache.
+        A lane is marked ``cached`` when its summary was served from the
+        result cache (the sweep runner's ``"cached"`` status).
         """
         rack_summary = RackSummary.from_summaries(
             self.config, self.flow_counts, summaries, self.steering.digest()
         )
-        if cached_names:
-            for lane in rack_summary.lanes:
-                lane.cached = lane.name in cached_names
+        for lane, summary in zip(rack_summary.lanes, summaries):
+            lane.cached = summary.status == "cached"
         self._publish_lanes(summaries, rack_summary)
         return rack_summary
 
@@ -187,14 +167,16 @@ class SimulatedRack:
         materialized when someone subscribed — they are the expensive
         part; completion events are always published.
         """
-        want_series = self.bus.has_subscribers(ServerLaneSeries)
+        want_series = self.bus.has_subscribers(LaneSeries)
         for lane, summary in zip(rack_summary.lanes, summaries):
             if want_series:
                 for stream in LANE_STREAMS:
-                    points = tuple(summary.timeline(stream, bin_us=10.0))
                     self.bus.publish(
-                        ServerLaneSeries(
-                            server=lane.server, stream=stream, points=points
+                        LaneSeries(
+                            process=f"server-{lane.server}",
+                            lane=stream,
+                            points=tuple(summary.timeline(stream, bin_us=10.0)),
+                            unit="mtps",
                         )
                     )
             self.bus.publish(

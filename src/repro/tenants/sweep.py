@@ -30,13 +30,17 @@ from ..core.policies import PolicyConfig
 from ..harness.report import format_table
 from ..harness.runner import run_sweep
 from ..obs.bus import EventBus
-from ..obs.events import TenantLaneSeries
+from ..obs.events import LaneSeries
 from .config import TenantSet
 from .scenarios import tenant_experiment, tenant_mix
 
-#: Per-tenant percentile streams published as :class:`TenantLaneSeries`
-#: when a trace recorder subscribes.
+#: Per-tenant percentile streams published as :class:`LaneSeries` when a
+#: trace recorder subscribes.
 TENANT_LANE_STREAMS = ("p50_us", "p95_us", "p99_us")
+
+#: Intensity is a small float (0.25, 1.0, ...); lanes scale it into the
+#: timestamp domain, since Chrome traces want monotonic numeric stamps.
+INTENSITY_SCALE = 1000.0
 
 
 @dataclass
@@ -201,11 +205,12 @@ def _publish_lanes(
 ) -> None:
     """Publish per-tenant percentile series, gated on live subscribers.
 
-    One :class:`TenantLaneSeries` per (tenant, policy, stream); points
-    are ``(intensity, value_us)`` pairs across the sweep's cells, so a
-    trace recorder can draw the degradation curves directly.
+    One :class:`LaneSeries` per (tenant, policy, stream) on process
+    ``tenant-N``; points are ``(intensity x INTENSITY_SCALE, value_us)``
+    pairs across the sweep's cells, so a trace recorder draws the
+    degradation curves directly.
     """
-    if not bus.has_subscribers(TenantLaneSeries):
+    if not bus.has_subscribers(LaneSeries):
         return
     tenant_ids = sorted(
         {tenant for cell in summary.cells for tenant in cell.tenant_stats}
@@ -214,15 +219,16 @@ def _publish_lanes(
         for policy in summary.policies:
             for stream in TENANT_LANE_STREAMS:
                 points = tuple(
-                    (cell.intensity, cell.stat(tenant, stream))
+                    (cell.intensity * INTENSITY_SCALE, cell.stat(tenant, stream))
                     for cell in summary.cells
                     if cell.policy == policy
                 )
                 bus.publish(
-                    TenantLaneSeries(
-                        tenant=tenant,
-                        stream=f"{policy}:{stream}",
+                    LaneSeries(
+                        process=f"tenant-{tenant}",
+                        lane=f"{policy}:{stream}",
                         points=points,
+                        unit="us",
                     )
                 )
 
@@ -243,9 +249,9 @@ def run_tenants(
 
     Every cell is an independent seeded experiment, so the matrix shards
     over the warm pool (``jobs``) and memoizes in the result cache
-    (``cache``, following :func:`repro.harness.runner.run_experiments`
+    (``cache``, following :func:`repro.harness.runner.run_sweep`
     semantics).  Pass an :class:`~repro.obs.bus.EventBus` with a
-    :class:`TenantLaneSeries` subscriber to capture degradation curves.
+    :class:`LaneSeries` subscriber to capture degradation curves.
     """
     if not policies:
         raise ValueError("run_tenants needs at least one policy")

@@ -2,9 +2,7 @@
 
 Covers the ``idio-repro cache`` subcommand (stats / verify / gc), the
 ``--cache-dir`` / ``--no-cache`` flags threaded through the sweep
-commands, the ``[cache: ...]`` traffic trailer, and the ``serve``
-argument parsing (the live daemon round trip is covered by
-``tests/test_cache_serve.py`` and ``make serve-smoke``).
+commands, and the ``[cache: ...]`` traffic trailer.
 """
 
 import pytest
@@ -35,14 +33,6 @@ class TestCacheParser:
             ["cache", "stats", "--cache-dir", str(tmp_path)]
         )
         assert args.cache_dir == str(tmp_path)
-
-    def test_serve_parses(self, tmp_path):
-        args = build_parser().parse_args(
-            ["serve", "--socket", str(tmp_path / "s.sock"),
-             "--max-requests", "3", "--jobs", "2"]
-        )
-        assert args.command == "serve"
-        assert args.max_requests == 3 and args.jobs == 2
 
     def test_sweep_commands_take_cache_flags(self):
         for cmd in (["compare"], ["figure", "fig13"], ["faults"], ["rack"]):

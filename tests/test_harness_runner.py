@@ -13,6 +13,8 @@ import pickle
 import pytest
 
 from repro.core.policies import ddio, idio
+from repro.faults import FaultPlan, FaultSpec
+from repro.harness import runner
 from repro.harness.experiment import (
     Experiment,
     ExperimentSummary,
@@ -20,9 +22,11 @@ from repro.harness.experiment import (
     run_policy_comparison,
 )
 from repro.harness.runner import (
+    InjectedCrash,
     run_experiment_summary,
     run_experiments,
     run_named_experiments,
+    shutdown_pool,
 )
 from repro.harness.server import ServerConfig
 
@@ -134,3 +138,53 @@ class TestRunExperiments:
         )
         assert set(results) == {"ddio", "idio"}
         assert all(isinstance(s, ExperimentSummary) for s in results.values())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestRunExperimentsRaises:
+    """``run_experiments`` is ``run_sweep(retries=0)`` plus a re-raise of
+    the first failed experiment's own exception, on every path."""
+
+    def test_server_construction_error_keeps_its_type(self, jobs):
+        bad = Experiment(
+            name="bad-apps",
+            server=ServerConfig(apps=["touchdrop"], num_nf_cores=2, ring_size=128),
+            burst_rate_gbps=25.0,
+        )
+        with pytest.raises(ValueError, match="apps lists 1 entries for 2 NF cores"):
+            run_experiments([small_experiment(name="fine"), bad], jobs=jobs)
+
+    def test_first_failure_in_input_order_is_raised(self, jobs):
+        crash = FaultPlan(specs=(FaultSpec("harness.crash", magnitude=0.0),))
+        bad_apps = Experiment(
+            name="bad-apps",
+            server=ServerConfig(apps=["touchdrop"], num_nf_cores=2, ring_size=128),
+            burst_rate_gbps=25.0,
+        )
+        crashing = Experiment(
+            name="crashing",
+            server=ServerConfig(app="touchdrop", ring_size=128, fault_plan=crash),
+            burst_rate_gbps=25.0,
+        )
+        with pytest.raises(InjectedCrash):
+            run_experiments([crashing, bad_apps], jobs=jobs)
+        with pytest.raises(ValueError):
+            run_experiments([bad_apps, crashing], jobs=jobs)
+
+    def test_harness_crash_fails_the_batch(self, jobs):
+        plan = FaultPlan(specs=(FaultSpec("harness.crash", magnitude=1.0),))
+        exp = Experiment(
+            name="crash-once",
+            server=ServerConfig(app="touchdrop", ring_size=128, fault_plan=plan),
+            burst_rate_gbps=25.0,
+        )
+        # No retries: a crash that run_sweep would retry fails the batch.
+        with pytest.raises(InjectedCrash, match="attempt 1"):
+            run_experiments([exp, small_experiment(name="clean")], jobs=jobs)
+
+    def test_single_experiment_creates_no_pool(self, jobs):
+        shutdown_pool()
+        summaries = run_experiments([small_experiment(name="solo")], jobs=jobs)
+        assert summaries[0].status == "ok"
+        assert runner._session_pool is None
+        assert runner.last_dispatch["mode"] == "serial"

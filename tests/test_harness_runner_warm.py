@@ -16,8 +16,8 @@ import pytest
 from repro.faults import FaultPlan, FaultSpec
 from repro.harness import runner
 from repro.harness.experiment import Experiment
+from repro.cache import ResultCache
 from repro.harness.runner import (
-    _chunksize,
     get_pool,
     pool_session,
     run_experiments,
@@ -118,9 +118,29 @@ class TestOrderingAndIdentity:
         exps = [small_experiment(f"d{i}") for i in range(2)]
         run_experiments(exps, jobs=2)
         assert runner.last_dispatch["mode"] == "warm-pool"
-        assert runner.last_dispatch["chunksize"] == _chunksize(2, warm_pool.workers)
+        assert runner.last_dispatch["workers"] == warm_pool.workers
+        assert runner.last_dispatch["chunksize"] == 1  # one task per attempt
         run_experiments(exps, jobs=1)
         assert runner.last_dispatch["mode"] == "serial"
+
+    def test_dispatch_note_is_fresh_after_every_sweep(self, warm_pool, tmp_path):
+        """Serial and fully cached sweeps record their own dispatch; the
+        note never describes an earlier call."""
+        exps = [small_experiment(f"n{i}") for i in range(2)]
+        cache = ResultCache(tmp_path)
+        run_sweep(exps, jobs=2, cache=cache)
+        assert runner.last_dispatch["mode"] == "warm-pool"
+        run_sweep([small_experiment("n-serial")], jobs=1, cache=False)
+        assert runner.last_dispatch == {
+            "mode": "serial", "workers": 1, "chunksize": 0, "batch": 1
+        }
+        run_sweep(exps, jobs=2, cache=False)
+        assert runner.last_dispatch["mode"] == "warm-pool"
+        warm = run_sweep(exps, jobs=2, cache=cache)
+        assert warm.counts() == {"cached": 2}
+        assert runner.last_dispatch == {
+            "mode": "cached", "workers": 0, "chunksize": 0, "batch": 0
+        }
 
 
 class TestSweepResilienceOnWarmPool:
@@ -151,18 +171,3 @@ class TestSweepResilienceOnWarmPool:
         # terminated and discarded, not handed to the next caller.
         assert runner._session_pool is not warm_pool
 
-
-class TestChunksize:
-    @pytest.mark.parametrize(
-        "tasks,workers,expected",
-        [
-            (1, 2, 1),  # floor: never zero
-            (7, 2, 1),  # fewer than 4 chunks/worker -> singletons
-            (8, 2, 1),
-            (16, 2, 2),  # ~4 chunks per worker
-            (100, 4, 6),
-            (1000, 8, 31),
-        ],
-    )
-    def test_adaptive_chunksize(self, tasks, workers, expected):
-        assert _chunksize(tasks, workers) == expected

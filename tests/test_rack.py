@@ -10,8 +10,8 @@ import pytest
 
 from repro.core.policies import idio
 from repro.harness.runner import shutdown_pool
-from repro.obs.events import ServerCompletedEvent, ServerLaneSeries
-from repro.obs.trace import RackTraceRecorder
+from repro.obs.events import LaneSeries, ServerCompletedEvent
+from repro.obs.trace import TraceRecorder
 from repro.rack import (
     RACK_TRAFFIC_KINDS,
     RackConfig,
@@ -187,27 +187,40 @@ class TestRackLanes:
         config = small_config(num_servers=2, total_flows=256)
         rack = SimulatedRack(config)
         series = []
-        rack.bus.subscribe(ServerLaneSeries, series.append)
+        rack.bus.subscribe(LaneSeries, series.append)
         rack.run()
         assert series, "no lane series published despite a subscriber"
-        assert {s.server for s in series} == {0, 1}
+        assert {s.process for s in series} == {"server-0", "server-1"}
         for s in series:
+            assert s.unit == "mtps"
             assert all(len(point) == 2 for point in s.points)
 
     def test_trace_recorder_renders_per_server_processes(self, tmp_path):
         rack = SimulatedRack(small_config(num_servers=2, total_flows=256))
-        recorder = RackTraceRecorder()
-        recorder.attach(rack.bus)
+        recorder = TraceRecorder().attach(rack.bus)
         rack.run()
         out = tmp_path / "rack-trace.json"
         count = recorder.export(str(out))
         assert count > 0
         import json
 
-        blob = json.loads(out.read_text())
-        names = {
-            e["args"]["name"]
-            for e in blob["traceEvents"]
+        events = json.loads(out.read_text())["traceEvents"]
+        processes = {
+            e["args"]["name"]: e["pid"]
+            for e in events
             if e.get("name") == "process_name"
         }
-        assert {"server-0", "server-1"} <= names
+        assert processes == {"server-0": 1, "server-1": 2}
+        lanes = {
+            e["args"]["name"]
+            for e in events
+            if e.get("name") == "thread_name" and e["pid"] == 1
+        }
+        assert lanes == {
+            "pcie_writes", "mlc_writebacks", "llc_writebacks", "dram_writes",
+            "completion",
+        }
+        done = [e for e in events if e["ph"] == "i"]
+        assert [e["pid"] for e in done] == [1, 2]
+        recorder.detach()
+        assert not rack.bus.has_subscribers(LaneSeries)

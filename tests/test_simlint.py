@@ -156,7 +156,7 @@ def test_scope_gating():
 def test_module_name_for():
     assert module_name_for("src/repro/mem/cache.py") == "repro.mem.cache"
     assert module_name_for("src/repro/sim/__init__.py") == "repro.sim"
-    assert module_name_for("tools/bench.py") == "bench"
+    assert module_name_for("tools/analyze.py") == "analyze"
 
 
 def test_src_repro_is_simlint_clean():

@@ -9,6 +9,7 @@ and a tenant-config change can never replay a stale cache entry.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -221,3 +222,40 @@ class TestTenantCacheKeying:
         assert not cold.cells[0].cached
         assert warm.cells[0].cached
         assert warm.fingerprint == cold.fingerprint
+
+
+class TestTenantTrace:
+    def test_trace_out_has_a_process_per_tenant_and_percentile_lanes(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        out = tmp_path / "tenants-trace.json"
+        assert main([
+            "tenants", "--policies", "ddio,ioca", "--tenants", "2",
+            "--intensities", "0.5,2", "--duration-us", "30",
+            "--trace-out", str(out),
+        ]) == 0
+        assert "wrote" in capsys.readouterr().out
+        events = json.loads(out.read_text())["traceEvents"]
+        processes = {
+            e["pid"]: e["args"]["name"]
+            for e in events if e["name"] == "process_name"
+        }
+        assert sorted(processes.values()) == ["tenant-0", "tenant-1"]
+        expected = {
+            f"{policy}:{stream}"
+            for policy in ("ddio", "ioca")
+            for stream in ("p50_us", "p95_us", "p99_us")
+        }
+        for pid in processes:
+            lanes = {
+                e["args"]["name"] for e in events
+                if e["name"] == "thread_name" and e["pid"] == pid
+            }
+            assert lanes == expected
+            samples = [e for e in events if e["ph"] == "C" and e["pid"] == pid]
+            # One sample per (lane, intensity), on the scaled intensity axis.
+            assert len(samples) == len(expected) * 2
+            assert {e["ts"] for e in samples} == {500.0, 2000.0}
+            assert all(set(e["args"]) == {"us"} for e in samples)

@@ -177,7 +177,7 @@ class ModuleFacts:
 
     module: str
     file: SourceFile
-    #: local name -> fully dotted origin ("repro.obs.events.CacheHitEvent"
+    #: local name -> fully dotted origin ("repro.obs.events.LaneSeries"
     #: for from-imports of a name, "repro.obs.events" for module imports).
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
