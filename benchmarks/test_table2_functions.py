@@ -37,8 +37,8 @@ def test_table2_functions(benchmark):
     an = results["antagonist"]
 
     rows = [
-        ["TouchDrop", "touch all data, drop", f"{td.completed} pkts, {td.server.nic.total_tx} TX"],
-        ["L2Fwd", "forward on Ethernet header", f"{l2.completed} pkts, {l2.server.nic.total_tx} TX"],
+        ["TouchDrop", "touch all data, drop", f"{td.completed} pkts, {td.server.nics[0].total_tx} TX"],
+        ["L2Fwd", "forward on Ethernet header", f"{l2.completed} pkts, {l2.server.nics[0].total_tx} TX"],
         ["LLCAntagonist", "random buffer accesses", f"{an.antagonist_accesses} accesses"],
     ]
     print()
@@ -46,10 +46,10 @@ def test_table2_functions(benchmark):
                        title="Table II — evaluation functions"))
 
     # TouchDrop drops (no TX), touches everything (per-packet reads = lines).
-    assert td.server.nic.total_tx == 0
+    assert td.server.nics[0].total_tx == 0
     td_reads = td.server.cores[0].stats.mem_accesses
     assert td_reads >= td.completed / 2 * 24  # per-core share of line touches
     # L2Fwd transmits every packet.
-    assert l2.server.nic.total_tx == l2.completed
+    assert l2.server.nics[0].total_tx == l2.completed
     # The antagonist made progress while the NFs ran.
     assert an.antagonist_accesses > 1000

@@ -9,7 +9,12 @@ from .policies import (
     PREFETCH_DYNAMIC,
     PREFETCH_OFF,
     PREFETCH_STATIC,
+    IatResizing,
+    IdioSteering,
     PolicyConfig,
+    SlicePinning,
+    Steering,
+    TenantPartition,
     all_policies,
     cachedirector,
     ddio,
@@ -29,6 +34,8 @@ __all__ = [
     "IATController",
     "IDIOConfig",
     "IDIOController",
+    "IatResizing",
+    "IdioSteering",
     "MLCPrefetcher",
     "PREFETCH_DYNAMIC",
     "PREFETCH_OFF",
@@ -39,7 +46,10 @@ __all__ = [
     "STATE_MIN",
     "STATUS_LLC",
     "STATUS_MLC",
+    "SlicePinning",
     "StatusFSM",
+    "Steering",
+    "TenantPartition",
     "all_policies",
     "cachedirector",
     "ddio",

@@ -1,33 +1,141 @@
 """Inbound data placement policies evaluated in the paper.
 
-Fig. 9/10 compare five configurations; each is expressed here as a
-:class:`PolicyConfig` describing which IDIO mechanisms are armed:
+A :class:`PolicyConfig` is one software switch — the driver's
+self-invalidation (M1) — plus at most one hardware steering mechanism in
+its ``steering`` slot.  Fig. 9/10 compare five configurations:
 
-===========  ===============  ==================  ==================
-name         self-invalidate  MLC prefetching     direct DRAM (M3)
-===========  ===============  ==================  ==================
-DDIO         no               off                 no
-Invalidate   yes              off                 no
-Prefetch     no               dynamic (FSM)       no
-Static       yes              always-on           no
-IDIO         yes              dynamic (FSM)       yes
-===========  ===============  ==================  ==================
+===========  ===============  ===========================================
+name         self-invalidate  steering
+===========  ===============  ===========================================
+DDIO         no               ``None``
+Invalidate   yes              ``None``
+Prefetch     no               ``IdioSteering("dynamic")``
+Static       yes              ``IdioSteering("static")``
+IDIO         yes              ``IdioSteering("dynamic", direct_dram=True)``
+===========  ===============  ===========================================
 
-The baseline DDIO configuration installs no controller at all: the root
-complex applies the static LLC placement, exactly as today's hardware.
+The related-work baselines are other choices for the same slot:
+:class:`IatResizing` (IAT), :class:`SlicePinning` (CacheDirector) and
+:class:`TenantPartition` (static quotas or IOCA).  One slot rather than
+a tuple means "at most one steering controller" holds by the type.
+``steering=None`` installs no controller at all: the root complex
+applies the static LLC placement, exactly as today's hardware.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
+from .cachedirector import CacheDirectorController
 from .config import IDIOConfig
+from .controller import IDIOController
+from .iat import IATController
+from .ioca import IOCAController
+
+if TYPE_CHECKING:
+    from ..harness.server import SimulatedServer
 
 #: MLC prefetch modes.
 PREFETCH_OFF = "off"
 PREFETCH_DYNAMIC = "dynamic"
 PREFETCH_STATIC = "static"
+PREFETCH_MODES = (PREFETCH_OFF, PREFETCH_DYNAMIC, PREFETCH_STATIC)
+
+#: What :meth:`Steering.install` may start.
+SteeringController = Union[IDIOController, IATController, CacheDirectorController, IOCAController]
+
+
+@dataclass(frozen=True)
+class Steering:
+    """A hardware steering mechanism; :meth:`install` wires it into a server."""
+
+    #: Whether the NIC must tag every TLP with the classifier's metadata.
+    needs_classifier = False
+    #: LLC slice count to build when ``ServerConfig.llc_slices`` is 0.
+    llc_slices = 0
+
+    def install(self, server: "SimulatedServer") -> Optional[SteeringController]:
+        """Wire the mechanism into ``server``; return the controller it started."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class IdioSteering(Steering):
+    """IDIO's root-complex controller (§V-B): MLC prefetch (M2) and
+    selective direct DRAM placement of class-1 payloads (M3)."""
+
+    #: ``"off"``, ``"dynamic"`` (per-core FSM) or ``"static"`` (always MLC).
+    prefetch: str = PREFETCH_DYNAMIC
+    direct_dram: bool = False
+
+    needs_classifier = True
+
+    def __post_init__(self) -> None:
+        if self.prefetch not in PREFETCH_MODES:
+            raise ValueError(
+                f"unknown prefetch mode {self.prefetch!r}; choose from {PREFETCH_MODES}"
+            )
+
+    def install(self, server: "SimulatedServer") -> IDIOController:
+        controller = IDIOController(
+            server.sim,
+            server.hierarchy,
+            config=server.config.policy.idio,
+            static_mlc=self.prefetch == PREFETCH_STATIC,
+            prefetch_enabled=self.prefetch != PREFETCH_OFF,
+            direct_dram_enabled=self.direct_dram,
+        )
+        server.root_complex.attach_controller(controller.steer)
+        if server.sanitizer is not None:
+            server.sanitizer.register_controller(controller)
+        return controller
+
+
+@dataclass(frozen=True)
+class IatResizing(Steering):
+    """IAT-style dynamic DDIO-way resizing (related work [41])."""
+
+    def install(self, server: "SimulatedServer") -> IATController:
+        return IATController(server.sim, server.hierarchy)
+
+
+@dataclass(frozen=True)
+class SlicePinning(Steering):
+    """CacheDirector-style header slice pinning (related work [14])."""
+
+    needs_classifier = True
+    llc_slices = 8  # CacheDirector needs a NUCA topology
+
+    def install(self, server: "SimulatedServer") -> CacheDirectorController:
+        controller = CacheDirectorController(server.sim, server.hierarchy)
+        server.root_complex.attach_controller(controller.steer)
+        return controller
+
+
+@dataclass(frozen=True)
+class TenantPartition(Steering):
+    """Per-tenant DDIO way partitioning (IOCA-style, related work):
+    fixed quotas, contiguous in tenant order, or with ``dynamic`` an
+    :class:`~repro.core.ioca.IOCAController` that reapportions them each
+    epoch.  Without ``ServerConfig.tenants`` it is plain DDIO."""
+
+    dynamic: bool = False
+
+    def install(self, server: "SimulatedServer") -> Optional[IOCAController]:
+        tenants = server.config.tenants
+        if tenants is None:
+            return None
+        if self.dynamic:
+            return IOCAController(server.sim, server.hierarchy, tenants)
+        start_way = 0
+        for tenant in tenants:
+            server.hierarchy.llc.set_tenant_io_ways(
+                tenant.tenant_id,
+                range(start_way, start_way + tenant.llc_way_quota),
+            )
+            start_way += tenant.llc_way_quota
+        return None
 
 
 @dataclass(frozen=True)
@@ -36,72 +144,8 @@ class PolicyConfig:
 
     name: str
     self_invalidate: bool = False
-    prefetch_mode: str = PREFETCH_OFF
-    direct_dram: bool = False
-    #: IAT-style dynamic DDIO-way resizing (baseline from related work;
-    #: mutually exclusive with the IDIO controller mechanisms).
-    dynamic_ddio_ways: bool = False
-    #: CacheDirector-style header slice steering (related-work baseline;
-    #: requires a sliced LLC, mutually exclusive with IDIO steering).
-    slice_header_steering: bool = False
-    #: Multi-tenant I/O way partitioning (IOCA-style, related work):
-    #: ``"none"`` leaves the DDIO ways shared, ``"static"`` pins each
-    #: tenant's quota at construction, ``"dynamic"`` installs an
-    #: :class:`~repro.core.ioca.IOCAController` that reapportions ways
-    #: from observed per-tenant I/O rates at epoch boundaries.  Only
-    #: meaningful when ``ServerConfig.tenants`` is set.
-    tenant_partitioning: str = "none"
+    steering: Optional[Steering] = None
     idio: IDIOConfig = field(default_factory=IDIOConfig)
-
-    def __post_init__(self) -> None:
-        if self.prefetch_mode not in (PREFETCH_OFF, PREFETCH_DYNAMIC, PREFETCH_STATIC):
-            raise ValueError(f"unknown prefetch mode {self.prefetch_mode!r}")
-        if self.dynamic_ddio_ways and (
-            self.prefetch_mode != PREFETCH_OFF or self.direct_dram
-        ):
-            raise ValueError(
-                "dynamic_ddio_ways is a standalone baseline; it cannot be "
-                "combined with IDIO steering mechanisms"
-            )
-        if self.slice_header_steering and (
-            self.prefetch_mode != PREFETCH_OFF
-            or self.direct_dram
-            or self.dynamic_ddio_ways
-        ):
-            raise ValueError(
-                "slice_header_steering is a standalone baseline; it cannot "
-                "be combined with IDIO or IAT mechanisms"
-            )
-        if self.tenant_partitioning not in ("none", "static", "dynamic"):
-            raise ValueError(
-                f"unknown tenant_partitioning {self.tenant_partitioning!r}; "
-                "choose from ('none', 'static', 'dynamic')"
-            )
-        if self.tenant_partitioning != "none" and (
-            self.prefetch_mode != PREFETCH_OFF
-            or self.direct_dram
-            or self.dynamic_ddio_ways
-            or self.slice_header_steering
-        ):
-            raise ValueError(
-                "tenant_partitioning is a standalone baseline; it cannot be "
-                "combined with IDIO, IAT, or CacheDirector mechanisms"
-            )
-
-    @property
-    def needs_controller(self) -> bool:
-        """Whether an IDIO controller must be instantiated."""
-        return self.prefetch_mode != PREFETCH_OFF or self.direct_dram
-
-    @property
-    def needs_classifier(self) -> bool:
-        """Whether the NIC-side classifier must be enabled.
-
-        Any mechanism that steers per packet needs the in-band TLP
-        metadata (IDIO steering or CacheDirector's header pinning); pure
-        self-invalidation is software-only.
-        """
-        return self.needs_controller or self.slice_header_steering
 
     def with_threshold(self, mlc_threshold_mtps: float) -> "PolicyConfig":
         """A copy with a different mlcTHR (the Fig. 14 sweep)."""
@@ -127,13 +171,13 @@ def invalidate_only() -> PolicyConfig:
 
 def prefetch_only() -> PolicyConfig:
     """Network-driven MLC prefetching only (Fig. 9e/9f)."""
-    return PolicyConfig(name="prefetch", prefetch_mode=PREFETCH_DYNAMIC)
+    return PolicyConfig(name="prefetch", steering=IdioSteering(PREFETCH_DYNAMIC))
 
 
 def static_idio() -> PolicyConfig:
     """Invalidate + always-on MLC prefetching (the "Static" config)."""
     return PolicyConfig(
-        name="static", self_invalidate=True, prefetch_mode=PREFETCH_STATIC
+        name="static", self_invalidate=True, steering=IdioSteering(PREFETCH_STATIC)
     )
 
 
@@ -142,8 +186,7 @@ def idio() -> PolicyConfig:
     return PolicyConfig(
         name="idio",
         self_invalidate=True,
-        prefetch_mode=PREFETCH_DYNAMIC,
-        direct_dram=True,
+        steering=IdioSteering(PREFETCH_DYNAMIC, direct_dram=True),
     )
 
 
@@ -152,20 +195,19 @@ def regulated_idio() -> PolicyConfig:
     return PolicyConfig(
         name="idio-regulated",
         self_invalidate=True,
-        prefetch_mode=PREFETCH_DYNAMIC,
-        direct_dram=True,
+        steering=IdioSteering(PREFETCH_DYNAMIC, direct_dram=True),
         idio=IDIOConfig(prefetch_regulated=True),
     )
 
 
 def iat() -> PolicyConfig:
     """IAT-style dynamic DDIO-way resizing baseline (related work [41])."""
-    return PolicyConfig(name="iat", dynamic_ddio_ways=True)
+    return PolicyConfig(name="iat", steering=IatResizing())
 
 
 def cachedirector() -> PolicyConfig:
     """CacheDirector-style header slice steering baseline (related work [14])."""
-    return PolicyConfig(name="cachedirector", slice_header_steering=True)
+    return PolicyConfig(name="cachedirector", steering=SlicePinning())
 
 
 def ioca() -> PolicyConfig:
@@ -176,12 +218,12 @@ def ioca() -> PolicyConfig:
     partition between tenants at epoch boundaries.  Requires a tenanted
     ``ServerConfig``; without tenants it degrades to plain DDIO.
     """
-    return PolicyConfig(name="ioca", tenant_partitioning="dynamic")
+    return PolicyConfig(name="ioca", steering=TenantPartition(dynamic=True))
 
 
 def static_partition() -> PolicyConfig:
     """Static per-tenant I/O way quotas (the IOCA comparison baseline)."""
-    return PolicyConfig(name="static-partition", tenant_partitioning="static")
+    return PolicyConfig(name="static-partition", steering=TenantPartition())
 
 
 def all_policies() -> Dict[str, PolicyConfig]:

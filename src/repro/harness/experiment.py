@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.cachedirector import CacheDirectorController
+from ..core.controller import IDIOController
 from ..core.policies import PolicyConfig, ddio
 from ..mem import stats as stats_mod
 from ..mem.line import LINE_SIZE
@@ -348,8 +350,8 @@ class ExperimentResult:
             if nic.classifier is not None
         )
         steered = 0
-        if server.cachedirector is not None:
-            steered = server.cachedirector.headers_steered
+        if isinstance(server.steering, CacheDirectorController):
+            steered = server.steering.headers_steered
         return ExperimentSummary(
             experiment=self.experiment,
             policy_name=self.policy_name,
@@ -476,21 +478,21 @@ def run_experiment(experiment: Experiment) -> ExperimentResult:
     antagonist_ns: Optional[float] = None
     antagonist_accesses = 0
     if server.config.antagonist:
-        core_id = server.config.antagonist_core
-        assert core_id is not None
-        stats = server.cores[core_id].stats
+        # The ``antagonist=True`` core is always the first antagonist.
+        antagonist = server.antagonists[0]
+        stats = antagonist.core.stats
         antagonist_accesses = stats.mem_accesses
         # Average access latency *during the contention window* (traffic
         # start to last packet completion) — the paper's CPI comparison is
         # over the co-run, not the post-burst idle tail.
         window_end = max(completions) if completions else end_time
-        assert server.antagonist_driver is not None
-        antagonist_ns = server.antagonist_driver.access_ns_between(
+        antagonist_ns = antagonist.access_ns_between(
             experiment.traffic_start, window_end
         )
         if antagonist_ns is None:
             antagonist_ns = stats.average_access_ns()
 
+    idio_steering = isinstance(server.steering, IDIOController)
     return ExperimentResult(
         experiment=experiment,
         policy_name=experiment.server.policy.name,
@@ -503,7 +505,7 @@ def run_experiment(experiment: Experiment) -> ExperimentResult:
         latencies_ns=server.packet_latencies_ns(),
         antagonist_access_ns=antagonist_ns,
         antagonist_accesses=antagonist_accesses,
-        decisions=dict(server.controller.decisions) if server.controller else {},
+        decisions=dict(server.steering.decisions) if idio_steering else {},
         server=server,
     )
 

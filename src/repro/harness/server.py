@@ -3,9 +3,9 @@
 A :class:`SimulatedServer` wires together everything the paper's testbed
 contains: NF cores with private caches, the shared non-inclusive LLC with
 DDIO ways, DRAM, the PCIe root complex, a multi-queue NIC with Flow
-Director, per-core DPDK PMD loops running a network function, optionally
-an LLCAntagonist core, and — depending on the placement policy — the IDIO
-classifier/controller/prefetchers.
+Director, per-core DPDK PMD loops running a network function, optional
+LLCAntagonist cores, and the placement policy's steering mechanism (the
+IDIO classifier/controller/prefetchers or a related-work baseline).
 
 The default geometry is the paper's scaled gem5 configuration (§III
 Obs. 4 / Table I): 3 MB 12-way LLC with 2 DDIO ways, 1 MB 8-way MLC per NF
@@ -19,17 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.sanitizer import InvariantSanitizer
-from ..core.cachedirector import CacheDirectorController
-from ..core.config import IDIOConfig
 from ..core.controller import IDIOController
-from ..core.iat import IATController
-from ..core.ioca import IOCAController
-from ..core.policies import (
-    PREFETCH_OFF,
-    PREFETCH_STATIC,
-    PolicyConfig,
-    ddio,
-)
+from ..core.policies import PolicyConfig, SteeringController, TenantPartition, ddio
 from ..core.prefetcher import RegulatedMLCPrefetcher
 from ..cpu.apps import (
     CostModel,
@@ -40,11 +31,12 @@ from ..cpu.apps import (
     TouchDrop,
 )
 from ..cpu.core import Core
-from ..cpu.dpdk import AntagonistDriver, PollModeDriver
+from ..cpu.dpdk import RECYCLE_MODES, AntagonistDriver, PollModeDriver
 from ..cpu.maintenance import MaintenanceUnit
 from ..cpu.mempool import BufferPool
 from ..cpu.pagetable import PageTable
 from ..faults import FaultEvent, FaultInjectors, FaultPlan
+from ..mem.cache import CacheConfig
 from ..mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..mem.line import num_lines
 from ..mem.stats import StatsBundle
@@ -75,7 +67,11 @@ APP_FACTORIES: Dict[str, Callable[[Optional[CostModel]], NetworkFunction]] = {
 
 @dataclass
 class ServerConfig:
-    """Everything needed to instantiate one simulated server."""
+    """Everything needed to instantiate one simulated server.
+
+    Building a config validates it: a bad combination raises
+    :class:`ValueError` here, with one message, not inside the run.
+    """
 
     policy: PolicyConfig = field(default_factory=ddio)
     app: str = "touchdrop"
@@ -104,8 +100,8 @@ class ServerConfig:
     #: Buffer recycling mode (§II-B): "run_to_completion" (DPDK default),
     #: "copy" (Linux-stack-style), or "reallocate" (pool swap).
     recycle_mode: str = "run_to_completion"
-    #: NUCA slice count for the LLC (0 = monolithic; policies with slice
-    #: steering need > 0 — defaulted to 8 when they are selected).
+    #: NUCA slice count for the LLC (0 = monolithic, or the steering
+    #: mechanism's own default: CacheDirector pinning builds 8 slices).
     llc_slices: int = 0
     #: NIC ports, each with its own PCIe link (the paper's testbed runs
     #: two 100 GbE ports).  NF core i is served by port (i mod num_nics).
@@ -113,11 +109,6 @@ class ServerConfig:
     #: DRAM model: "fixed" (constant latency) or "banked" (channels,
     #: banks, open-row tracking).
     dram_model: str = "fixed"
-    #: Cache replacement policy for every level (``None`` = per-level
-    #: default, ``lru``).  ``"lru-vec"`` opts into the numpy-vectorized
-    #: exact-LRU path (identical results; falls back to ``lru`` without
-    #: numpy — see :mod:`repro.mem._vec`).
-    replacement: Optional[str] = None
     #: Extra pool buffers per ring slot in re-allocate mode.
     reallocate_pool_factor: int = 2
     cost_model: Optional[CostModel] = None
@@ -145,10 +136,44 @@ class ServerConfig:
     #: Co-located tenants (``repro.tenants``).  When set, NF cores are
     #: assigned to tenants in contiguous blocks (``num_nf_cores`` must
     #: equal the set's total), flows carry tenant tags, DMA writes are
-    #: attributed per tenant, and ``tenant_partitioning`` policies can
+    #: attributed per tenant, and a :class:`TenantPartition` policy can
     #: split the DDIO ways between tenants.  ``None`` keeps the classic
     #: single-tenant server with zero added hot-path cost.
     tenants: Optional[TenantSet] = None
+
+    def __post_init__(self) -> None:
+        if self.num_nics < 1:
+            raise ValueError(f"num_nics must be at least 1, got {self.num_nics}")
+        if self.recycle_mode not in RECYCLE_MODES:
+            raise ValueError(
+                f"unknown recycle mode {self.recycle_mode!r}; choose from {RECYCLE_MODES}"
+            )
+        if self.apps is not None and len(self.apps) != self.num_nf_cores:
+            raise ValueError(
+                f"apps lists {len(self.apps)} entries for "
+                f"{self.num_nf_cores} NF cores"
+            )
+        tenants = self.tenants
+        if tenants is not None and tenants.total_nf_cores != self.num_nf_cores:
+            raise ValueError(
+                f"tenant set needs {tenants.total_nf_cores} NF cores "
+                f"but the server config provides {self.num_nf_cores}"
+            )
+        if (
+            tenants is not None
+            and isinstance(self.policy.steering, TenantPartition)
+            and tenants.total_way_quota > self.ddio_ways
+        ):
+            raise ValueError(
+                f"tenant way quotas sum to {tenants.total_way_quota} "
+                f"but the server has only {self.ddio_ways} DDIO ways"
+            )
+        for core in range(self.num_nf_cores):
+            name = self.app_for_core(core)
+            if name not in APP_FACTORIES:
+                raise ValueError(
+                    f"unknown app {name!r}; choose from {sorted(APP_FACTORIES)}"
+                )
 
     def app_for_core(self, core: int) -> str:
         if self.tenants is not None and core < self.num_nf_cores:
@@ -161,10 +186,6 @@ class ServerConfig:
     def num_cores(self) -> int:
         extra = self.tenants.num_antagonists if self.tenants is not None else 0
         return self.num_nf_cores + (1 if self.antagonist else 0) + extra
-
-    @property
-    def antagonist_core(self) -> Optional[int]:
-        return self.num_nf_cores if self.antagonist else None
 
 
 class _Allocator:
@@ -180,80 +201,79 @@ class _Allocator:
 
 
 class SimulatedServer:
-    """One fully wired server instance plus its load generators."""
+    """One fully wired server instance plus its load generators.
+
+    The constructor runs the named build steps below in a fixed order:
+    hierarchy, observers, ports, faults, steering, per-core queues,
+    antagonists.  The order is part of the model: periodic tasks and bus
+    subscriptions are created as the steps run, and their creation order
+    breaks ties between same-tick events.
+    """
 
     def __init__(self, config: ServerConfig) -> None:
-        if config.apps is not None and len(config.apps) != config.num_nf_cores:
-            raise ValueError(
-                f"apps lists {len(config.apps)} entries for "
-                f"{config.num_nf_cores} NF cores"
-            )
-        for core in range(config.num_nf_cores):
-            name = config.app_for_core(core)
-            if name not in APP_FACTORIES:
-                raise ValueError(
-                    f"unknown app {name!r}; choose from {sorted(APP_FACTORIES)}"
-                )
-        if config.tenants is not None:
-            if config.tenants.total_nf_cores != config.num_nf_cores:
-                raise ValueError(
-                    f"tenant set needs {config.tenants.total_nf_cores} NF cores "
-                    f"but the server config provides {config.num_nf_cores}"
-                )
-            if (
-                config.policy.tenant_partitioning != "none"
-                and config.tenants.total_way_quota > config.ddio_ways
-            ):
-                raise ValueError(
-                    f"tenant way quotas sum to {config.tenants.total_way_quota} "
-                    f"but the server has only {config.ddio_ways} DDIO ways"
-                )
         self.config = config
         self.sim = Simulator()
         self.stats = StatsBundle()
+        self._build_hierarchy()
+        self._build_observers()
+        self._build_ports()
+        self._build_faults()
+        steering = config.policy.steering
+        #: The policy's one steering controller (``None`` when the policy
+        #: has no steering mechanism, or the mechanism starts none).
+        self.steering: Optional[SteeringController] = (
+            steering.install(self) if steering is not None else None
+        )
+        alloc = _Allocator()
+        self._build_core_queues(alloc)
+        self._build_antagonists(alloc)
+        self._started = False
 
-        mlc_sizes = [config.nf_mlc_bytes] * config.num_nf_cores
-        if config.antagonist:
-            mlc_sizes.append(config.antagonist_mlc_bytes)
-        if config.tenants is not None:
-            # Per-tenant antagonist cores (LLC-sensitive, small MLC).
-            mlc_sizes.extend(
-                [config.antagonist_mlc_bytes] * config.tenants.num_antagonists
-            )
-        llc_slices = config.llc_slices
-        if config.policy.slice_header_steering and llc_slices == 0:
-            llc_slices = 8  # CacheDirector needs a NUCA topology
+    def _build_hierarchy(self) -> None:
+        """Caches and DRAM, CAT masks, the page table and the root complex."""
+        config = self.config
+        steering = config.policy.steering
+        num_antagonists = config.num_cores - config.num_nf_cores
         hier_config = HierarchyConfig(
             num_cores=config.num_cores,
             freq_ghz=config.freq_ghz,
             l1_enabled=config.l1_enabled,
-            mlc_sizes=mlc_sizes,
-            llc=None,
+            # Antagonist cores are LLC-sensitive: they get the small MLC.
+            mlc_sizes=[config.nf_mlc_bytes] * config.num_nf_cores
+            + [config.antagonist_mlc_bytes] * num_antagonists,
+            llc=CacheConfig(
+                "llc",
+                config.llc_bytes,
+                config.llc_ways,
+                units.cycles(24, config.freq_ghz),
+                mshrs=32,
+            ),
             ddio_ways=config.ddio_ways,
             llc_inclusive=config.llc_inclusive,
-            llc_slices=llc_slices,
+            llc_slices=config.llc_slices
+            or (steering.llc_slices if steering is not None else 0),
             dram_model=config.dram_model,
-            replacement=config.replacement,
-        )
-        # Custom LLC geometry.
-        from ..mem.cache import CacheConfig
-
-        hier_config.llc = CacheConfig(
-            "llc",
-            config.llc_bytes,
-            config.llc_ways,
-            units.cycles(24, config.freq_ghz),
-            mshrs=32,
         )
         self.hierarchy = MemoryHierarchy(hier_config, self.stats)
+        if config.nf_cat_ways is not None:
+            # Restrict NF-core fills to the first nf_cat_ways non-DDIO ways.
+            allowed = list(
+                range(config.ddio_ways, config.ddio_ways + config.nf_cat_ways)
+            )
+            for core in range(config.num_nf_cores):
+                self.hierarchy.llc.set_core_way_mask(core, allowed)
+        self.page_table = PageTable()
+        self.root_complex = RootComplex(self.sim, self.hierarchy)
 
+    def _build_observers(self) -> None:
+        """The opt-in trace recorder and invariant sanitizer."""
+        config = self.config
         #: Optional per-hop transaction recorder (``trace_enabled``).
         self.trace_recorder: Optional[TraceRecorder] = None
         if config.trace_enabled:
             self.trace_recorder = TraceRecorder(
                 max_events=config.trace_max_events
             ).attach(self.hierarchy)
-
         #: Optional runtime invariant checker (``checked_mode``).
         self.sanitizer: Optional[InvariantSanitizer] = None
         if config.checked_mode:
@@ -262,100 +282,54 @@ class SimulatedServer:
                 barrier_interval=config.checked_barrier_interval,
             ).attach()
 
-        #: Per-layer fault injectors (``fault_plan``) plus a per-kind
-        #: injection counter; both stay empty for the default plan.
-        self.fault_injectors: Optional[FaultInjectors] = None
-        self.fault_counts: Dict[str, int] = {}
-        if not config.fault_plan.is_empty:
-            self.hierarchy.bus.subscribe(FaultEvent, self._count_fault)
-            self.fault_injectors = FaultInjectors(
-                config.fault_plan, self.hierarchy.bus
-            )
-            if self.sanitizer is not None:
-                self.sanitizer.register_faults(config.fault_plan)
-
-        if config.nf_cat_ways is not None:
-            # Restrict NF-core fills to the first nf_cat_ways non-DDIO ways.
-            allowed = list(
-                range(config.ddio_ways, config.ddio_ways + config.nf_cat_ways)
-            )
-            for core in range(config.num_nf_cores):
-                self.hierarchy.llc.set_core_way_mask(core, allowed)
-
-        self.page_table = PageTable()
-        self.root_complex = RootComplex(self.sim, self.hierarchy)
-
+    def _build_ports(self) -> None:
+        """One NIC per port, each on its own PCIe link (the paper's testbed
+        has 2x100 GbE); NF core i is served by NIC (i mod num_nics)."""
+        config = self.config
+        steering = config.policy.steering
         nic_config = replace(
             config.nic,
             ring_size=config.ring_size,
-            classifier_enabled=config.policy.needs_classifier,
+            classifier_enabled=steering is not None and steering.needs_classifier,
             classifier=ClassifierConfig(
                 rx_burst_threshold_gbps=config.policy.idio.rx_burst_threshold_gbps,
                 num_cores=max(config.num_cores, 1),
             ),
         )
-        # One NIC per port, each on its own PCIe link (the paper's testbed
-        # has 2x100 GbE).  NF core i is served by NIC (i mod num_nics).
         self.nics: List[NIC] = []
         self.dmas: List[DMAEngine] = []
-        for _ in range(max(1, config.num_nics)):
+        for _ in range(config.num_nics):
             dma = DMAEngine(self.sim, self.root_complex, pcie_gbps=config.nic.pcie_gbps)
             self.dmas.append(dma)
             self.nics.append(NIC(self.sim, dma, nic_config))
-        self.nic = self.nics[0]  # primary port (back-compat accessor)
-        self.dma = self.dmas[0]
 
-        if self.fault_injectors is not None:
-            fi = self.fault_injectors
-            if fi.nic is not None:
-                for nic in self.nics:
-                    nic.faults = fi.nic
-            if fi.pcie is not None:
-                self.root_complex.faults = fi.pcie
-                for dma in self.dmas:
-                    dma.faults = fi.pcie
-            if fi.mem is not None:
-                self.hierarchy.dram.faults = fi.mem
-            fi.schedule_window_tasks(self.sim, self.hierarchy.llc)
+    def _build_faults(self) -> None:
+        """Per-layer fault injectors (``fault_plan``) wired into the ports,
+        the root complex and DRAM, plus a per-kind injection counter; both
+        stay empty for the default plan."""
+        config = self.config
+        self.fault_injectors: Optional[FaultInjectors] = None
+        self.fault_counts: Dict[str, int] = {}
+        if config.fault_plan.is_empty:
+            return
+        self.hierarchy.bus.subscribe(FaultEvent, self._count_fault)
+        fi = self.fault_injectors = FaultInjectors(
+            config.fault_plan, self.hierarchy.bus
+        )
+        if self.sanitizer is not None:
+            self.sanitizer.register_faults(config.fault_plan)
+        for nic in self.nics:
+            nic.faults = fi.nic
+        self.root_complex.faults = fi.pcie
+        for dma in self.dmas:
+            dma.faults = fi.pcie
+        self.hierarchy.dram.faults = fi.mem
+        fi.schedule_window_tasks(self.sim, self.hierarchy.llc)
 
-        self.controller: Optional[IDIOController] = None
-        self.iat_controller: Optional[IATController] = None
-        self.cachedirector: Optional[CacheDirectorController] = None
-        self.ioca_controller: Optional[IOCAController] = None
-        if config.policy.needs_controller:
-            self.controller = IDIOController(
-                self.sim,
-                self.hierarchy,
-                config=config.policy.idio,
-                static_mlc=(config.policy.prefetch_mode == PREFETCH_STATIC),
-                prefetch_enabled=(config.policy.prefetch_mode != PREFETCH_OFF),
-                direct_dram_enabled=config.policy.direct_dram,
-            )
-            self.root_complex.attach_controller(self.controller.steer)
-            if self.sanitizer is not None:
-                self.sanitizer.register_controller(self.controller)
-        elif config.policy.dynamic_ddio_ways:
-            self.iat_controller = IATController(self.sim, self.hierarchy)
-        elif config.policy.slice_header_steering:
-            self.cachedirector = CacheDirectorController(self.sim, self.hierarchy)
-            self.root_complex.attach_controller(self.cachedirector.steer)
-        elif config.policy.tenant_partitioning == "dynamic" and config.tenants is not None:
-            self.ioca_controller = IOCAController(
-                self.sim, self.hierarchy, config.tenants
-            )
-        elif config.policy.tenant_partitioning == "static" and config.tenants is not None:
-            # Static quota baseline: each tenant gets exactly its quota,
-            # contiguous in tenant order, fixed for the whole run.
-            start_way = 0
-            for tenant in config.tenants:
-                self.hierarchy.llc.set_tenant_io_ways(
-                    tenant.tenant_id,
-                    range(start_way, start_way + tenant.llc_way_quota),
-                )
-                start_way += tenant.llc_way_quota
-
-        # -- per-NF-core plumbing ------------------------------------------
-        alloc = _Allocator()
+    def _build_core_queues(self, alloc: _Allocator) -> None:
+        """Per NF core: descriptor ring, DMA buffers, RX/TX queues, flows,
+        the poll-mode driver and one traffic generator per flow."""
+        config = self.config
         self.cores: List[Core] = [
             Core(self.sim, i, self.hierarchy, config.freq_ghz)
             for i in range(config.num_cores)
@@ -370,21 +344,14 @@ class SimulatedServer:
         self.tenant_ranges: List[Tuple[int, int, int]] = []
         tenant_slots: Dict[int, int] = {}
         stride = config.nic.buffer_stride
+        desc_bytes = config.ring_size * DESCRIPTOR_BYTES
         for i in range(config.num_nf_cores):
             port = self.nics[i % len(self.nics)]
             core_tenant = (
                 config.tenants.core_tenant(i) if config.tenants is not None else 0
             )
-            desc_base = alloc.take(config.ring_size * DESCRIPTOR_BYTES)
-            self.page_table.map_range(desc_base, config.ring_size * DESCRIPTOR_BYTES)
-            if config.tenants is not None:
-                self.tenant_ranges.append(
-                    (
-                        desc_base,
-                        desc_base + config.ring_size * DESCRIPTOR_BYTES,
-                        core_tenant,
-                    )
-                )
+            desc_base = alloc.take(desc_bytes)
+            self.page_table.map_range(desc_base, desc_bytes)
 
             buffer_pool = None
             copy_pool = None
@@ -393,37 +360,33 @@ class SimulatedServer:
                 # buffers plus the mempool's spares; the ring's initial
                 # slots are reserved out of the pool.
                 total = config.ring_size * max(2, config.reallocate_pool_factor)
-                buf_base = alloc.take(total * stride)
                 buf_bytes = total * stride
+                buf_base = alloc.take(buf_bytes)
                 buffer_pool = BufferPool(buf_base, stride, total)
                 for slot in range(config.ring_size):
                     buffer_pool.reserve(buf_base + slot * stride)
-                self.page_table.allocate_invalidatable(buf_base, total * stride)
             else:
-                buf_base = alloc.take(config.ring_size * stride)
                 buf_bytes = config.ring_size * stride
-                self.page_table.allocate_invalidatable(
-                    buf_base, config.ring_size * stride
-                )
-                if config.recycle_mode == "copy":
-                    # Application-space destination buffers for the copy
-                    # loop (reused round-robin, like a socket read buffer).
-                    n_copies = 64
-                    copy_base = alloc.take(n_copies * stride)
-                    self.page_table.map_range(copy_base, n_copies * stride)
-                    copy_pool = [copy_base + k * stride for k in range(n_copies)]
-
+                buf_base = alloc.take(buf_bytes)
+            self.page_table.allocate_invalidatable(buf_base, buf_bytes)
+            if config.recycle_mode == "copy":
+                # Application-space destination buffers for the copy loop
+                # (reused round-robin, like a socket read buffer).
+                n_copies = 64
+                copy_base = alloc.take(n_copies * stride)
+                self.page_table.map_range(copy_base, n_copies * stride)
+                copy_pool = [copy_base + k * stride for k in range(n_copies)]
             if config.tenants is not None:
-                self.tenant_ranges.append(
-                    (buf_base, buf_base + buf_bytes, core_tenant)
-                )
+                self.tenant_ranges += [
+                    (desc_base, desc_base + desc_bytes, core_tenant),
+                    (buf_base, buf_base + buf_bytes, core_tenant),
+                ]
+
             queue = port.add_queue(i, i, desc_base, buf_base)
             app = APP_FACTORIES[config.app_for_core(i)](config.cost_model)
             if app.transmits:
-                tx_desc_base = alloc.take(config.ring_size * DESCRIPTOR_BYTES)
-                self.page_table.map_range(
-                    tx_desc_base, config.ring_size * DESCRIPTOR_BYTES
-                )
+                tx_desc_base = alloc.take(desc_bytes)
+                self.page_table.map_range(tx_desc_base, desc_bytes)
                 port.add_tx_queue(i, tx_desc_base)
             if config.tenants is not None:
                 tconf = config.tenants.tenants[core_tenant]
@@ -452,8 +415,8 @@ class SimulatedServer:
                 buffer_pool=buffer_pool,
                 copy_pool=copy_pool,
             )
-            if self.controller is not None:
-                prefetcher = self.controller.prefetchers[i]
+            if isinstance(self.steering, IDIOController):
+                prefetcher = self.steering.prefetchers[i]
                 if isinstance(prefetcher, RegulatedMLCPrefetcher):
                     prefetcher.attach_ring(
                         queue.ring,
@@ -478,44 +441,28 @@ class SimulatedServer:
         if self.sanitizer is not None and config.tenants is not None:
             self.sanitizer.register_tenants(config.tenants)
 
-        # -- antagonist -----------------------------------------------------
-        self.antagonist: Optional[LLCAntagonist] = None
-        self.antagonist_driver: Optional[AntagonistDriver] = None
+    def _build_antagonists(self, alloc: _Allocator) -> None:
+        """One LLCAntagonist core per entry, numbered after the NF cores:
+        the ``antagonist=True`` core first (seed 42), then one per
+        antagonist tenant, seeded from that tenant's own RNG stream
+        (SIM016) so its access pattern never depends on other tenants."""
+        config = self.config
+        footprints: List[Tuple[int, int]] = []  # (buffer bytes, seed)
         if config.antagonist:
-            buf = alloc.take(config.antagonist_buffer_bytes)
-            self.page_table.map_range(buf, config.antagonist_buffer_bytes)
-            core_id = config.antagonist_core
-            assert core_id is not None
-            self.antagonist = LLCAntagonist(buf, config.antagonist_buffer_bytes)
-            self.antagonist_driver = AntagonistDriver(
-                self.sim, self.cores[core_id], self.antagonist
-            )
-
-        # -- per-tenant antagonists ----------------------------------------
-        #: ``(tenant_id, driver)`` pairs, one per ``antagonist=True`` tenant.
-        self.tenant_antagonists: List[Tuple[int, AntagonistDriver]] = []
-        if config.tenants is not None and config.tenants.num_antagonists:
-            core_id = config.num_nf_cores + (1 if config.antagonist else 0)
+            footprints.append((config.antagonist_buffer_bytes, 42))
+        if config.tenants is not None:
             for tenant in config.tenants:
-                if not tenant.antagonist:
-                    continue
-                buf = alloc.take(tenant.antagonist_footprint_bytes)
-                self.page_table.map_range(buf, tenant.antagonist_footprint_bytes)
-                # Seeded from the tenant's own RNG stream (SIM016): the
-                # access pattern never depends on other tenants.
-                seed = tenant_rng(config.tenants.seed, tenant.tenant_id).getrandbits(32)
-                thrasher = LLCAntagonist(
-                    buf, tenant.antagonist_footprint_bytes, seed=seed
-                )
-                self.tenant_antagonists.append(
-                    (
-                        tenant.tenant_id,
-                        AntagonistDriver(self.sim, self.cores[core_id], thrasher),
-                    )
-                )
-                core_id += 1
-
-        self._started = False
+                if tenant.antagonist:
+                    seed = tenant_rng(config.tenants.seed, tenant.tenant_id).getrandbits(32)
+                    footprints.append((tenant.antagonist_footprint_bytes, seed))
+        self.antagonists: List[AntagonistDriver] = []
+        for core_id, (size, seed) in enumerate(footprints, start=config.num_nf_cores):
+            buf = alloc.take(size)
+            self.page_table.map_range(buf, size)
+            thrasher = LLCAntagonist(buf, size, seed=seed)
+            self.antagonists.append(
+                AntagonistDriver(self.sim, self.cores[core_id], thrasher)
+            )
 
     def _count_fault(self, event: FaultEvent) -> None:
         counts = self.fault_counts
@@ -530,10 +477,8 @@ class SimulatedServer:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        if self.antagonist_driver is not None:
-            self.antagonist_driver.warmup()
-        for _tenant, t_driver in self.tenant_antagonists:
-            t_driver.warmup()
+        for antagonist in self.antagonists:
+            antagonist.warmup()
         for driver in self.drivers:
             driver.init_ring()
         if self.config.reset_stats_after_warmup:
@@ -545,10 +490,8 @@ class SimulatedServer:
                 core.stats.hits_by_level.clear()
         for driver in self.drivers:
             driver.start()
-        if self.antagonist_driver is not None:
-            self.antagonist_driver.start()
-        for _tenant, t_driver in self.tenant_antagonists:
-            t_driver.start()
+        for antagonist in self.antagonists:
+            antagonist.start()
 
     def inject_bursty(
         self,
@@ -783,16 +726,10 @@ class SimulatedServer:
         """Stop all periodic agents (end of measurement)."""
         for driver in self.drivers:
             driver.stop()
-        if self.antagonist_driver is not None:
-            self.antagonist_driver.stop()
-        if self.controller is not None:
-            self.controller.stop()
-        if self.iat_controller is not None:
-            self.iat_controller.stop()
-        if self.ioca_controller is not None:
-            self.ioca_controller.stop()
-        for _tenant, t_driver in self.tenant_antagonists:
-            t_driver.stop()
+        for antagonist in self.antagonists:
+            antagonist.stop()
+        if self.steering is not None:
+            self.steering.stop()
         for nic in self.nics:
             nic.stop()
 

@@ -102,7 +102,7 @@ class SetAssociativeCache:
         # Fast-path recency: for the exact default LRU policy the cache
         # bumps the policy's per-set tick rows directly, fusing the
         # free-way scan and the victim scan into one pass over the set.
-        # Any other policy (plru, random, the reference/vectorized LRUs)
+        # Any other policy (plru, random, the reference LRU)
         # goes through the generic on_access/victim protocol.
         self._lru_rows: Optional[List[List[int]]] = (
             self.policy._last_use if type(self.policy) is LRUPolicy else None

@@ -28,7 +28,7 @@ subscriber like everyone else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.bus import EventBus
@@ -97,32 +97,22 @@ class HierarchyConfig:
     #: "fixed" = constant-latency DRAM; "banked" = channels/banks with
     #: open-row tracking (see mem.dram.BankedDRAM).
     dram_model: str = "fixed"
-    #: Replacement policy applied to every level (``None`` = keep each
-    #: CacheConfig's own setting, i.e. ``lru``).  ``lru-vec`` selects the
-    #: numpy-vectorized exact-LRU variant, falling back to ``lru`` when
-    #: numpy is absent — results are identical either way.
-    replacement: Optional[str] = None
-
-    def _with_replacement(self, cfg: CacheConfig) -> CacheConfig:
-        if self.replacement is None or cfg.replacement == self.replacement:
-            return cfg
-        return replace(cfg, replacement=self.replacement)
 
     def resolved_l1(self) -> CacheConfig:
-        return self._with_replacement(self.l1 or default_l1_config(self.freq_ghz))
+        return self.l1 or default_l1_config(self.freq_ghz)
 
     def resolved_mlc(self, core: int) -> CacheConfig:
         if self.mlc is not None:
-            return self._with_replacement(self.mlc)
+            return self.mlc
         size = 1024 * 1024
         if self.mlc_sizes is not None and core < len(self.mlc_sizes):
             override = self.mlc_sizes[core]
             if override:
                 size = override
-        return self._with_replacement(default_mlc_config(self.freq_ghz, size))
+        return default_mlc_config(self.freq_ghz, size)
 
     def resolved_llc(self) -> CacheConfig:
-        return self._with_replacement(self.llc or default_llc_config(self.freq_ghz))
+        return self.llc or default_llc_config(self.freq_ghz)
 
 
 @dataclass

@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence, Tuple
 
-from ._vec import HAVE_NUMPY, np
-
 
 class ReplacementPolicy:
     """Interface for replacement policies."""
@@ -97,53 +95,6 @@ class ReferenceLRUPolicy(ReplacementPolicy):
         return min(eligible_ways, key=lambda w: self._last_use.get((set_idx, w), 0))
 
 
-class VectorizedLRUPolicy(ReplacementPolicy):
-    """LRU with numpy-backed recency state and an ``argmin`` victim scan.
-
-    Semantically identical to :class:`LRUPolicy`/:class:`ReferenceLRUPolicy`
-    — same global tick counter, same first-eligible tie-break (numpy's
-    ``argmin`` returns the first minimum, matching the comparison loop) —
-    the hypothesis differential test in
-    ``tests/test_mem_replacement_vec.py`` pins the equivalence on random
-    traces.  Only constructed when :data:`repro.mem._vec.HAVE_NUMPY` is
-    true; ``make_policy("lru-vec", ...)`` silently falls back to
-    :class:`LRUPolicy` otherwise, so configs naming it stay portable.
-
-    The win is for wide scans (high associativity, masked subsets resolved
-    with one gather); at the shipped 8–12-way geometries the plain loop is
-    competitive, which is why ``lru`` remains the default.
-    """
-
-    def __init__(self, num_sets: int, assoc: int) -> None:
-        super().__init__(num_sets, assoc)
-        self._tick = 0
-        self._last_use = np.zeros((num_sets, assoc), dtype=np.int64)
-
-    def on_access(self, set_idx: int, way: int) -> None:
-        self._tick += 1
-        self._last_use[set_idx, way] = self._tick
-
-    def on_evict(self, set_idx: int, way: int) -> None:
-        self._last_use[set_idx, way] = 0
-
-    def victim(self, set_idx: int, eligible_ways: Sequence[int]) -> int:
-        if not len(eligible_ways):
-            raise ValueError("no eligible ways to evict")
-        ticks = self._last_use[set_idx, list(eligible_ways)]
-        return int(eligible_ways[int(np.argmin(ticks))])
-
-
-def _make_lru_vec(num_sets: int, assoc: int) -> ReplacementPolicy:
-    """``lru-vec`` factory: vectorized when numpy is present, else LRU.
-
-    The fallback keeps configs that name ``lru-vec`` runnable (and
-    result-identical — both are exact LRU) on numpy-free hosts.
-    """
-    if HAVE_NUMPY:
-        return VectorizedLRUPolicy(num_sets, assoc)
-    return LRUPolicy(num_sets, assoc)
-
-
 class TreePLRUPolicy(ReplacementPolicy):
     """Tree pseudo-LRU (the common hardware approximation).
 
@@ -225,7 +176,6 @@ class RandomPolicy(ReplacementPolicy):
 _POLICIES = {
     "lru": LRUPolicy,
     "lru-ref": ReferenceLRUPolicy,
-    "lru-vec": _make_lru_vec,
     "plru": TreePLRUPolicy,
     "random": RandomPolicy,
 }

@@ -248,7 +248,7 @@ class TestCleanRuns:
             )
         )
         assert server.sanitizer is not None
-        assert server.sanitizer._controller is server.controller
+        assert server.sanitizer._controller is server.steering
         assert server.sanitizer._pools  # reallocate mode has buffer pools
         server.start()
         server.inject_bursty(burst_rate_gbps=25.0, start=units.microseconds(20))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cachedirector import CacheDirectorController
-from repro.core.policies import cachedirector, ddio, policy_by_name
+from repro.core.policies import SlicePinning, cachedirector, ddio, policy_by_name
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig, SimulatedServer
 from repro.mem.cache import CacheConfig
@@ -105,19 +105,13 @@ class TestCacheDirectorController:
 class TestPolicyIntegration:
     def test_policy_table(self):
         p = policy_by_name("cachedirector")
-        assert p.slice_header_steering
-        assert p.needs_classifier and not p.needs_controller
-
-    def test_cannot_combine_with_idio(self):
-        from repro.core.policies import PolicyConfig
-
-        with pytest.raises(ValueError):
-            PolicyConfig(name="x", slice_header_steering=True, direct_dram=True)
+        assert p.steering == SlicePinning()
+        assert p.steering.needs_classifier
 
     def test_server_defaults_slices_for_cachedirector(self):
         server = SimulatedServer(ServerConfig(policy=cachedirector()))
         assert server.hierarchy.llc.slices == 8
-        assert server.cachedirector is not None
+        assert isinstance(server.steering, CacheDirectorController)
 
     def test_header_latency_improves_vs_sliced_ddio(self):
         """On the same NUCA topology, CacheDirector's header pinning must
@@ -142,4 +136,4 @@ class TestPolicyIntegration:
         assert cd.window.mlc_writebacks == pytest.approx(
             base.window.mlc_writebacks, rel=0.1
         )
-        assert cd.server.cachedirector.headers_steered > 0
+        assert cd.server.steering.headers_steered > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.iat import IATController
-from repro.core.policies import ddio, iat, policy_by_name
+from repro.core.policies import IatResizing, ddio, iat, policy_by_name
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
@@ -75,21 +75,15 @@ class TestControlLoop:
 class TestPolicyIntegration:
     def test_policy_table(self):
         p = policy_by_name("iat")
-        assert p.dynamic_ddio_ways
-        assert not p.needs_controller
-
-    def test_iat_cannot_combine_with_idio(self):
-        from repro.core.policies import PolicyConfig
-
-        with pytest.raises(ValueError):
-            PolicyConfig(name="x", dynamic_ddio_ways=True, direct_dram=True)
+        assert p.steering == IatResizing()
+        assert not p.steering.needs_classifier
 
     def test_server_wires_iat_controller(self):
         from repro.harness.server import SimulatedServer
 
         server = SimulatedServer(ServerConfig(policy=iat()))
-        assert server.iat_controller is not None
-        assert server.controller is None
+        assert isinstance(server.steering, IATController)
+        assert server.root_complex.steering_hook is None
 
     def test_iat_reduces_llc_writebacks_but_not_mlc(self):
         """The paper's S1 critique: dynamic DDIO-way policies cannot use

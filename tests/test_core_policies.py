@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.policies import (
     PREFETCH_DYNAMIC,
-    PREFETCH_OFF,
     PREFETCH_STATIC,
+    IdioSteering,
     all_policies,
     ddio,
     idio,
@@ -13,7 +13,6 @@ from repro.core.policies import (
     policy_by_name,
     prefetch_only,
     static_idio,
-    PolicyConfig,
 )
 
 
@@ -23,33 +22,28 @@ class TestPolicyTable:
     def test_ddio_is_all_off(self):
         p = ddio()
         assert not p.self_invalidate
-        assert p.prefetch_mode == PREFETCH_OFF
-        assert not p.direct_dram
-        assert not p.needs_controller
-        assert not p.needs_classifier
+        assert p.steering is None
 
     def test_invalidate_only(self):
         p = invalidate_only()
         assert p.self_invalidate
-        assert p.prefetch_mode == PREFETCH_OFF
-        assert not p.needs_controller  # software-only mechanism
+        assert p.steering is None  # software-only mechanism
 
     def test_prefetch_only(self):
         p = prefetch_only()
         assert not p.self_invalidate
-        assert p.prefetch_mode == PREFETCH_DYNAMIC
-        assert p.needs_controller and p.needs_classifier
+        assert p.steering == IdioSteering(PREFETCH_DYNAMIC, direct_dram=False)
+        assert p.steering.needs_classifier
 
     def test_static(self):
         p = static_idio()
         assert p.self_invalidate
-        assert p.prefetch_mode == PREFETCH_STATIC
+        assert p.steering == IdioSteering(PREFETCH_STATIC)
 
     def test_idio_enables_everything(self):
         p = idio()
         assert p.self_invalidate
-        assert p.prefetch_mode == PREFETCH_DYNAMIC
-        assert p.direct_dram
+        assert p.steering == IdioSteering(PREFETCH_DYNAMIC, direct_dram=True)
 
     def test_all_policies_complete(self):
         assert set(all_policies()) == {"ddio", "invalidate", "prefetch", "static", "idio"}
@@ -60,8 +54,8 @@ class TestPolicyTable:
             policy_by_name("bogus")
 
     def test_invalid_prefetch_mode(self):
-        with pytest.raises(ValueError):
-            PolicyConfig(name="x", prefetch_mode="sometimes")
+        with pytest.raises(ValueError, match="unknown prefetch mode 'sometimes'"):
+            IdioSteering(prefetch="sometimes")
 
 
 class TestSweepHelpers:

@@ -35,7 +35,7 @@ class TestPollModeDriver:
         server.start()
         server.inject_bursty(100.0, packets_per_burst=16)
         server.run_until_drained(units.milliseconds(2))
-        for queue in server.nic.queues.values():
+        for queue in server.nics[0].queues.values():
             assert queue.ring.occupancy() == 0
 
     def test_completion_times_set(self):
@@ -76,8 +76,8 @@ class TestL2FwdDriver:
         server.start()
         server.inject_bursty(100.0, packets_per_burst=16)
         server.run_until_drained(units.milliseconds(4))
-        assert server.nic.total_tx == 32
-        for queue in server.nic.queues.values():
+        assert server.nics[0].total_tx == 32
+        for queue in server.nics[0].queues.values():
             assert queue.ring.occupancy() == 0
 
     def test_tx_pulls_lines_back_to_llc(self):
@@ -94,13 +94,13 @@ class TestAntagonistDriver:
         server = small_server(antagonist=True)
         server.start()
         server.run(units.microseconds(100))
-        assert server.antagonist.accesses_done > 100
+        assert server.antagonists[0].app.accesses_done > 100
 
     def test_antagonist_samples_recorded(self):
         server = small_server(antagonist=True)
         server.start()
         server.run(units.microseconds(100))
-        samples = server.antagonist_driver.samples
+        samples = server.antagonists[0].samples
         assert len(samples) > 10
         times = [s[0] for s in samples]
         assert times == sorted(times)
@@ -109,7 +109,7 @@ class TestAntagonistDriver:
         server = small_server(antagonist=True)
         server.start()
         server.run(units.microseconds(200))
-        ns = server.antagonist_driver.access_ns_between(
+        ns = server.antagonists[0].access_ns_between(
             units.microseconds(10), units.microseconds(190)
         )
         assert ns is not None and 1.0 < ns < 200.0
@@ -118,10 +118,10 @@ class TestAntagonistDriver:
         server = small_server(antagonist=True)
         server.start()
         server.run(units.microseconds(50))
-        assert server.antagonist_driver.access_ns_between(0, 1) is None
+        assert server.antagonists[0].access_ns_between(0, 1) is None
 
     def test_antagonist_mlc_is_small(self):
         """§VI: the antagonist core runs with a 256 KB MLC."""
         server = small_server(antagonist=True)
-        core_id = server.config.antagonist_core
+        core_id = server.antagonists[0].core.core_id
         assert server.hierarchy.mlc[core_id].config.size_bytes == 256 * 1024

@@ -55,36 +55,22 @@ class TestDeterminism:
         policies (guards against trivially-equal fingerprints)."""
         assert fingerprint(run_once(ddio())) != fingerprint(run_once(idio()))
 
-    def test_serial_warm_pool_and_vectorized_agree(self):
-        """Three-way identity: the serial path, the warm process pool,
-        and the numpy-vectorized LRU must all produce byte-identical
-        summaries — none of the acceleration layers may leak into
-        simulation results."""
+    def test_serial_and_warm_pool_agree(self):
+        """The serial path and the warm process pool must produce
+        byte-identical summaries — the pool may not leak into simulation
+        results."""
         import pickle
 
         from repro.harness.runner import run_experiments, shutdown_pool
 
-        def exp(replacement=None):
-            return Experiment(
-                name="three-way",
-                server=ServerConfig(
-                    policy=idio(),
-                    app="touchdrop",
-                    ring_size=128,
-                    replacement=replacement,
-                ),
-                traffic="bursty",
-                burst_rate_gbps=50.0,
-            )
-
-        serial = run_experiments([exp(), exp()], jobs=1)
-        pooled = run_experiments([exp(), exp()], jobs=2)
-        shutdown_pool()
-        vectorized = run_experiments(
-            [exp("lru-vec"), exp("lru-vec")], jobs=1
+        exp = Experiment(
+            name="two-way",
+            server=ServerConfig(policy=idio(), app="touchdrop", ring_size=128),
+            traffic="bursty",
+            burst_rate_gbps=50.0,
         )
-        prints = [
-            pickle.dumps(s.fingerprint())
-            for s in (*serial, *pooled, *vectorized)
-        ]
+        serial = run_experiments([exp, exp], jobs=1)
+        pooled = run_experiments([exp, exp], jobs=2)
+        shutdown_pool()
+        prints = [pickle.dumps(s.fingerprint()) for s in (*serial, *pooled)]
         assert len(set(prints)) == 1

@@ -1,0 +1,99 @@
+"""Golden determinism digests pinned across commits.
+
+Every other determinism test compares two runs of the *same* checkout
+(serial vs pool, run vs re-run).  This file pins the
+:func:`~repro.analysis.determinism.fingerprint_digest` of a fixed set of
+small seeded runs as literal hex strings, so a refactor that claims
+"byte-identical behaviour" is checked against the code it replaced, not
+only against itself.  A digest here changes only when the simulated
+behaviour is meant to change; update it in the same commit and say why.
+
+The cases cover each policy of :func:`extended_policies` on a ring-64
+burst, the Fig. 10 antagonist co-run under DDIO and IDIO, the
+noisy-neighbor tenant pack under the shared and partitioned policies,
+and one run under a seeded fault plan.
+"""
+
+import pytest
+
+from repro.analysis.determinism import fingerprint_digest
+from repro.core.policies import extended_policies, idio, policy_by_name
+from repro.faults import standard_plan
+from repro.harness.experiment import Experiment, run_experiment
+from repro.harness.server import ServerConfig
+from repro.tenants.scenarios import tenant_experiment, tenant_mix
+
+#: One ring-64 100 Gbps burst per core under each extended policy.
+POLICY_DIGESTS = {
+    "ddio": "6896d137fc18bae961609b3f53b64a689e61012943d29ba31a1d829989004748",
+    "invalidate": "99da206cd92a72f040d4282729d2b1fad0bcdb88f7e300ddd12a582fb903808a",
+    "prefetch": "f515da7553aec70144eb3d419001d950691e04292f66733c6557cc365e978a27",
+    "static": "27d3e088a6b79c139260237299ff159c76d0e0f21ae8a97843812aff42c4a1d7",
+    "idio": "150dec4f07553e5ff0ee964cc4699782a6c264a9feae58de2e71e88465dcddab",
+    "idio-regulated": "7902048156596ca1977f68ed395b89ef42b014522920bc1a6ac01b600d0b19ee",
+    "iat": "3cdf169902d827eeab60e6506c39f39fc6a63348efc4827ce97687281952e57f",
+    "cachedirector": "c51db0eda3add1c87e7115b78e807ea651001e976b6a532d5802c6bb0421eacf",
+    "ioca": "6b3bd2799619f28b7ce529cc35e9648fd3101720ad57ee3882db1d533989467f",
+    "static-partition": "9c0d837cf3a3267e9027f4c54161c4670e3d11978548d21954fced681d619fbc",
+}
+
+#: The same burst beside the legacy ``antagonist=True`` LLC thrasher.
+CORUN_DIGESTS = {
+    "ddio": "f4210d08d8568ff0da6f897b0c9be77d0e3010511151404886006780e82deace",
+    "idio": "4c357d29a2ad84c8487519ef2eef10cff7049d8404a290f69ec4c76d440cca1c",
+}
+
+#: The 2-tenant noisy-neighbor pack (one tenant antagonist) at intensity 1.
+TENANT_DIGESTS = {
+    "ddio": "b5ab6c13640e00da602a3854acac40ac9bfe8ac545821537e6a0564057a1d98c",
+    "static-partition": "87ada8f92c0d49087dbe278c99693a73e38fe5c6a9cf8f7e9a784c697a71770b",
+    "ioca": "33a98b6e8d7d32e2b5a93bdbde8e59e780e27b23d0487bb3e24c85086a7ee2a9",
+}
+
+#: IDIO on a ring-64 burst under ``standard_plan("all", seed=5)``.
+FAULTED_DIGEST = "d38c9d4cfc67aa8193822e11aa7aec0057dcc3936848011162867a7aee35b080"
+
+
+def _burst(**server_kwargs) -> Experiment:
+    return Experiment(
+        name="golden",
+        server=ServerConfig(ring_size=64, **server_kwargs),
+        burst_rate_gbps=100.0,
+        traffic="bursty",
+    )
+
+
+def _digest(experiment: Experiment) -> str:
+    return fingerprint_digest(run_experiment(experiment).summary())
+
+
+def test_every_extended_policy_is_pinned():
+    assert sorted(POLICY_DIGESTS) == sorted(extended_policies())
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_DIGESTS))
+def test_policy_burst(name):
+    experiment = _burst().with_policy(policy_by_name(name))
+    assert _digest(experiment) == POLICY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CORUN_DIGESTS))
+def test_antagonist_corun(name):
+    experiment = _burst(antagonist=True).with_policy(policy_by_name(name))
+    assert _digest(experiment) == CORUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TENANT_DIGESTS))
+def test_noisy_neighbor_tenants(name):
+    experiment = tenant_experiment(
+        tenant_mix("noisy-neighbor", tenants=2, intensity=1.0),
+        policy_by_name(name),
+        name=f"golden-{name}",
+        duration_us=100.0,
+    )
+    assert _digest(experiment) == TENANT_DIGESTS[name]
+
+
+def test_faulted_run():
+    experiment = _burst(fault_plan=standard_plan("all", seed=5)).with_policy(idio())
+    assert _digest(experiment) == FAULTED_DIGEST

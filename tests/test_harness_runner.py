@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.core.policies import ddio, idio
+from repro.core.policies import ddio, iat, idio
 from repro.faults import FaultPlan, FaultSpec
 from repro.harness import runner
 from repro.harness.experiment import (
@@ -140,36 +140,37 @@ class TestRunExperiments:
         assert all(isinstance(s, ExperimentSummary) for s in results.values())
 
 
+def _iat_on_4_ways() -> Experiment:
+    """A config that builds but fails inside the run: ``IATController``
+    needs up to 6 DDIO ways and rejects a 4-way LLC."""
+    return Experiment(
+        name="iat-4-ways",
+        server=ServerConfig(policy=iat(), llc_ways=4, ring_size=128),
+        burst_rate_gbps=25.0,
+    )
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 class TestRunExperimentsRaises:
     """``run_experiments`` is ``run_sweep(retries=0)`` plus a re-raise of
     the first failed experiment's own exception, on every path."""
 
     def test_server_construction_error_keeps_its_type(self, jobs):
-        bad = Experiment(
-            name="bad-apps",
-            server=ServerConfig(apps=["touchdrop"], num_nf_cores=2, ring_size=128),
-            burst_rate_gbps=25.0,
-        )
-        with pytest.raises(ValueError, match="apps lists 1 entries for 2 NF cores"):
-            run_experiments([small_experiment(name="fine"), bad], jobs=jobs)
+        with pytest.raises(ValueError, match="need 0 < min_ways <= max_ways <= 4"):
+            run_experiments([small_experiment(name="fine"), _iat_on_4_ways()], jobs=jobs)
 
     def test_first_failure_in_input_order_is_raised(self, jobs):
         crash = FaultPlan(specs=(FaultSpec("harness.crash", magnitude=0.0),))
-        bad_apps = Experiment(
-            name="bad-apps",
-            server=ServerConfig(apps=["touchdrop"], num_nf_cores=2, ring_size=128),
-            burst_rate_gbps=25.0,
-        )
+        bad_iat = _iat_on_4_ways()
         crashing = Experiment(
             name="crashing",
             server=ServerConfig(app="touchdrop", ring_size=128, fault_plan=crash),
             burst_rate_gbps=25.0,
         )
         with pytest.raises(InjectedCrash):
-            run_experiments([crashing, bad_apps], jobs=jobs)
+            run_experiments([crashing, bad_iat], jobs=jobs)
         with pytest.raises(ValueError):
-            run_experiments([bad_apps, crashing], jobs=jobs)
+            run_experiments([bad_iat, crashing], jobs=jobs)
 
     def test_harness_crash_fails_the_batch(self, jobs):
         plan = FaultPlan(specs=(FaultSpec("harness.crash", magnitude=1.0),))

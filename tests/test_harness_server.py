@@ -2,9 +2,42 @@
 
 import pytest
 
-from repro.core.policies import ddio, idio, invalidate_only, static_idio
+from repro.core.controller import IDIOController
+from repro.core.policies import (
+    ddio,
+    idio,
+    invalidate_only,
+    static_idio,
+    static_partition,
+)
 from repro.harness.server import ServerConfig, SimulatedServer
 from repro.sim import units
+from repro.tenants.scenarios import tenant_mix
+
+
+class TestConfigValidation:
+    """A bad config fails when it is built, with one message."""
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"apps": ["touchdrop"], "num_nf_cores": 2}, "apps lists 1 entries for 2"),
+            ({"app": "webserver"}, "unknown app 'webserver'"),
+            ({"apps": ["touchdrop", "webserver"]}, "unknown app 'webserver'"),
+            ({"tenants": tenant_mix("noisy-neighbor"), "num_nf_cores": 3},
+             "tenant set needs 2 NF cores"),
+            ({"tenants": tenant_mix("noisy-neighbor"), "policy": static_partition(),
+              "ddio_ways": 1}, "tenant way quotas sum to 2"),
+            ({"num_nics": 0}, "num_nics must be at least 1"),
+            ({"recycle_mode": "recycle-bin"}, "unknown recycle mode"),
+        ],
+    )
+    def test_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ServerConfig(**kwargs)
+
+    def test_quota_check_only_for_partitioning_policies(self):
+        ServerConfig(tenants=tenant_mix("noisy-neighbor"), ddio_ways=1)
 
 
 class TestTopology:
@@ -28,13 +61,13 @@ class TestTopology:
 
     def test_queue_per_nf_core(self):
         server = SimulatedServer(ServerConfig(num_nf_cores=2))
-        assert set(server.nic.queues) == {0, 1}
-        assert server.nic.queue_for_core(1).core == 1
+        assert set(server.nics[0].queues) == {0, 1}
+        assert server.nics[0].queue_for_core(1).core == 1
 
     def test_memory_regions_disjoint(self):
         server = SimulatedServer(ServerConfig())
         regions = []
-        for queue in server.nic.queues.values():
+        for queue in server.nics[0].queues.values():
             ring = queue.ring
             d0 = ring.descriptors[0]
             dn = ring.descriptors[-1]
@@ -46,7 +79,7 @@ class TestTopology:
 
     def test_buffers_marked_invalidatable(self):
         server = SimulatedServer(ServerConfig())
-        for queue in server.nic.queues.values():
+        for queue in server.nics[0].queues.values():
             assert server.page_table.is_invalidatable(queue.ring.descriptors[0].buffer_addr)
 
     def test_cat_mask_applied(self):
@@ -58,6 +91,12 @@ class TestTopology:
         with pytest.raises(ValueError):
             SimulatedServer(ServerConfig(app="webserver"))
 
+    def test_legacy_antagonist_is_the_first_antagonist(self):
+        server = SimulatedServer(ServerConfig(antagonist=True))
+        (antagonist,) = server.antagonists
+        assert antagonist.core.core_id == 2
+        assert antagonist.app.seed == 42
+
     def test_double_start_rejected(self):
         server = SimulatedServer(ServerConfig())
         server.start()
@@ -68,25 +107,25 @@ class TestTopology:
 class TestPolicyWiring:
     def test_ddio_has_no_controller_or_classifier(self):
         server = SimulatedServer(ServerConfig(policy=ddio()))
-        assert server.controller is None
-        assert server.nic.classifier is None
+        assert server.steering is None
+        assert server.nics[0].classifier is None
 
     def test_invalidate_only_software_only(self):
         server = SimulatedServer(ServerConfig(policy=invalidate_only()))
-        assert server.controller is None
+        assert server.steering is None
         assert server.drivers[0].self_invalidate
 
     def test_idio_wires_controller_and_classifier(self):
         server = SimulatedServer(ServerConfig(policy=idio()))
-        assert server.controller is not None
-        assert server.nic.classifier is not None
-        assert server.root_complex.steering_hook is not None
-        assert server.controller.direct_dram_enabled
+        assert isinstance(server.steering, IDIOController)
+        assert server.nics[0].classifier is not None
+        assert server.root_complex.steering_hook == server.steering.steer
+        assert server.steering.direct_dram_enabled
 
     def test_static_pins_status(self):
         server = SimulatedServer(ServerConfig(policy=static_idio()))
-        assert server.controller.static_mlc
-        assert server.controller.status_of(0) == "MLC"
+        assert server.steering.static_mlc
+        assert server.steering.status_of(0) == "MLC"
 
 
 class TestTrafficInjection:

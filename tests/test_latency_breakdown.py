@@ -26,7 +26,7 @@ class TestDecomposition:
 
     def test_queueing_includes_nic_visibility_delay(self):
         result = run(50.0)
-        nic = result.server.nic
+        nic = result.server.nics[0]
         floor = nic.config.rx_pipeline_delay + nic.config.descriptor_writeback_delay
         for p in result.server.completed_packets():
             assert p.queueing_delay >= floor

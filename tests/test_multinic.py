@@ -12,7 +12,7 @@ class TestTopology:
     def test_default_single_port(self):
         server = SimulatedServer(ServerConfig(ring_size=32))
         assert len(server.nics) == 1
-        assert server.nic is server.nics[0]
+        assert len(server.dmas) == 1
 
     def test_two_ports_split_cores(self):
         server = SimulatedServer(

@@ -114,14 +114,14 @@ class TestServerIntegration:
 
     def test_l2fwd_uses_tx_rings(self):
         result = self.run_l2fwd(ddio())
-        engines = result.server.nic.tx_engines
+        engines = result.server.nics[0].tx_engines
         assert set(engines) == {0, 1}
         assert sum(e.packets_sent for e in engines.values()) == 128
         assert result.completed == 128
 
     def test_rx_rings_drain_after_tx_completions(self):
         result = self.run_l2fwd(ddio())
-        for queue in result.server.nic.queues.values():
+        for queue in result.server.nics[0].queues.values():
             assert queue.ring.occupancy() == 0
 
     def test_touchdrop_has_no_tx_ring(self):
@@ -132,7 +132,7 @@ class TestServerIntegration:
             burst_rate_gbps=50.0,
         )
         result = run_experiment(exp)
-        assert result.server.nic.tx_engines == {}
+        assert result.server.nics[0].tx_engines == {}
 
     def test_idio_invalidation_after_tx_ring_completion(self):
         result = self.run_l2fwd(idio())

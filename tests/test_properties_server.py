@@ -53,7 +53,7 @@ def test_conservation_invariants(cfg):
     assert result.completed == result.rx_packets
 
     # 2. Ring conservation: everything freed after drain.
-    for queue in server.nic.queues.values():
+    for queue in server.nics[0].queues.values():
         assert queue.ring.occupancy() == 0
 
     # 3. DMA line accounting: data lines + descriptor writebacks, plus
@@ -65,12 +65,12 @@ def test_conservation_invariants(cfg):
     direct = server.stats.counters.get("direct_dram_writes")
     pcie = server.stats.counters.get("pcie_writes")
     # TX completions (L2Fwd with TX rings) add descriptor writebacks.
-    tx_completions = sum(e.packets_sent for e in server.nic.tx_engines.values())
+    tx_completions = sum(e.packets_sent for e in server.nics[0].tx_engines.values())
     assert pcie == expected + tx_completions * desc_lines
     assert direct <= pcie
 
     # 4. Non-inclusive single-copy invariant on every packet buffer line.
-    for queue in server.nic.queues.values():
+    for queue in server.nics[0].queues.values():
         for desc in queue.ring.descriptors[: min(8, queue.ring.size)]:
             addr = desc.buffer_addr
             in_llc = addr in server.hierarchy.llc

@@ -53,3 +53,21 @@ def test_version():
 
 def test_cli_module_importable():
     from repro.cli import main  # noqa: F401
+
+
+def test_api_import_does_not_load_numpy():
+    """The simulator is pure Python: importing the facade must not pay
+    numpy's import cost."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, repro.api; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -47,7 +47,6 @@ FIXTURE_CASES = [
     ("sim005_legacy_wrapper.py", "SIM005", 3),
     ("sim006_subscriber.py", "SIM006", 3),
     ("sim007_units.py", "SIM007", 3),
-    ("sim008_numpy.py", "SIM008", 3),
     ("sim009_rack_rng.py", "SIM009", 5),
     ("sim010_cache_write.py", "SIM010", 5),
     ("sim016_tenant_rng.py", "SIM016", 5),
@@ -174,6 +173,7 @@ PROGRAM_FIXTURE_CASES = [
     ("sim011_taint", "SIM011", 4),
     ("sim012_bus", "SIM012", 3),
     ("sim013_digest", "SIM013", 3),
+    ("sim013_steering", "SIM013", 1),
     ("sim014_facade", "SIM014", 4),
     ("sim015_worker", "SIM015", 2),
 ]

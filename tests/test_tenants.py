@@ -94,7 +94,7 @@ class TestIOCAApportionment:
 
     def test_initial_allocation_conserves_the_budget(self):
         server, ts = self._server(tenants=3)
-        controller = server.ioca_controller
+        controller = server.steering
         assert controller is not None
         alloc = controller.current_allocation()
         assert sum(alloc) == TENANT_DDIO_WAYS
@@ -106,14 +106,14 @@ class TestIOCAApportionment:
         end = server.inject_tenants(duration=repro.units.microseconds(80))
         server.run_until_drained(end + repro.units.microseconds(100))
         server.stop()
-        controller = server.ioca_controller
+        controller = server.steering
         assert controller.reallocations, "controller never applied a mask"
         for alloc in controller.reallocations:
             assert sum(alloc) == TENANT_DDIO_WAYS
 
     def test_largest_remainder_is_deterministic_with_id_tiebreak(self):
         server, _ = self._server(tenants=3)
-        controller = server.ioca_controller
+        controller = server.steering
         # Equal weights, 1 spare way after 3 quota floors: tenant 0 wins.
         assert controller._apportion([1.0, 1.0, 1.0]) == [2, 1, 1]
         # All the demand on tenant 2: the spare way follows it.

@@ -285,16 +285,40 @@ def _annotation_problem(
             f"{info.name} is not a dataclass; canonical() raises TypeError "
             "on it (experiment becomes uncacheable)"
         )
+    return _dataclass_problem(project, mod, symbol, seen)
+
+
+def _dataclass_problem(
+    project: Project, mod: str, symbol: str, seen: Set[Tuple[str, str]]
+) -> Optional[str]:
+    """Why a dataclass, or a project dataclass derived from it, defeats
+    ``canonical()``.
+
+    A field typed by a base class may hold any subclass instance, and
+    ``canonical()`` walks the instance's own fields, so every dataclass
+    that names the class among its bases is walked as well.
+    """
     key = (mod, symbol)
     if key in seen:
         return None  # already checked (or being checked) elsewhere
     seen.add(key)
+    info = project.modules[mod].classes[symbol]
     for field_name, ann in info.fields:
         if (info.name, field_name) in DIGEST_IRRELEVANT:
             continue
         problem = _annotation_problem(project, mod, ann, seen)
         if problem is not None:
             return f"field {info.name}.{field_name}: {problem}"
+    for sub_mod, facts in sorted(project.modules.items()):
+        for sub in facts.classes.values():
+            if (
+                sub.is_dataclass
+                and symbol in sub.base_names
+                and project.resolve(sub_mod, [symbol]) == key
+            ):
+                problem = _dataclass_problem(project, sub_mod, sub.name, seen)
+                if problem is not None:
+                    return problem
     return None
 
 

@@ -1,6 +1,6 @@
 """Whole-program analysis engine: the project model behind simlint 2.0.
 
-The per-file rules (SIM001-SIM010, :mod:`tools.simlint.rules`) see one
+The per-file rules (SIM001-SIM010, SIM016; :mod:`tools.simlint.rules`) see one
 AST at a time, which is exactly as far as syntax can go.  The hazards
 that actually threaten the reproduction's determinism story cross file
 boundaries: an unseeded value flowing *through* a helper into a

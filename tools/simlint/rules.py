@@ -25,7 +25,6 @@ RULES: Dict[str, str] = {
     "SIM005": "legacy memory-wrapper call; route through MemoryHierarchy.access()",
     "SIM006": "EventBus subscriber signature does not match the subscribed event type",
     "SIM007": "tick-vs-wall-time unit suffix mismatch (sim.units conventions)",
-    "SIM008": "unguarded top-level numpy import; route through repro.mem._vec",
     "SIM009": "shared or module-level RNG in rack/fleet code; use seeded per-server streams",
     "SIM010": "cache write outside the atomic store helper (repro.cache)",
     "SIM016": "shared or module-level RNG in tenant code; use seeded per-tenant streams",
@@ -65,11 +64,6 @@ WALLCLOCK_EXEMPT = {"repro.sim.kernel"}
 
 #: Modules whose classes are on the per-transaction hot path (SIM004).
 SLOTS_MODULES = {"repro.mem.line", "repro.mem.cache", "repro.sim.event", "repro.pcie.tlp"}
-
-#: The one module allowed to import numpy at top level (inside its guard):
-#: everything else branches on ``repro.mem._vec.HAVE_NUMPY`` so a missing
-#: numpy can never break ``import repro`` (SIM008).
-NUMPY_GATE_MODULES = {"repro.mem._vec"}
 
 #: ``time`` module functions that read the host clock.
 _TIME_FUNCS = {
@@ -202,9 +196,6 @@ class _Checker(ast.NodeVisitor):
         self.cache_scope = _in_cache_scope(module)
         self.slots_scope = module in SLOTS_MODULES
         self.wallclock_exempt = module in WALLCLOCK_EXEMPT
-        self.numpy_gate = module in NUMPY_GATE_MODULES
-        #: >0 while inside a try: whose handlers catch an import failure.
-        self._import_guard_depth = 0
         #: >0 while inside any function body (lazy imports are fine).
         self._function_depth = 0
         # import tracking (filled during the walk; imports precede uses
@@ -265,14 +256,10 @@ class _Checker(ast.NodeVisitor):
                 self.datetime_aliases.add(bound)
             elif alias.name == "random":
                 self.random_aliases.add(bound)
-            elif alias.name.split(".")[0] == "numpy":
-                self._check_numpy_import(node)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         mod = node.module or ""
-        if mod.split(".")[0] == "numpy":
-            self._check_numpy_import(node)
         for alias in node.names:
             bound = alias.asname or alias.name
             if mod == "time" and alias.name in _TIME_FUNCS:
@@ -287,47 +274,6 @@ class _Checker(ast.NodeVisitor):
             elif mod.endswith("units") and alias.name in (_TICK_PRODUCING | _WALL_PRODUCING):
                 self.units_func_names[bound] = alias.name
         self.generic_visit(node)
-
-    # -- SIM008: unguarded top-level numpy imports ---------------------
-
-    def _check_numpy_import(self, node: ast.AST) -> None:
-        if not self.sim_scope or self.numpy_gate:
-            return
-        if self._function_depth or self._import_guard_depth:
-            return
-        self._emit(
-            node,
-            "SIM008",
-            "top-level numpy import outside repro.mem._vec; branch on "
-            "_vec.HAVE_NUMPY so a numpy-free host still imports cleanly",
-        )
-
-    def visit_Try(self, node: ast.Try) -> None:
-        guards = False
-        for handler in node.handlers:
-            t = handler.type
-            names = (
-                [_terminal_name(t)]
-                if t is not None and not isinstance(t, ast.Tuple)
-                else [_terminal_name(e) for e in t.elts]
-                if isinstance(t, ast.Tuple)
-                else [None]  # bare except
-            )
-            if any(
-                n is None or n in ("ImportError", "ModuleNotFoundError", "Exception")
-                for n in names
-            ):
-                guards = True
-        if guards:
-            self._import_guard_depth += 1
-            for stmt in node.body:
-                self.visit(stmt)
-            self._import_guard_depth -= 1
-            for part in (node.handlers, node.orelse, node.finalbody):
-                for stmt in part:
-                    self.visit(stmt)
-        else:
-            self.generic_visit(node)
 
     # -- SIM004: __slots__ on hot-path classes -------------------------
 
