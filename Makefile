@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-benchmarks validate lint analyze check faults-smoke rack-smoke tenants-smoke
+.PHONY: test test-benchmarks validate lint analyze check faults-smoke rack-smoke tenants-smoke examples-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -39,6 +39,13 @@ rack-smoke:
 # victim's p99 improves under IOCA's way partitioning (see docs/api.md).
 tenants-smoke:
 	$(PYTHON) tools/tenants_smoke.py
+
+# Examples smoke gate: run every examples/*.py end to end (~45 s); the
+# first script that exits nonzero fails the target.
+examples-smoke:
+	@set -e; for script in examples/*.py; do \
+		echo "== $$script"; $(PYTHON) $$script > /dev/null; \
+	done
 
 test-benchmarks:
 	$(PYTHON) -m pytest benchmarks -q

@@ -13,6 +13,7 @@ Run:  python examples/custom_agent.py
 from repro import ServerConfig, SimulatedServer
 from repro.core import idio
 from repro.harness.report import format_table
+from repro.net.traffic import BurstProfile
 from repro.sim import spawn, units
 
 
@@ -20,7 +21,10 @@ def main() -> None:
     server = SimulatedServer(ServerConfig(app="touchdrop", ring_size=1024,
                                           policy=idio()))
     server.start()
-    server.inject_bursty(25.0, start=units.microseconds(20))
+    # One ring-sized 25 Gbps burst on every NF flow, 20 us in.
+    burst = BurstProfile(burst_rate_gbps=25.0, packets_per_burst=1024,
+                         start=units.microseconds(20))
+    server.inject_traffic([burst] * len(server.generators))
 
     samples = []
 

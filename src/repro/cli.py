@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .core import policies
@@ -92,6 +93,7 @@ FIGURE_QUICK_ARGS: Dict[str, Dict[str, object]] = {
 
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
+    from .rack import RACK_TRAFFIC_KINDS
 
     parser = argparse.ArgumentParser(
         prog="idio-repro",
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rack_p.add_argument(
         "--profile",
-        choices=("steady", "poisson", "imix", "heavytail", "diurnal"),
+        choices=RACK_TRAFFIC_KINDS,
         default="heavytail",
         help="rack traffic profile (default: %(default)s)",
     )
@@ -754,7 +756,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         return Experiment(
             name=f"check-{policy_name}",
             server=server,
-            traffic="bursty",
             burst_rate_gbps=rate,
         )
 
@@ -828,13 +829,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
     tenant_set = _tenant_set(args, args.seed)
 
     def make_experiment(policy_name: str, label: str, plan: FaultPlan) -> Experiment:
-        server = ServerConfig(
-            policy=policies.policy_by_name(policy_name),
-            app=args.app,
+        base = _experiment_from_args(args, policy_name)
+        server = replace(
+            base.server,
             ring_size=ring,
-            packet_bytes=args.packet_bytes,
-            antagonist=args.antagonist,
-            recycle_mode=args.recycle,
             num_nf_cores=(
                 tenant_set.total_nf_cores if tenant_set is not None
                 else args.nf_cores
@@ -843,14 +841,12 @@ def cmd_faults(args: argparse.Namespace) -> int:
             fault_plan=plan,
             tenants=tenant_set,
         )
-        return Experiment(
+        return replace(
+            base,
             name=f"faults-{policy_name}-{label}",
             server=server,
-            traffic=args.traffic,
-            traffic_seed=args.seed,
             burst_rate_gbps=rate,
             steady_rate_gbps_per_nf=rate,
-            steady_duration=units.microseconds(args.duration_us),
         )
 
     cells: List[tuple] = []  # (policy, layer label, intensity, Experiment)
@@ -1053,7 +1049,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     experiment = Experiment(
         name=f"trace-{args.policy}",
         server=server,
-        traffic="bursty",
         burst_rate_gbps=args.rate,
     )
     result = run_experiment(experiment)

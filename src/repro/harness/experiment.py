@@ -17,6 +17,7 @@ from ..core.controller import IDIOController
 from ..core.policies import PolicyConfig, ddio
 from ..mem import stats as stats_mod
 from ..mem.line import LINE_SIZE
+from ..net.traffic import TrafficProfile, make_profile
 from ..sim import units
 from . import metrics
 from .server import ServerConfig, SimulatedServer
@@ -39,9 +40,10 @@ class Experiment:
 
     name: str = "experiment"
     server: ServerConfig = field(default_factory=ServerConfig)
-    #: "bursty", "steady", "poisson", "imix", "heavytail", or "diurnal".
+    #: One of :data:`~repro.net.traffic.TRAFFIC_KINDS`.
     traffic: str = "bursty"
-    #: Seed for the stochastic traffic kinds (poisson/imix/heavytail/diurnal).
+    #: Seed for the stochastic traffic kinds (poisson/imix/heavytail/diurnal);
+    #: NF generator ``i`` draws from ``traffic_seed + i``.
     traffic_seed: int = 0
     burst_rate_gbps: float = 100.0
     packets_per_burst: Optional[int] = None
@@ -60,8 +62,34 @@ class Experiment:
     drain_allowance: int = units.milliseconds(8)
     traffic_start: int = units.microseconds(20)
 
+    def __post_init__(self) -> None:
+        # Build (and so validate) the traffic now, not inside the run.
+        self.traffic_profile(self.traffic_seed)
+
     def with_policy(self, policy: PolicyConfig) -> "Experiment":
         return replace(self, server=replace(self.server, policy=policy))
+
+    def traffic_profile(self, seed: int) -> TrafficProfile:
+        """The profile one NF generator follows under ``seed``.  Bursts
+        default to one ring fill each (the paper's burst length)."""
+        rate = self.steady_rate_gbps_per_nf
+        peak = self.diurnal_peak_gbps_per_nf
+        return make_profile(
+            self.traffic,
+            burst_rate_gbps=self.burst_rate_gbps,
+            packets_per_burst=self.packets_per_burst or self.server.ring_size,
+            burst_period=self.burst_period,
+            num_bursts=self.num_bursts,
+            rate_gbps=rate,
+            trough_rate_gbps=rate,
+            peak_rate_gbps=2.0 * rate if peak is None else peak,
+            period=self.diurnal_period,
+            alpha=self.heavy_tail_alpha,
+            duration=self.steady_duration,
+            packet_bytes=self.server.packet_bytes,
+            start=self.traffic_start,
+            seed=seed,
+        )
 
 
 def _normalized_exe_time(
@@ -394,74 +422,24 @@ def run_experiment(experiment: Experiment) -> ExperimentResult:
     server = SimulatedServer(experiment.server)
     server.start()
 
-    if experiment.server.tenants is not None:
-        # Tenanted servers ignore the experiment-level traffic kind: each
-        # tenant's flows follow the tenant's own profile (the per-flow
-        # seeds come from the tenant RNG streams, not ``traffic_seed``).
-        offered = server.inject_tenants(
-            experiment.steady_duration, start=experiment.traffic_start
-        )
-        traffic_end = experiment.traffic_start + experiment.steady_duration
-    elif experiment.traffic == "bursty":
-        offered = server.inject_bursty(
-            experiment.burst_rate_gbps,
-            packets_per_burst=experiment.packets_per_burst,
-            num_bursts=experiment.num_bursts,
-            burst_period=experiment.burst_period,
-            start=experiment.traffic_start,
-        )
-        traffic_end = (
-            experiment.traffic_start
-            + (experiment.num_bursts - 1) * experiment.burst_period
-            + _burst_length(experiment)
-        )
-    elif experiment.traffic == "steady":
-        offered = server.inject_steady(
-            experiment.steady_rate_gbps_per_nf,
+    tenants = experiment.server.tenants
+    if tenants is not None:
+        # Each tenant's flows follow the tenant's own profile, seeded from
+        # its RNG stream.  The deadline stays at the end of the steady
+        # window even when a bursty tenant outlasts it.
+        profiles = tenants.traffic_profiles(
             experiment.steady_duration,
             start=experiment.traffic_start,
-        )
-        traffic_end = experiment.traffic_start + experiment.steady_duration
-    elif experiment.traffic == "poisson":
-        offered = server.inject_poisson(
-            experiment.steady_rate_gbps_per_nf,
-            experiment.steady_duration,
-            start=experiment.traffic_start,
-            seed=experiment.traffic_seed,
-        )
-        traffic_end = experiment.traffic_start + experiment.steady_duration
-    elif experiment.traffic == "heavytail":
-        offered = server.inject_heavy_tail(
-            experiment.steady_rate_gbps_per_nf,
-            experiment.steady_duration,
-            alpha=experiment.heavy_tail_alpha,
-            start=experiment.traffic_start,
-            seed=experiment.traffic_seed,
-        )
-        traffic_end = experiment.traffic_start + experiment.steady_duration
-    elif experiment.traffic == "diurnal":
-        peak = experiment.diurnal_peak_gbps_per_nf
-        if peak is None:
-            peak = 2.0 * experiment.steady_rate_gbps_per_nf
-        offered = server.inject_diurnal(
-            experiment.steady_rate_gbps_per_nf,
-            peak,
-            experiment.steady_duration,
-            period=experiment.diurnal_period,
-            start=experiment.traffic_start,
-            seed=experiment.traffic_seed,
-        )
-        traffic_end = experiment.traffic_start + experiment.steady_duration
-    elif experiment.traffic == "imix":
-        offered = server.inject_imix(
-            experiment.steady_rate_gbps_per_nf,
-            experiment.steady_duration,
-            start=experiment.traffic_start,
-            seed=experiment.traffic_seed,
+            packet_bytes=experiment.server.packet_bytes,
         )
         traffic_end = experiment.traffic_start + experiment.steady_duration
     else:
-        raise ValueError(f"unknown traffic kind {experiment.traffic!r}")
+        profiles = [
+            experiment.traffic_profile(experiment.traffic_seed + i)
+            for i in range(len(server.generators))
+        ]
+        traffic_end = experiment.traffic_profile(experiment.traffic_seed).end
+    offered = server.inject_traffic(profiles)
 
     deadline = traffic_end + experiment.drain_allowance
     end_time = server.run_until_drained(deadline)
@@ -508,18 +486,6 @@ def run_experiment(experiment: Experiment) -> ExperimentResult:
         decisions=dict(server.steering.decisions) if idio_steering else {},
         server=server,
     )
-
-
-def _burst_length(experiment: Experiment) -> int:
-    from ..net.traffic import BurstProfile
-
-    per_burst = experiment.packets_per_burst or experiment.server.ring_size
-    profile = BurstProfile(
-        burst_rate_gbps=experiment.burst_rate_gbps,
-        packets_per_burst=per_burst,
-        packet_bytes=experiment.server.packet_bytes,
-    )
-    return profile.burst_length
 
 
 def run_policy_comparison(

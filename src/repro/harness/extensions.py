@@ -105,7 +105,6 @@ def ext_recycling_modes(
                     ring_size=ring_size,
                     recycle_mode=mode,
                 ),
-                traffic="bursty",
                 burst_rate_gbps=burst_rate_gbps,
             )
             sweep.append((f"{policy_name}/{mode}", exp))
@@ -314,7 +313,6 @@ def ext_mixed_deployment(
                 ring_size=ring_size,
                 packet_bytes=packet_bytes,
             ),
-            traffic="bursty",
             burst_rate_gbps=burst_rate_gbps,
         )
         sweep.append((name, exp))
@@ -374,7 +372,6 @@ def ext_cachedirector(
                 packet_bytes=packet_bytes,
                 llc_slices=llc_slices,
             ),
-            traffic="bursty",
             burst_rate_gbps=burst_rate_gbps,
         )
         sweep.append((name, exp))
@@ -492,7 +489,6 @@ def ext_inclusive_counterfactual(
             server=ServerConfig(
                 app="touchdrop", ring_size=ring_size, llc_inclusive=inclusive
             ),
-            traffic="bursty",
             burst_rate_gbps=burst_rate_gbps,
         )
         sweep.append((label, exp))

@@ -80,7 +80,6 @@ def _bursty_experiment(
             packet_bytes=packet_bytes,
             antagonist=antagonist,
         ),
-        traffic="bursty",
         burst_rate_gbps=burst_rate_gbps,
         num_bursts=num_bursts,
         packets_per_burst=packets_per_burst,

@@ -16,7 +16,7 @@ packets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.sanitizer import InvariantSanitizer
 from ..core.controller import IDIOController
@@ -42,13 +42,7 @@ from ..mem.line import num_lines
 from ..mem.stats import StatsBundle
 from ..net.flow import make_flow, make_tenant_flow
 from ..net.packet import MTU_FRAME_BYTES, Packet
-from ..net.traffic import (
-    BurstProfile,
-    DiurnalProfile,
-    HeavyTailProfile,
-    SteadyProfile,
-    TrafficGenerator,
-)
+from ..net.traffic import TrafficGenerator, TrafficProfile
 from ..nic.classifier import ClassifierConfig
 from ..nic.descriptor import DESCRIPTOR_BYTES
 from ..nic.dma import DMAEngine
@@ -337,9 +331,6 @@ class SimulatedServer:
         self.apps: List[NetworkFunction] = []
         self.drivers: List[PollModeDriver] = []
         self.generators: List[TrafficGenerator] = []
-        #: Tenant id behind each generator (parallel to ``generators``;
-        #: all zeros on an untenanted server).
-        self._generator_tenants: List[int] = []
         #: ``(start, end, tenant)`` DMA attribution ranges (tenanted only).
         self.tenant_ranges: List[Tuple[int, int, int]] = []
         tenant_slots: Dict[int, int] = {}
@@ -434,7 +425,6 @@ class SimulatedServer:
                 self.generators.append(
                     TrafficGenerator(self.sim, flow, port.receive, app.app_class)
                 )
-                self._generator_tenants.append(core_tenant)
 
         if self.tenant_ranges:
             self.hierarchy.set_tenant_ranges(self.tenant_ranges)
@@ -493,188 +483,14 @@ class SimulatedServer:
         for antagonist in self.antagonists:
             antagonist.start()
 
-    def inject_bursty(
-        self,
-        burst_rate_gbps: float,
-        packets_per_burst: Optional[int] = None,
-        num_bursts: int = 1,
-        burst_period: int = units.milliseconds(10),
-        start: int = 0,
-    ) -> int:
-        """Schedule §VI bursty traffic on every NF flow.
-
-        ``packets_per_burst`` defaults to the ring size, matching the
-        paper's choice of burst length (exactly one ring fill per burst).
-        """
-        per_burst = packets_per_burst or self.config.ring_size
-        total = 0
-        for gen in self.generators:
-            profile = BurstProfile(
-                burst_rate_gbps=burst_rate_gbps,
-                packets_per_burst=per_burst,
-                burst_period=burst_period,
-                num_bursts=num_bursts,
-                packet_bytes=self.config.packet_bytes,
-                start=start,
+    def inject_traffic(self, profiles: Sequence[TrafficProfile]) -> int:
+        """Schedule ``profiles[i]`` on ``generators[i]`` (one generator per
+        flow, NF cores in order); returns the packets queued."""
+        if len(profiles) != len(self.generators):
+            raise ValueError(
+                f"{len(profiles)} traffic profiles for {len(self.generators)} generators"
             )
-            total += gen.schedule_bursts(profile)
-        return total
-
-    def inject_steady(
-        self,
-        rate_gbps_per_nf: float,
-        duration: int,
-        start: int = 0,
-    ) -> int:
-        """Schedule §VI steady traffic on every NF flow."""
-        total = 0
-        for gen in self.generators:
-            profile = SteadyProfile(
-                rate_gbps=rate_gbps_per_nf,
-                duration=duration,
-                packet_bytes=self.config.packet_bytes,
-                start=start,
-            )
-            total += gen.schedule_steady(profile)
-        return total
-
-    def inject_poisson(
-        self,
-        rate_gbps_per_nf: float,
-        duration: int,
-        start: int = 0,
-        seed: int = 0,
-    ) -> int:
-        """Schedule Poisson-arrival traffic on every NF flow."""
-        total = 0
-        for i, gen in enumerate(self.generators):
-            total += gen.schedule_poisson(
-                rate_gbps_per_nf,
-                duration,
-                packet_bytes=self.config.packet_bytes,
-                start=start,
-                seed=seed + i,
-            )
-        return total
-
-    def inject_heavy_tail(
-        self,
-        rate_gbps_per_nf: float,
-        duration: int,
-        alpha: float = 1.5,
-        start: int = 0,
-        seed: int = 0,
-    ) -> int:
-        """Schedule heavy-tailed (Pareto-gap) traffic on every NF flow."""
-        total = 0
-        for i, gen in enumerate(self.generators):
-            profile = HeavyTailProfile(
-                rate_gbps=rate_gbps_per_nf,
-                duration=duration,
-                alpha=alpha,
-                packet_bytes=self.config.packet_bytes,
-                start=start,
-                seed=seed + i,
-            )
-            total += gen.schedule_heavy_tail(profile)
-        return total
-
-    def inject_diurnal(
-        self,
-        trough_rate_gbps_per_nf: float,
-        peak_rate_gbps_per_nf: float,
-        duration: int,
-        period: int,
-        start: int = 0,
-        seed: int = 0,
-    ) -> int:
-        """Schedule diurnal-swing traffic on every NF flow."""
-        total = 0
-        for i, gen in enumerate(self.generators):
-            profile = DiurnalProfile(
-                trough_rate_gbps=trough_rate_gbps_per_nf,
-                peak_rate_gbps=peak_rate_gbps_per_nf,
-                duration=duration,
-                period=period,
-                packet_bytes=self.config.packet_bytes,
-                start=start,
-                seed=seed + i,
-            )
-            total += gen.schedule_diurnal(profile)
-        return total
-
-    def inject_imix(
-        self,
-        rate_gbps_per_nf: float,
-        duration: int,
-        start: int = 0,
-        seed: int = 0,
-    ) -> int:
-        """Schedule IMIX-sized steady traffic on every NF flow."""
-        total = 0
-        for i, gen in enumerate(self.generators):
-            total += gen.schedule_imix(
-                rate_gbps_per_nf, duration, start=start, seed=seed + i
-            )
-        return total
-
-    def inject_tenants(self, duration: int, start: int = 0) -> int:
-        """Schedule each tenant's traffic on its tagged flows.
-
-        Every flow follows its owner's traffic profile; stochastic
-        profiles draw their seeds from the owner's :func:`tenant_rng`
-        stream in flow order, so tenant ``k``'s arrivals are invariant
-        to every other tenant's configuration (SIM016's contract).
-        """
-        tenants = self.config.tenants
-        if tenants is None:
-            raise RuntimeError("inject_tenants requires ServerConfig.tenants")
-        rngs = {t.tenant_id: tenant_rng(tenants.seed, t.tenant_id) for t in tenants}
-        packet_bytes = self.config.packet_bytes
-        total = 0
-        for tenant_id, gen in zip(self._generator_tenants, self.generators):
-            tenant = tenants.tenants[tenant_id]
-            rng = rngs[tenant_id]
-            if tenant.traffic == "steady":
-                total += gen.schedule_steady(
-                    SteadyProfile(
-                        rate_gbps=tenant.rate_gbps,
-                        duration=duration,
-                        packet_bytes=packet_bytes,
-                        start=start,
-                    )
-                )
-            elif tenant.traffic == "bursty":
-                total += gen.schedule_bursts(
-                    BurstProfile(
-                        burst_rate_gbps=tenant.rate_gbps,
-                        packets_per_burst=tenant.packets_per_burst,
-                        burst_period=units.microseconds(tenant.burst_period_us),
-                        num_bursts=tenant.num_bursts,
-                        packet_bytes=packet_bytes,
-                        start=start,
-                    )
-                )
-            elif tenant.traffic == "heavy-tail":
-                total += gen.schedule_heavy_tail(
-                    HeavyTailProfile(
-                        rate_gbps=tenant.rate_gbps,
-                        duration=duration,
-                        alpha=tenant.heavy_tail_alpha,
-                        packet_bytes=packet_bytes,
-                        start=start,
-                        seed=rng.getrandbits(32),
-                    )
-                )
-            else:  # poisson (TENANT_TRAFFIC_KINDS is validated)
-                total += gen.schedule_poisson(
-                    tenant.rate_gbps,
-                    duration,
-                    packet_bytes=packet_bytes,
-                    start=start,
-                    seed=rng.getrandbits(32),
-                )
-        return total
+        return sum(gen.schedule(p) for gen, p in zip(self.generators, profiles))
 
     def run(self, until: int) -> int:
         """Advance the simulation to ``until`` (absolute ticks)."""

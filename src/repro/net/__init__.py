@@ -20,9 +20,12 @@ from .packet import (
 )
 from .traffic import (
     IMIX_DISTRIBUTION,
+    TRAFFIC_KINDS,
     BurstProfile,
     DiurnalProfile,
     HeavyTailProfile,
+    ImixProfile,
+    PoissonProfile,
     SteadyProfile,
     TrafficGenerator,
 )
@@ -38,11 +41,14 @@ __all__ = [
     "HEADER_BYTES",
     "HeavyTailProfile",
     "IMIX_DISTRIBUTION",
+    "ImixProfile",
     "MAX_FLOWS",
     "MTU_FRAME_BYTES",
     "Packet",
+    "PoissonProfile",
     "STEERING_MODES",
     "SteadyProfile",
+    "TRAFFIC_KINDS",
     "TrafficGenerator",
     "WIRE_OVERHEAD_BYTES",
     "flow_key",

@@ -1,8 +1,14 @@
-"""Steady and bursty traffic generation (§VI methodology).
+"""Traffic profiles and the generator that schedules them (§VI methodology).
 
 The paper drives the simulated server with a hardware load-generator model
 rather than a second full system.  We do the same: a generator emits packet
 arrival events directly into the NIC.
+
+Each traffic kind is one frozen profile class, named in
+:data:`TRAFFIC_KINDS`.  A profile checks its parameters when it is built,
+knows when its traffic ``end``\\ s, and yields its ``(tick, frame_bytes)``
+arrivals; :meth:`TrafficGenerator.schedule` is the one loop that turns
+them into simulator events.
 
 Bursty traffic is parameterized exactly as §VI defines it:
 
@@ -17,54 +23,137 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, ClassVar, Dict, Iterator, Tuple, Type
 
 from ..sim import Simulator, units
-from .packet import MTU_FRAME_BYTES, Packet, FiveTuple
+from .packet import MTU_FRAME_BYTES, WIRE_OVERHEAD_BYTES, FiveTuple, Packet
 
 #: The classic IMIX packet-size mix: (frame bytes, weight).
 IMIX_DISTRIBUTION: Tuple[Tuple[int, int], ...] = ((64, 7), (594, 4), (1518, 1))
 
+#: One scheduled arrival: ``(tick, frame bytes)``.
+Arrival = Tuple[int, int]
+
+
+def _wire_gap(frame_bytes: int, rate_gbps: float) -> int:
+    """Ticks one frame takes on the wire; ValueError unless at least one."""
+    gap = units.transfer_time(frame_bytes + WIRE_OVERHEAD_BYTES, rate_gbps)
+    if gap <= 0:
+        raise ValueError(f"rate {rate_gbps:g} Gbps too high for {frame_bytes} B packets")
+    return gap
+
+
+class TrafficProfile:
+    """Base of the profiles: one frozen dataclass per traffic kind."""
+
+    #: Simulator event name of one arrival (``bench/trace.py`` keys on it).
+    event: ClassVar[str]
+    start: int
+    duration: int
+
+    @property
+    def end(self) -> int:
+        """When the traffic ends: ``duration`` ticks after ``start``."""
+        return self.start + self.duration
+
+    def arrivals(self) -> Iterator[Arrival]:
+        """The ``(tick, frame bytes)`` of every arrival, in tick order."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
-class SteadyProfile:
+class SteadyProfile(TrafficProfile):
     """Constant-rate traffic at ``rate_gbps`` for ``duration`` ticks."""
+
+    event: ClassVar[str] = "steady-arrival"
 
     rate_gbps: float
     duration: int
     packet_bytes: int = MTU_FRAME_BYTES
     start: int = 0
 
+    def __post_init__(self) -> None:
+        _wire_gap(self.packet_bytes, self.rate_gbps)
+
     def inter_arrival(self) -> int:
         """Ticks between consecutive packet arrivals (wire-rate spacing)."""
-        wire = self.packet_bytes + 24
-        return units.transfer_time(wire, self.rate_gbps)
+        return _wire_gap(self.packet_bytes, self.rate_gbps)
+
+    def arrivals(self) -> Iterator[Arrival]:
+        gap = self.inter_arrival()
+        t = self.start
+        end = self.end
+        while t < end:
+            yield t, self.packet_bytes
+            t += gap
 
 
 @dataclass(frozen=True)
-class BurstProfile:
-    """Periodic bursts per §VI: period, rate, and packets-per-burst."""
+class PoissonProfile(TrafficProfile):
+    """Poisson arrivals at an average of ``rate_gbps``.
 
-    burst_rate_gbps: float
-    packets_per_burst: int
-    burst_period: int = units.milliseconds(10)
-    num_bursts: int = 1
+    Exponentially distributed inter-arrival times (seeded, so runs replay
+    exactly) model uncoordinated senders — the natural in-between of the
+    paper's perfectly steady and perfectly bursty profiles.
+    """
+
+    event: ClassVar[str] = "poisson-arrival"
+
+    rate_gbps: float
+    duration: int
     packet_bytes: int = MTU_FRAME_BYTES
     start: int = 0
+    seed: int = 0
 
-    def inter_arrival(self) -> int:
-        wire = self.packet_bytes + 24
-        return units.transfer_time(wire, self.burst_rate_gbps)
+    def __post_init__(self) -> None:
+        _wire_gap(self.packet_bytes, self.rate_gbps)
 
-    @property
-    def burst_length(self) -> int:
-        """Duration of one burst in ticks (first to last packet)."""
-        return self.inter_arrival() * max(0, self.packets_per_burst - 1)
+    def arrivals(self) -> Iterator[Arrival]:
+        rate = 1.0 / _wire_gap(self.packet_bytes, self.rate_gbps)
+        rng = random.Random(self.seed)
+        t = float(self.start)
+        end = self.end
+        while True:
+            t += rng.expovariate(rate)
+            if t >= end:
+                return
+            yield int(t), self.packet_bytes
 
 
 @dataclass(frozen=True)
-class HeavyTailProfile:
+class ImixProfile(TrafficProfile):
+    """A steady stream with IMIX frame sizes (64/594/1518, 7:4:1).
+
+    Each arrival's size is drawn from :data:`IMIX_DISTRIBUTION` (seeded);
+    the gap after each frame is its own wire time at ``rate_gbps``, so the
+    average offered load equals the target.
+    """
+
+    event: ClassVar[str] = "imix-arrival"
+
+    rate_gbps: float
+    duration: int
+    start: int = 0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _wire_gap(min(size for size, _ in IMIX_DISTRIBUTION), self.rate_gbps)
+
+    def arrivals(self) -> Iterator[Arrival]:
+        sizes = [s for s, _ in IMIX_DISTRIBUTION]
+        weights = [w for _, w in IMIX_DISTRIBUTION]
+        rng = random.Random(self.seed)
+        t = self.start
+        end = self.end
+        while t < end:
+            size = rng.choices(sizes, weights=weights)[0]
+            yield t, size
+            t += _wire_gap(size, self.rate_gbps)
+
+
+@dataclass(frozen=True)
+class HeavyTailProfile(TrafficProfile):
     """Pareto (heavy-tailed) inter-arrival gaps at a target mean rate.
 
     Datacenter inbound traffic is famously not Poisson: a few long idle
@@ -75,6 +164,8 @@ class HeavyTailProfile:
     tails; ``alpha`` must exceed 1 for the mean to exist at all.
     """
 
+    event: ClassVar[str] = "heavytail-arrival"
+
     rate_gbps: float
     duration: int
     alpha: float = 1.5
@@ -82,14 +173,32 @@ class HeavyTailProfile:
     start: int = 0
     seed: int = 0
 
-    def mean_inter_arrival(self) -> int:
-        """Mean ticks between arrivals (wire-rate spacing at the target)."""
-        wire = self.packet_bytes + 24
-        return units.transfer_time(wire, self.rate_gbps)
+    def __post_init__(self) -> None:
+        if self.alpha <= 1.0:
+            raise ValueError(
+                f"heavy-tail alpha must exceed 1 (finite mean), got {self.alpha}"
+            )
+        _wire_gap(self.packet_bytes, self.rate_gbps)
+
+    def arrivals(self) -> Iterator[Arrival]:
+        """Each gap is ``mean_gap * (alpha - 1) / alpha * paretovariate(alpha)``,
+        whose expectation is exactly ``mean_gap`` (the Pareto mean is
+        ``alpha / (alpha - 1)``), so the long-run offered load matches the
+        target rate while individual gaps are heavy-tailed."""
+        mean_gap = _wire_gap(self.packet_bytes, self.rate_gbps)
+        scale = mean_gap * (self.alpha - 1.0) / self.alpha
+        rng = random.Random(self.seed)
+        t = float(self.start)
+        end = self.end
+        while True:
+            t += scale * rng.paretovariate(self.alpha)
+            if t >= end:
+                return
+            yield int(t), self.packet_bytes
 
 
 @dataclass(frozen=True)
-class DiurnalProfile:
+class DiurnalProfile(TrafficProfile):
     """A sinusoidal day/night load swing between a trough and a peak rate.
 
     The instantaneous rate follows ``trough + (peak - trough) *
@@ -101,6 +210,8 @@ class DiurnalProfile:
     replay exactly.
     """
 
+    event: ClassVar[str] = "diurnal-arrival"
+
     trough_rate_gbps: float
     peak_rate_gbps: float
     duration: int
@@ -108,6 +219,15 @@ class DiurnalProfile:
     packet_bytes: int = MTU_FRAME_BYTES
     start: int = 0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.trough_rate_gbps < 0:
+            raise ValueError("diurnal trough rate must be non-negative")
+        if self.trough_rate_gbps > self.peak_rate_gbps:
+            raise ValueError("diurnal trough rate exceeds the peak rate")
+        if self.period <= 0:
+            raise ValueError(f"diurnal period must be positive, got {self.period}")
+        _wire_gap(self.packet_bytes, self.peak_rate_gbps)
 
     def rate_at(self, t: int) -> float:
         """Instantaneous offered rate (Gbps) at tick ``t`` past ``start``."""
@@ -118,6 +238,86 @@ class DiurnalProfile:
     def mean_rate_gbps(self) -> float:
         """The average offered rate over whole periods."""
         return (self.trough_rate_gbps + self.peak_rate_gbps) / 2.0
+
+    def arrivals(self) -> Iterator[Arrival]:
+        """Lewis-Shedler thinning: candidates arrive at the *peak* rate with
+        exponential gaps and each is accepted with probability
+        ``rate(t) / peak`` — exact for any bounded rate function, and
+        deterministic under the seed."""
+        rate = 1.0 / _wire_gap(self.packet_bytes, self.peak_rate_gbps)
+        rng = random.Random(self.seed)
+        t = float(self.start)
+        end = self.end
+        while True:
+            t += rng.expovariate(rate)
+            if t >= end:
+                return
+            accept = self.rate_at(int(t) - self.start) / self.peak_rate_gbps
+            if rng.random() >= accept:
+                continue
+            yield int(t), self.packet_bytes
+
+
+@dataclass(frozen=True)
+class BurstProfile(TrafficProfile):
+    """Periodic bursts per §VI: period, rate, and packets-per-burst."""
+
+    event: ClassVar[str] = "burst-arrival"
+
+    burst_rate_gbps: float
+    packets_per_burst: int
+    burst_period: int = units.milliseconds(10)
+    num_bursts: int = 1
+    packet_bytes: int = MTU_FRAME_BYTES
+    start: int = 0
+
+    def __post_init__(self) -> None:
+        if min(self.packets_per_burst, self.num_bursts, self.burst_period) <= 0:
+            raise ValueError("burst shape parameters must be positive")
+        _wire_gap(self.packet_bytes, self.burst_rate_gbps)
+
+    def inter_arrival(self) -> int:
+        return _wire_gap(self.packet_bytes, self.burst_rate_gbps)
+
+    @property
+    def burst_length(self) -> int:
+        """Duration of one burst in ticks (first to last packet)."""
+        return self.inter_arrival() * max(0, self.packets_per_burst - 1)
+
+    @property
+    def end(self) -> int:
+        """When the last packet of the last burst arrives."""
+        return self.start + (self.num_bursts - 1) * self.burst_period + self.burst_length
+
+    def arrivals(self) -> Iterator[Arrival]:
+        gap = self.inter_arrival()
+        for burst in range(self.num_bursts):
+            burst_start = self.start + burst * self.burst_period
+            for i in range(self.packets_per_burst):
+                yield burst_start + i * gap, self.packet_bytes
+
+
+#: Traffic kind name -> profile class.  The names are the vocabulary of
+#: ``Experiment.traffic``, ``TenantConfig.traffic`` and ``RackConfig.traffic``.
+TRAFFIC_KINDS: Dict[str, Type[TrafficProfile]] = {
+    "bursty": BurstProfile,
+    "steady": SteadyProfile,
+    "poisson": PoissonProfile,
+    "imix": ImixProfile,
+    "heavytail": HeavyTailProfile,
+    "diurnal": DiurnalProfile,
+}
+
+
+def make_profile(kind: str, **params: Any) -> TrafficProfile:
+    """Build the ``kind`` profile from those ``params`` its class declares
+    (callers pass all they know); a bad kind or value raises ValueError."""
+    cls = TRAFFIC_KINDS.get(kind)
+    if cls is None:
+        raise ValueError(
+            f"unknown traffic kind {kind!r}; choose from {tuple(TRAFFIC_KINDS)}"
+        )
+    return cls(**{f.name: params[f.name] for f in fields(cls) if f.name in params})
 
 
 class TrafficGenerator:
@@ -138,7 +338,6 @@ class TrafficGenerator:
         self.flow = flow
         self.sink = sink
         self.app_class = app_class
-        self.packets_emitted = 0
         #: Total arrivals scheduled on the simulator (emitted or pending).
         self.packets_scheduled = 0
 
@@ -149,173 +348,14 @@ class TrafficGenerator:
             app_class=self.app_class,
             arrival_time=self.sim.now,
         )
-        self.packets_emitted += 1
         self.sink(packet)
 
-    def schedule_steady(self, profile: SteadyProfile) -> int:
-        """Schedule a steady stream; returns the number of packets queued."""
-        gap = profile.inter_arrival()
-        if gap <= 0:
-            raise ValueError("steady profile rate too high for packet size")
+    def schedule(self, profile: TrafficProfile) -> int:
+        """Schedule every arrival of ``profile``; returns the number queued."""
+        name = profile.event
         count = 0
-        t = profile.start
-        end = profile.start + profile.duration
-        while t < end:
-            self.sim.schedule_at(
-                t, lambda b=profile.packet_bytes: self._emit(b), "steady-arrival"
-            )
-            t += gap
+        for tick, size in profile.arrivals():
+            self.sim.schedule_at(tick, lambda b=size: self._emit(b), name)
             count += 1
-        self.packets_scheduled += count
-        return count
-
-    def schedule_poisson(
-        self,
-        rate_gbps: float,
-        duration: int,
-        packet_bytes: int = MTU_FRAME_BYTES,
-        start: int = 0,
-        seed: int = 0,
-    ) -> int:
-        """Poisson arrivals at an average of ``rate_gbps``.
-
-        Exponentially distributed inter-arrival times (seeded, so runs
-        replay exactly) model uncoordinated senders — the natural
-        in-between of the paper's perfectly steady and perfectly bursty
-        profiles.  Returns the number of packets scheduled.
-        """
-        wire = packet_bytes + 24
-        mean_gap = units.transfer_time(wire, rate_gbps)
-        if mean_gap <= 0:
-            raise ValueError("rate too high for packet size")
-        rng = random.Random(seed)
-        count = 0
-        t = float(start)
-        end = start + duration
-        while True:
-            t += rng.expovariate(1.0 / mean_gap)
-            if t >= end:
-                break
-            self.sim.schedule_at(
-                int(t), lambda b=packet_bytes: self._emit(b), "poisson-arrival"
-            )
-            count += 1
-        self.packets_scheduled += count
-        return count
-
-    def schedule_imix(
-        self,
-        rate_gbps: float,
-        duration: int,
-        start: int = 0,
-        seed: int = 0,
-        distribution: Sequence[Tuple[int, int]] = IMIX_DISTRIBUTION,
-    ) -> int:
-        """A steady stream with IMIX packet sizes (64/594/1518, 7:4:1).
-
-        Each arrival's size is drawn from ``distribution`` (seeded); the
-        inter-arrival gap after each packet matches its own wire time at
-        ``rate_gbps``, so the average offered load equals the target.
-        """
-        if not distribution:
-            raise ValueError("empty size distribution")
-        sizes = [s for s, _ in distribution]
-        weights = [w for _, w in distribution]
-        rng = random.Random(seed)
-        count = 0
-        t = start
-        end = start + duration
-        while t < end:
-            size = rng.choices(sizes, weights=weights)[0]
-            self.sim.schedule_at(t, lambda b=size: self._emit(b), "imix-arrival")
-            t += units.transfer_time(size + 24, rate_gbps)
-            count += 1
-        self.packets_scheduled += count
-        return count
-
-    def schedule_heavy_tail(self, profile: HeavyTailProfile) -> int:
-        """Schedule Pareto-gap arrivals; returns the number scheduled.
-
-        Each gap is ``mean_gap * (alpha - 1) / alpha * paretovariate(alpha)``,
-        whose expectation is exactly ``mean_gap`` (the Pareto mean is
-        ``alpha / (alpha - 1)``), so the long-run offered load matches the
-        profile's target rate while individual gaps are heavy-tailed.
-        """
-        if profile.alpha <= 1.0:
-            raise ValueError(
-                f"heavy-tail alpha must exceed 1 (finite mean), got {profile.alpha}"
-            )
-        mean_gap = profile.mean_inter_arrival()
-        if mean_gap <= 0:
-            raise ValueError("heavy-tail profile rate too high for packet size")
-        scale = mean_gap * (profile.alpha - 1.0) / profile.alpha
-        rng = random.Random(profile.seed)
-        count = 0
-        t = float(profile.start)
-        end = profile.start + profile.duration
-        while True:
-            t += scale * rng.paretovariate(profile.alpha)
-            if t >= end:
-                break
-            self.sim.schedule_at(
-                int(t),
-                lambda b=profile.packet_bytes: self._emit(b),
-                "heavytail-arrival",
-            )
-            count += 1
-        self.packets_scheduled += count
-        return count
-
-    def schedule_diurnal(self, profile: DiurnalProfile) -> int:
-        """Schedule diurnal-swing arrivals; returns the number scheduled.
-
-        A non-homogeneous Poisson process by Lewis-Shedler thinning:
-        candidates arrive at the *peak* rate with exponential gaps and
-        each is accepted with probability ``rate(t) / peak`` — exact for
-        any bounded rate function, and deterministic under the seed.
-        """
-        if profile.peak_rate_gbps <= 0:
-            raise ValueError("diurnal peak rate must be positive")
-        if profile.trough_rate_gbps < 0:
-            raise ValueError("diurnal trough rate must be non-negative")
-        if profile.trough_rate_gbps > profile.peak_rate_gbps:
-            raise ValueError("diurnal trough rate exceeds the peak rate")
-        wire = profile.packet_bytes + 24
-        peak_gap = units.transfer_time(wire, profile.peak_rate_gbps)
-        if peak_gap <= 0:
-            raise ValueError("diurnal peak rate too high for packet size")
-        rng = random.Random(profile.seed)
-        count = 0
-        t = float(profile.start)
-        end = profile.start + profile.duration
-        while True:
-            t += rng.expovariate(1.0 / peak_gap)
-            if t >= end:
-                break
-            accept = profile.rate_at(int(t) - profile.start) / profile.peak_rate_gbps
-            if rng.random() >= accept:
-                continue
-            self.sim.schedule_at(
-                int(t),
-                lambda b=profile.packet_bytes: self._emit(b),
-                "diurnal-arrival",
-            )
-            count += 1
-        self.packets_scheduled += count
-        return count
-
-    def schedule_bursts(self, profile: BurstProfile) -> int:
-        """Schedule periodic bursts; returns the number of packets queued."""
-        gap = profile.inter_arrival()
-        count = 0
-        for burst in range(profile.num_bursts):
-            burst_start = profile.start + burst * profile.burst_period
-            for i in range(profile.packets_per_burst):
-                self.sim.schedule_at(
-                    burst_start + i * gap,
-                    lambda b=profile.packet_bytes: self._emit(b),
-                    "burst-arrival",
-                )
-                count += 1
         self.packets_scheduled += count
         return count

@@ -15,12 +15,13 @@ from typing import Optional
 from ..core.policies import PolicyConfig
 from ..harness.server import ServerConfig
 from ..net.flow import MAX_FLOWS, STEERING_MODES
+from ..net.traffic import TRAFFIC_KINDS
 
 #: Traffic kinds a rack can offer.  All are *rate*-based: the aggregate
 #: ``offered_gbps`` is split across servers by their flow share, then
 #: across each server's NF cores.  (``bursty`` is deliberately absent —
 #: its unit is ring fills per burst, which has no aggregate-rate split.)
-RACK_TRAFFIC_KINDS = ("steady", "poisson", "imix", "heavytail", "diurnal")
+RACK_TRAFFIC_KINDS = tuple(k for k in TRAFFIC_KINDS if k != "bursty")
 
 
 @dataclass

@@ -16,10 +16,13 @@ arrivals (enforced by simlint SIM016).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass, field, fields
+from typing import List, Tuple
 
 from ..net.flow import FLOW_LANE_SPAN, _mix64
+from ..net.packet import MTU_FRAME_BYTES
+from ..net.traffic import TRAFFIC_KINDS, TrafficProfile, make_profile
+from ..sim import units
 
 #: Priority classes the partitioning controller understands.  ``latency``
 #: tenants get a weighting boost when ways are apportioned; ``bulk``
@@ -30,8 +33,10 @@ PRIORITY_CLASSES = ("latency", "normal", "bulk")
 #: p99 degradation is scored; ``workload`` tenants are neutral).
 TENANT_ROLES = ("workload", "victim", "aggressor")
 
-#: Traffic shapes a tenant's generators can follow.
-TENANT_TRAFFIC_KINDS = ("bursty", "steady", "heavy-tail", "poisson")
+#: Traffic shapes a tenant's generators can follow: every kind whose
+#: parameters a :class:`TenantConfig` carries (it has no diurnal swing,
+#: and IMIX fixes its own frame sizes).
+TENANT_TRAFFIC_KINDS = tuple(k for k in TRAFFIC_KINDS if k not in ("imix", "diurnal"))
 
 #: Ceiling on co-located tenants: way masks and core blocks stay small.
 MAX_TENANTS = 16
@@ -66,7 +71,7 @@ class TenantConfig:
     nf_cores: int = 1
     flows_per_core: int = 1
     traffic: str = "steady"
-    #: Per-core offered rate (steady/poisson/heavy-tail) or burst rate
+    #: Per-core offered rate (steady/poisson/heavytail) or burst rate
     #: (bursty), in Gbps.
     rate_gbps: float = 10.0
     packets_per_burst: int = 64
@@ -103,18 +108,7 @@ class TenantConfig:
                 f"unknown tenant traffic {self.traffic!r}; "
                 f"choose from {TENANT_TRAFFIC_KINDS}"
             )
-        if self.rate_gbps <= 0:
-            raise ValueError(f"rate_gbps must be positive, got {self.rate_gbps}")
-        if self.packets_per_burst <= 0 or self.num_bursts <= 0:
-            raise ValueError("burst shape parameters must be positive")
-        if self.burst_period_us <= 0:
-            raise ValueError(
-                f"burst_period_us must be positive, got {self.burst_period_us}"
-            )
-        if self.heavy_tail_alpha <= 1.0:
-            raise ValueError(
-                f"heavy_tail_alpha must exceed 1.0, got {self.heavy_tail_alpha}"
-            )
+        self.traffic_profile(duration=0)  # rejects a bad traffic shape
         if self.llc_way_quota <= 0:
             raise ValueError(
                 f"llc_way_quota must be positive, got {self.llc_way_quota}"
@@ -134,6 +128,24 @@ class TenantConfig:
     def num_flows(self) -> int:
         """Distinct tagged flows this tenant offers (one lane's slots)."""
         return self.nf_cores * self.flows_per_core
+
+    def traffic_profile(
+        self, duration: int, start: int = 0, packet_bytes: int = MTU_FRAME_BYTES, seed: int = 0
+    ) -> TrafficProfile:
+        """The profile one of this tenant's flows follows."""
+        return make_profile(
+            self.traffic,
+            rate_gbps=self.rate_gbps,
+            burst_rate_gbps=self.rate_gbps,
+            packets_per_burst=self.packets_per_burst,
+            burst_period=units.microseconds(self.burst_period_us),
+            num_bursts=self.num_bursts,
+            alpha=self.heavy_tail_alpha,
+            duration=duration,
+            packet_bytes=packet_bytes,
+            start=start,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,6 +214,22 @@ class TenantSet:
                 return range(base, base + tenant.nf_cores)
             base += tenant.nf_cores
         raise ValueError(f"no tenant with id {tenant_id}")
+
+    def traffic_profiles(
+        self, duration: int, start: int = 0, packet_bytes: int = MTU_FRAME_BYTES
+    ) -> List[TrafficProfile]:
+        """One profile per flow in tenant-block order (the server's
+        generator order).  Seeded kinds draw each flow's seed from the
+        owner's :func:`tenant_rng` stream, so tenant ``k``'s arrivals never
+        depend on another tenant's configuration (SIM016)."""
+        profiles: List[TrafficProfile] = []
+        for tenant in self.tenants:
+            rng = tenant_rng(self.seed, tenant.tenant_id)
+            seeded = "seed" in {f.name for f in fields(TRAFFIC_KINDS[tenant.traffic])}
+            for _ in range(tenant.num_flows):
+                seed = rng.getrandbits(32) if seeded else 0
+                profiles.append(tenant.traffic_profile(duration, start, packet_bytes, seed))
+        return profiles
 
     def victims(self) -> Tuple[int, ...]:
         """Tenant ids playing the ``victim`` role (isolation scoring)."""

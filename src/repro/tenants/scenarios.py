@@ -88,7 +88,7 @@ def tenant_mix(
             TenantConfig(
                 tenant_id=i,
                 name=f"aggressor{i}",
-                traffic="heavy-tail",
+                traffic="heavytail",
                 rate_gbps=_aggressor_rate(intensity),
                 heavy_tail_alpha=1.3,
                 llc_way_quota=1,
@@ -156,9 +156,9 @@ def tenant_experiment(
     """One isolation-matrix cell: ``tenants`` under ``policy``.
 
     The traffic schedule itself comes from
-    :meth:`~repro.harness.server.SimulatedServer.inject_tenants`, which
-    reads each tenant's traffic shape off the config; ``duration_us``
-    bounds the injection window.
+    :meth:`~repro.tenants.TenantSet.traffic_profiles`, which reads each
+    tenant's traffic shape off the config; ``duration_us`` bounds the
+    injection window.
     """
     return Experiment(
         name=name,

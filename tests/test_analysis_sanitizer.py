@@ -22,6 +22,7 @@ from repro.mem.transaction import (
     Hop,
     MemoryTransaction,
 )
+from tests.traffic import offer_bursts
 
 
 def make_hierarchy(**kwargs):
@@ -251,7 +252,7 @@ class TestCleanRuns:
         assert server.sanitizer._controller is server.steering
         assert server.sanitizer._pools  # reallocate mode has buffer pools
         server.start()
-        server.inject_bursty(burst_rate_gbps=25.0, start=units.microseconds(20))
+        offer_bursts(server, rate_gbps=25.0, start=units.microseconds(20))
         server.run_until_drained(deadline=units.milliseconds(12))
         server.sanitizer.check_all()
         assert server.sanitizer.violations_raised == 0

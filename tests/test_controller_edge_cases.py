@@ -10,6 +10,7 @@ from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.obs.events import MlcWritebackEvent
 from repro.pcie.tlp import IdioTag
 from repro.sim import Simulator, units
+from tests.traffic import offer_bursts
 
 
 class TestControllerEdgeCases:
@@ -56,7 +57,7 @@ class TestServerLifecycle:
         server = SimulatedServer(ServerConfig(policy=idio(), ring_size=32,
                                               antagonist=True))
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=4)
+        offer_bursts(server, packets_per_burst=4)
         server.run_until_drained(units.milliseconds(1))
         server.stop()
         before = server.sim.events_fired
@@ -69,7 +70,7 @@ class TestServerLifecycle:
     def test_results_available_after_stop(self):
         server = SimulatedServer(ServerConfig(ring_size=32))
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=4)
+        offer_bursts(server, packets_per_burst=4)
         server.run_until_drained(units.milliseconds(1))
         server.stop()
         assert len(server.packet_latencies_ns()) == 8

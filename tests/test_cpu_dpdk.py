@@ -5,6 +5,7 @@ import pytest
 from repro.core.policies import ddio, invalidate_only
 from repro.harness.server import ServerConfig, SimulatedServer
 from repro.sim import units
+from tests.traffic import offer_bursts
 
 
 def small_server(policy=None, app="touchdrop", ring=32, **kwargs):
@@ -18,14 +19,14 @@ class TestPollModeDriver:
     def test_processes_all_packets(self):
         server = small_server()
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=16)
+        offer_bursts(server, packets_per_burst=16)
         server.run_until_drained(units.milliseconds(2))
         assert len(server.completed_packets()) == 32  # 16 per NF core
 
     def test_batching_respects_limit(self):
         server = small_server(ring=64)
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=64)
+        offer_bursts(server, packets_per_burst=64)
         server.run_until_drained(units.milliseconds(4))
         driver = server.drivers[0]
         assert driver.batches >= 2  # 64 packets can't fit one 32-batch
@@ -33,7 +34,7 @@ class TestPollModeDriver:
     def test_descriptors_freed_after_processing(self):
         server = small_server()
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=16)
+        offer_bursts(server, packets_per_burst=16)
         server.run_until_drained(units.milliseconds(2))
         for queue in server.nics[0].queues.values():
             assert queue.ring.occupancy() == 0
@@ -41,7 +42,7 @@ class TestPollModeDriver:
     def test_completion_times_set(self):
         server = small_server()
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=8)
+        offer_bursts(server, packets_per_burst=8)
         server.run_until_drained(units.milliseconds(2))
         for p in server.completed_packets():
             assert p.completion_time is not None
@@ -56,14 +57,14 @@ class TestPollModeDriver:
     def test_self_invalidation_invalidates_buffers(self):
         server = small_server(policy=invalidate_only())
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=16)
+        offer_bursts(server, packets_per_burst=16)
         server.run_until_drained(units.milliseconds(2))
         assert server.stats.counters.get("self_invalidations") > 0
 
     def test_latency_includes_descriptor_writeback_delay(self):
         server = small_server()
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=1)
+        offer_bursts(server, packets_per_burst=1)
         server.run_until_drained(units.milliseconds(2))
         lat = server.packet_latencies_ns()
         # Lower bound: NIC pipeline + descriptor writeback (~2 us total).
@@ -74,7 +75,7 @@ class TestL2FwdDriver:
     def test_tx_happens_and_ring_drains(self):
         server = small_server(app="l2fwd")
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=16)
+        offer_bursts(server, packets_per_burst=16)
         server.run_until_drained(units.milliseconds(4))
         assert server.nics[0].total_tx == 32
         for queue in server.nics[0].queues.values():
@@ -84,7 +85,7 @@ class TestL2FwdDriver:
         """Fig. 3 right: PCIe TX reads invalidate MLC copies."""
         server = small_server(app="l2fwd")
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=4)
+        offer_bursts(server, packets_per_burst=4)
         server.run_until_drained(units.milliseconds(4))
         assert server.stats.counters.get("pcie_reads") > 0
 

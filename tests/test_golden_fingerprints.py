@@ -11,7 +11,8 @@ behaviour is meant to change; update it in the same commit and say why.
 The cases cover each policy of :func:`extended_policies` on a ring-64
 burst, the Fig. 10 antagonist co-run under DDIO and IDIO, the
 noisy-neighbor tenant pack under the shared and partitioned policies,
-and one run under a seeded fault plan.
+one run under a seeded fault plan, every non-bursty traffic kind, a
+two-burst train, and the balanced and antagonist-storm tenant mixes.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from repro.core.policies import extended_policies, idio, policy_by_name
 from repro.faults import standard_plan
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig
+from repro.sim import units
 from repro.tenants.scenarios import tenant_experiment, tenant_mix
 
 #: One ring-64 100 Gbps burst per core under each extended policy.
@@ -52,6 +54,25 @@ TENANT_DIGESTS = {
 
 #: IDIO on a ring-64 burst under ``standard_plan("all", seed=5)``.
 FAULTED_DIGEST = "d38c9d4cfc67aa8193822e11aa7aec0057dcc3936848011162867a7aee35b080"
+
+#: 100 us of each seeded/rate-based kind at 10 Gbps per NF on 2 NF cores
+#: with ``traffic_seed=7`` (generator ``i`` draws from seed ``7 + i``).
+TRAFFIC_DIGESTS = {
+    "steady": "efc81a1ca401a5efc3e2fcf6613bd92f44e9f2f76ea1d6d8ae7fe035d853f9d6",
+    "poisson": "3db31d8608f28a4bf360eb48b88ecaeafbe1258a2eda42ec640bd978565455c5",
+    "imix": "653c4f7309493afbf6c65e0ba98f429e76b6d3796feb72d81aac0312d0d26e40",
+    "heavytail": "29101edc376cf3142c8f0751f18ef225554ce0e311aa21b46cca25596c56d8bd",
+    "diurnal": "99107ef0751a640b6db7eedc675bd2e35d5d830740409ad8d6167930ed728367",
+}
+
+#: Two ring-64 bursts 50 us apart under DDIO.
+MULTI_BURST_DIGEST = "b6a6fba9ba952be7819c9240174d8170250eaa9add839e8884c792f69c65ba99"
+
+#: The steady-only and steady-vs-poisson 2-tenant mixes under DDIO.
+TENANT_MIX_DIGESTS = {
+    "balanced": "be68b3201bfbbf540a7e8bd77c5ed97ac0b57caa2873133b762f5cfcdbd352fe",
+    "antagonist-storm": "1b048b2929497d8e95d6b691ac6291dfdd832c934a23a1ce3260d062f99609df",
+}
 
 
 def _burst(**server_kwargs) -> Experiment:
@@ -97,3 +118,40 @@ def test_noisy_neighbor_tenants(name):
 def test_faulted_run():
     experiment = _burst(fault_plan=standard_plan("all", seed=5)).with_policy(idio())
     assert _digest(experiment) == FAULTED_DIGEST
+
+
+@pytest.mark.parametrize("kind", sorted(TRAFFIC_DIGESTS))
+def test_traffic_kind(kind):
+    experiment = Experiment(
+        name="golden",
+        server=ServerConfig(ring_size=64, num_nf_cores=2),
+        traffic=kind,
+        traffic_seed=7,
+        steady_rate_gbps_per_nf=10.0,
+        steady_duration=units.microseconds(100),
+        diurnal_period=units.microseconds(50),
+    )
+    assert _digest(experiment) == TRAFFIC_DIGESTS[kind]
+
+
+def test_multi_burst():
+    experiment = Experiment(
+        name="golden",
+        server=ServerConfig(ring_size=64),
+        burst_rate_gbps=100.0,
+        traffic="bursty",
+        num_bursts=2,
+        burst_period=units.microseconds(50),
+    )
+    assert _digest(experiment) == MULTI_BURST_DIGEST
+
+
+@pytest.mark.parametrize("mix", sorted(TENANT_MIX_DIGESTS))
+def test_tenant_mix(mix):
+    experiment = tenant_experiment(
+        tenant_mix(mix, tenants=2, intensity=1.0),
+        policy_by_name("ddio"),
+        name=f"golden-{mix}",
+        duration_us=100.0,
+    )
+    assert _digest(experiment) == TENANT_MIX_DIGESTS[mix]

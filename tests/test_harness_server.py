@@ -1,5 +1,7 @@
 """Tests for the simulated-server builder."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.controller import IDIOController
@@ -10,9 +12,12 @@ from repro.core.policies import (
     static_idio,
     static_partition,
 )
+from repro.harness.experiment import Experiment
 from repro.harness.server import ServerConfig, SimulatedServer
+from repro.net.traffic import ImixProfile, PoissonProfile, SteadyProfile
 from repro.sim import units
 from repro.tenants.scenarios import tenant_mix
+from tests.traffic import offer_bursts
 
 
 class TestConfigValidation:
@@ -38,6 +43,36 @@ class TestConfigValidation:
 
     def test_quota_check_only_for_partitioning_policies(self):
         ServerConfig(tenants=tenant_mix("noisy-neighbor"), ddio_ways=1)
+
+
+class TestTrafficValidation:
+    """Bad traffic fails when the ``Experiment`` is built, not in the run."""
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"traffic": "square-wave"}, "unknown traffic kind 'square-wave'"),
+            ({"traffic": "heavytail", "heavy_tail_alpha": 1.0},
+             "alpha must exceed 1"),
+            ({"traffic": "diurnal", "steady_rate_gbps_per_nf": 20.0,
+              "diurnal_peak_gbps_per_nf": 10.0}, "trough rate exceeds the peak"),
+            ({"traffic": "steady", "steady_rate_gbps_per_nf": 1e12},
+             "too high for 1514 B packets"),
+            ({"traffic": "poisson", "steady_rate_gbps_per_nf": 1e12},
+             "too high for 1514 B packets"),
+            ({"traffic": "bursty", "burst_rate_gbps": 0.0},
+             "bandwidth must be positive"),
+            ({"traffic": "bursty", "num_bursts": 0},
+             "burst shape parameters must be positive"),
+        ],
+    )
+    def test_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Experiment(**kwargs)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValueError, match="unknown traffic kind"):
+            replace(Experiment(), traffic="square-wave")
 
 
 class TestTopology:
@@ -130,21 +165,32 @@ class TestPolicyWiring:
 
 class TestTrafficInjection:
     def test_bursty_defaults_to_ring_size(self):
-        server = SimulatedServer(ServerConfig(ring_size=64))
+        experiment = Experiment(server=ServerConfig(ring_size=64))
+        assert experiment.traffic_profile(0).packets_per_burst == 64
+        server = SimulatedServer(experiment.server)
         server.start()
-        count = server.inject_bursty(100.0)
+        count = server.inject_traffic(
+            [experiment.traffic_profile(i) for i in range(len(server.generators))]
+        )
         assert count == 128  # ring size per NF core x 2 cores
 
     def test_steady_count_scales_with_duration(self):
         server = SimulatedServer(ServerConfig(ring_size=64))
         server.start()
-        count = server.inject_steady(10.0, units.microseconds(123))
+        count = server.inject_traffic(
+            [SteadyProfile(10.0, units.microseconds(123))] * 2
+        )
         assert count == 2 * 100  # 123 us / 1.2304 us per packet per core
+
+    def test_one_profile_per_generator(self):
+        server = SimulatedServer(ServerConfig(ring_size=64))
+        with pytest.raises(ValueError, match="1 traffic profiles for 2 generators"):
+            server.inject_traffic([SteadyProfile(10.0, units.microseconds(10))])
 
     def test_run_until_drained_completes(self):
         server = SimulatedServer(ServerConfig(ring_size=32))
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=8)
+        offer_bursts(server, packets_per_burst=8)
         server.run_until_drained(units.milliseconds(2))
         assert server.all_packets_drained()
         assert len(server.completed_packets()) == 16
@@ -152,7 +198,9 @@ class TestTrafficInjection:
     def test_poisson_injection(self):
         server = SimulatedServer(ServerConfig(ring_size=64))
         server.start()
-        count = server.inject_poisson(10.0, units.microseconds(200), seed=4)
+        count = server.inject_traffic(
+            [PoissonProfile(10.0, units.microseconds(200), seed=4 + i) for i in range(2)]
+        )
         server.run_until_drained(units.milliseconds(2))
         assert count > 0
         assert len(server.completed_packets()) == count
@@ -160,7 +208,9 @@ class TestTrafficInjection:
     def test_imix_injection(self):
         server = SimulatedServer(ServerConfig(ring_size=64))
         server.start()
-        count = server.inject_imix(2.0, units.microseconds(300), seed=4)
+        count = server.inject_traffic(
+            [ImixProfile(2.0, units.microseconds(300), seed=4 + i) for i in range(2)]
+        )
         server.run_until_drained(units.milliseconds(2))
         sizes = {p.size_bytes for p in server.completed_packets()}
         assert count > 0
@@ -172,6 +222,6 @@ class TestTrafficInjection:
         server = SimulatedServer(ServerConfig(ring_size=32, dram_model="banked"))
         assert isinstance(server.hierarchy.dram, BankedDRAM)
         server.start()
-        server.inject_bursty(100.0, packets_per_burst=8)
+        offer_bursts(server, packets_per_burst=8)
         server.run_until_drained(units.milliseconds(2))
         assert len(server.completed_packets()) == 16

@@ -1,15 +1,20 @@
-"""Unit tests for the steady/bursty traffic generators."""
+"""Unit tests for the traffic profiles and the generator that schedules them."""
 
 import pytest
 
 from repro.net.flow import make_flow
 from repro.net.packet import Packet
 from repro.net.traffic import (
+    IMIX_DISTRIBUTION,
+    TRAFFIC_KINDS,
     BurstProfile,
     DiurnalProfile,
     HeavyTailProfile,
+    ImixProfile,
+    PoissonProfile,
     SteadyProfile,
     TrafficGenerator,
+    make_profile,
 )
 from repro.sim import Simulator, units
 
@@ -33,14 +38,14 @@ class TestSteadyProfile:
         profile = SteadyProfile(
             rate_gbps=10.0, duration=units.microseconds(100), packet_bytes=1514
         )
-        arrivals, count = collect_arrivals(lambda g: g.schedule_steady(profile))
+        arrivals, count = collect_arrivals(lambda g: g.schedule(profile))
         assert count == len(arrivals)
         # ~81 packets in 100 us at 10 Gbps.
         assert 78 <= len(arrivals) <= 84
 
     def test_arrival_times_monotone(self):
         profile = SteadyProfile(rate_gbps=25.0, duration=units.microseconds(50))
-        arrivals, _ = collect_arrivals(lambda g: g.schedule_steady(profile))
+        arrivals, _ = collect_arrivals(lambda g: g.schedule(profile))
         times = [p.arrival_time for p in arrivals]
         assert times == sorted(times)
 
@@ -48,7 +53,7 @@ class TestSteadyProfile:
         profile = SteadyProfile(
             rate_gbps=10.0, duration=units.microseconds(10), start=units.microseconds(5)
         )
-        arrivals, _ = collect_arrivals(lambda g: g.schedule_steady(profile))
+        arrivals, _ = collect_arrivals(lambda g: g.schedule(profile))
         assert arrivals[0].arrival_time == units.microseconds(5)
 
 
@@ -65,7 +70,7 @@ class TestBurstProfile:
 
     def test_packets_per_burst_delivered(self):
         profile = BurstProfile(burst_rate_gbps=100.0, packets_per_burst=64, num_bursts=3)
-        arrivals, count = collect_arrivals(lambda g: g.schedule_bursts(profile))
+        arrivals, count = collect_arrivals(lambda g: g.schedule(profile))
         assert count == 192
         assert len(arrivals) == 192
 
@@ -76,14 +81,14 @@ class TestBurstProfile:
             num_bursts=2,
             burst_period=units.milliseconds(1),
         )
-        arrivals, _ = collect_arrivals(lambda g: g.schedule_bursts(profile))
+        arrivals, _ = collect_arrivals(lambda g: g.schedule(profile))
         assert arrivals[4].arrival_time - arrivals[0].arrival_time == units.milliseconds(1)
 
     def test_app_class_propagated(self):
         sim = Simulator()
         out = []
         gen = TrafficGenerator(sim, make_flow(0), out.append, app_class=1)
-        gen.schedule_bursts(BurstProfile(burst_rate_gbps=100.0, packets_per_burst=2))
+        gen.schedule(BurstProfile(burst_rate_gbps=100.0, packets_per_burst=2))
         sim.run()
         assert all(p.app_class == 1 for p in out)
 
@@ -93,7 +98,7 @@ class TestPoissonProfile:
         sim = Simulator()
         arrivals = []
         gen = TrafficGenerator(sim, make_flow(0), arrivals.append)
-        gen.schedule_poisson(25.0, units.milliseconds(2), seed=3)
+        gen.schedule(PoissonProfile(25.0, units.milliseconds(2), seed=3))
         sim.run()
         # 25 Gbps of 1538 B wire frames over 2 ms -> ~4065 packets.
         assert len(arrivals) == pytest.approx(4065, rel=0.1)
@@ -103,7 +108,7 @@ class TestPoissonProfile:
             sim = Simulator()
             out = []
             gen = TrafficGenerator(sim, make_flow(0), out.append)
-            gen.schedule_poisson(10.0, units.microseconds(500), seed=seed)
+            gen.schedule(PoissonProfile(10.0, units.microseconds(500), seed=seed))
             sim.run()
             return [p.arrival_time for p in out]
 
@@ -115,7 +120,7 @@ class TestPoissonProfile:
         sim = Simulator()
         out = []
         gen = TrafficGenerator(sim, make_flow(0), out.append)
-        gen.schedule_poisson(10.0, units.milliseconds(1), seed=1)
+        gen.schedule(PoissonProfile(10.0, units.milliseconds(1), seed=1))
         sim.run()
         gaps = {
             out[i + 1].arrival_time - out[i].arrival_time
@@ -124,10 +129,8 @@ class TestPoissonProfile:
         assert len(gaps) > len(out) // 2
 
     def test_invalid_rate(self):
-        sim = Simulator()
-        gen = TrafficGenerator(sim, make_flow(0), lambda p: None)
         with pytest.raises(ValueError):
-            gen.schedule_poisson(1e12, units.microseconds(1))
+            PoissonProfile(1e12, units.microseconds(1))
 
 
 class TestHeavyTailProfile:
@@ -137,7 +140,7 @@ class TestHeavyTailProfile:
         profile = HeavyTailProfile(
             rate_gbps=25.0, duration=units.milliseconds(4), alpha=1.8, seed=11
         )
-        arrivals, _ = collect_arrivals(lambda g: g.schedule_heavy_tail(profile))
+        arrivals, _ = collect_arrivals(lambda g: g.schedule(profile))
         # 25 Gbps of 1538 B frames over 4 ms -> ~8130 packets; the heavy
         # tail makes the sample mean noisy, hence the loose band.
         assert len(arrivals) == pytest.approx(8130, rel=0.35)
@@ -150,7 +153,7 @@ class TestHeavyTailProfile:
                 rate_gbps=10.0, duration=units.milliseconds(1), seed=seed
             )
             arrivals, _ = collect_arrivals(
-                lambda g: g.schedule_heavy_tail(profile)
+                lambda g: g.schedule(profile)
             )
             return [p.arrival_time for p in arrivals]
 
@@ -163,7 +166,7 @@ class TestHeavyTailProfile:
         profile = HeavyTailProfile(
             rate_gbps=10.0, duration=units.milliseconds(2), alpha=1.2, seed=3
         )
-        arrivals, _ = collect_arrivals(lambda g: g.schedule_heavy_tail(profile))
+        arrivals, _ = collect_arrivals(lambda g: g.schedule(profile))
         gaps = sorted(
             arrivals[i + 1].arrival_time - arrivals[i].arrival_time
             for i in range(len(arrivals) - 1)
@@ -172,13 +175,9 @@ class TestHeavyTailProfile:
         assert gaps[-1] > 20 * median
 
     def test_alpha_must_exceed_one(self):
-        sim = Simulator()
-        gen = TrafficGenerator(sim, make_flow(0), lambda p: None)
         with pytest.raises(ValueError):
-            gen.schedule_heavy_tail(
-                HeavyTailProfile(
-                    rate_gbps=10.0, duration=units.microseconds(10), alpha=1.0
-                )
+            HeavyTailProfile(
+                rate_gbps=10.0, duration=units.microseconds(10), alpha=1.0
             )
 
 
@@ -206,7 +205,7 @@ class TestDiurnalProfile:
             period=period,
             seed=9,
         )
-        arrivals, _ = collect_arrivals(lambda g: g.schedule_diurnal(profile))
+        arrivals, _ = collect_arrivals(lambda g: g.schedule(profile))
         # 10 Gbps mean of 1538 B frames over 2 ms -> ~1626 packets.
         assert len(arrivals) == pytest.approx(1626, rel=0.15)
 
@@ -219,7 +218,7 @@ class TestDiurnalProfile:
             period=period,
             seed=4,
         )
-        arrivals, _ = collect_arrivals(lambda g: g.schedule_diurnal(profile))
+        arrivals, _ = collect_arrivals(lambda g: g.schedule(profile))
         mid_start, mid_end = period // 4, 3 * period // 4
         middle = sum(1 for p in arrivals if mid_start <= p.arrival_time < mid_end)
         edges = len(arrivals) - middle
@@ -234,41 +233,33 @@ class TestDiurnalProfile:
                 period=units.microseconds(250),
                 seed=seed,
             )
-            arrivals, _ = collect_arrivals(lambda g: g.schedule_diurnal(profile))
+            arrivals, _ = collect_arrivals(lambda g: g.schedule(profile))
             return [p.arrival_time for p in arrivals]
 
         assert times(7) == times(7)
         assert times(7) != times(8)
 
     def test_invalid_rates_rejected(self):
-        sim = Simulator()
-        gen = TrafficGenerator(sim, make_flow(0), lambda p: None)
         with pytest.raises(ValueError):
-            gen.schedule_diurnal(
-                DiurnalProfile(
-                    trough_rate_gbps=20.0,
-                    peak_rate_gbps=10.0,
-                    duration=units.microseconds(10),
-                )
+            DiurnalProfile(
+                trough_rate_gbps=20.0,
+                peak_rate_gbps=10.0,
+                duration=units.microseconds(10),
             )
         with pytest.raises(ValueError):
-            gen.schedule_diurnal(
-                DiurnalProfile(
-                    trough_rate_gbps=-1.0,
-                    peak_rate_gbps=10.0,
-                    duration=units.microseconds(10),
-                )
+            DiurnalProfile(
+                trough_rate_gbps=-1.0,
+                peak_rate_gbps=10.0,
+                duration=units.microseconds(10),
             )
 
 
 class TestImixProfile:
     def test_sizes_from_distribution(self):
-        from repro.net.traffic import IMIX_DISTRIBUTION
-
         sim = Simulator()
         out = []
         gen = TrafficGenerator(sim, make_flow(0), out.append)
-        gen.schedule_imix(10.0, units.milliseconds(1), seed=5)
+        gen.schedule(ImixProfile(10.0, units.milliseconds(1), seed=5))
         sim.run()
         allowed = {s for s, _ in IMIX_DISTRIBUTION}
         assert {p.size_bytes for p in out} <= allowed
@@ -281,14 +272,55 @@ class TestImixProfile:
         out = []
         gen = TrafficGenerator(sim, make_flow(0), out.append)
         duration = units.milliseconds(2)
-        gen.schedule_imix(10.0, duration, seed=5)
+        gen.schedule(ImixProfile(10.0, duration, seed=5))
         sim.run()
         wire_bytes = sum(p.wire_bytes for p in out)
         gbps = units.bytes_to_gbps(wire_bytes, duration)
         assert gbps == pytest.approx(10.0, rel=0.1)
 
-    def test_empty_distribution_rejected(self):
-        sim = Simulator()
-        gen = TrafficGenerator(sim, make_flow(0), lambda p: None)
-        with pytest.raises(ValueError):
-            gen.schedule_imix(10.0, units.microseconds(1), distribution=())
+
+class TestTrafficKinds:
+    def test_every_kind_names_its_own_arrival_event(self):
+        events = {cls.event for cls in TRAFFIC_KINDS.values()}
+        assert len(events) == len(TRAFFIC_KINDS)
+        assert all(e.endswith("-arrival") for e in events)
+
+    def test_make_profile_keeps_only_the_kinds_parameters(self):
+        profile = make_profile(
+            "imix", rate_gbps=5.0, duration=100, packet_bytes=512, seed=3
+        )
+        assert profile == ImixProfile(rate_gbps=5.0, duration=100, seed=3)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown traffic kind"):
+            make_profile("square-wave", rate_gbps=1.0, duration=10)
+
+    @pytest.mark.parametrize("kind", sorted(TRAFFIC_KINDS))
+    def test_schedule_counts_every_arrival_before_end(self, kind):
+        profile = make_profile(
+            kind,
+            burst_rate_gbps=100.0,
+            packets_per_burst=8,
+            num_bursts=2,
+            burst_period=units.microseconds(20),
+            rate_gbps=10.0,
+            trough_rate_gbps=5.0,
+            peak_rate_gbps=10.0,
+            period=units.microseconds(25),
+            duration=units.microseconds(50),
+            start=units.microseconds(3),
+            seed=2,
+        )
+        arrivals, count = collect_arrivals(lambda g: g.schedule(profile))
+        assert count == len(arrivals) > 0
+        assert all(
+            profile.start <= p.arrival_time <= profile.end for p in arrivals
+        )
+
+    def test_burst_end_is_last_arrival(self):
+        profile = BurstProfile(
+            burst_rate_gbps=25.0, packets_per_burst=4, num_bursts=3,
+            burst_period=units.microseconds(10),
+        )
+        arrivals, _ = collect_arrivals(lambda g: g.schedule(profile))
+        assert arrivals[-1].arrival_time == profile.end

@@ -87,6 +87,29 @@ class TestTenantMixes:
         assert all(ts.tenants[i].antagonist for i in ts.aggressors())
 
 
+class TestTenantTrafficProfiles:
+    def test_one_profile_per_flow_in_tenant_blocks(self):
+        ts = _mix(tenants=3)
+        profiles = ts.traffic_profiles(repro.units.microseconds(50))
+        kinds = [type(p).__name__ for p in profiles]
+        assert kinds == ["BurstProfile", "HeavyTailProfile", "HeavyTailProfile"]
+
+    def test_a_tenants_seeds_ignore_its_neighbors(self):
+        """Tenant 2's arrivals must not move when tenant 1 turns unseeded."""
+        duration = repro.units.microseconds(50)
+        base = _mix(tenants=3)
+        quiet = dataclasses.replace(base.tenants[1], traffic="steady")
+        changed = dataclasses.replace(base, tenants=(base.tenants[0], quiet, base.tenants[2]))
+        assert base.traffic_profiles(duration)[2] == changed.traffic_profiles(duration)[2]
+        assert base.traffic_profiles(duration)[1] != changed.traffic_profiles(duration)[1]
+
+    def test_bad_shape_fails_when_the_tenant_is_built(self):
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            TenantConfig(tenant_id=0, name="t0", traffic="heavytail", heavy_tail_alpha=1.0)
+        with pytest.raises(ValueError, match="unknown tenant traffic 'heavy-tail'"):
+            TenantConfig(tenant_id=0, name="t0", traffic="heavy-tail")
+
+
 class TestIOCAApportionment:
     def _server(self, tenants=2, policy=None):
         ts = _mix(tenants=tenants)
@@ -102,9 +125,10 @@ class TestIOCAApportionment:
             assert count >= tenant.llc_way_quota
 
     def test_every_reallocation_conserves_the_budget(self):
-        server, _ = self._server(tenants=2)
-        end = server.inject_tenants(duration=repro.units.microseconds(80))
-        server.run_until_drained(end + repro.units.microseconds(100))
+        server, ts = self._server(tenants=2)
+        duration = repro.units.microseconds(80)
+        server.inject_traffic(ts.traffic_profiles(duration))
+        server.run_until_drained(duration + repro.units.microseconds(100))
         server.stop()
         controller = server.steering
         assert controller.reallocations, "controller never applied a mask"
