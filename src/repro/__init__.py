@@ -62,7 +62,7 @@ from .api import (
     units,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "Experiment",

@@ -11,7 +11,7 @@ subscribes to the observability bus (every completed
   buffer;
 * **at barriers** (every ``barrier_interval`` transactions, and on
   :meth:`check_all`) — MLC/LLC exclusivity for the non-inclusive
-  hierarchy, L1 ⊆ MLC inclusion, snoop-filter directory coverage,
+  hierarchy, L1 ⊆ MLC inclusion, directory coverage and exactness,
   cache/replacement structural consistency, 2-bit FSM state legality,
   and mempool buffer-lifecycle accounting (no leak / double free).
 
@@ -20,8 +20,8 @@ invariant, so a seeded-bug test (or a CI ``repro check`` run) points at
 the broken model property, not a downstream symptom.
 
 The sanitizer deliberately reads private fields of the cache containers
-(``_sets``/``_where``/``_last_use``): it is a white-box checker and the
-structural invariants *are* statements about that private state.
+(``_sets``/``_last_use``, the directory's ``_entries``): it is a white-box
+checker and the structural invariants *are* statements about that state.
 
 Checked mode is strictly opt-in (``ServerConfig.checked_mode``); with it
 off, no sanitizer exists and the transaction hot path is untouched,
@@ -36,6 +36,7 @@ from ..core.fsm import STATE_MAX, STATE_MIN
 from ..faults.events import FaultEvent
 from ..mem.cache import SetAssociativeCache
 from ..mem.hierarchy import MemoryHierarchy
+from ..mem.llc import owner_cores
 from ..mem.replacement import LRUPolicy
 from ..mem.transaction import DMA_WRITE, KINDS, PREFETCH_FILL, MemoryTransaction
 
@@ -268,8 +269,10 @@ class InvariantSanitizer:
         """Run every structural invariant against the current state."""
         self.barriers_run += 1
         try:
-            self._check_hierarchy_state()
+            # Structures first: the cross-level checks below read the
+            # location maps, so a desynced map is reported as itself.
             self._check_cache_structures()
+            self._check_hierarchy_state()
             self._check_fsm_states()
             self._check_pools()
             self._check_tenant_ways()
@@ -316,6 +319,16 @@ class InvariantSanitizer:
                         f"line {line.addr:#x} in core {core}'s MLC is not "
                         "tracked by the snoop-filter directory",
                     )
+        # Directory exactness, the converse: every owner bit names a core
+        # whose MLC holds the line (else snoops chase absent copies).
+        for addr, mask in h.llc.directory._entries.items():
+            stale = [c for c in owner_cores(mask) if c >= len(h.mlc) or addr not in h.mlc[c]]
+            if stale or not mask:
+                raise InvariantViolation(
+                    "directory-exactness",
+                    f"directory entry {addr:#x} (owner mask {mask:#b}) names "
+                    f"cores {stale} whose MLCs do not hold the line",
+                )
 
     def _check_cache_structures(self) -> None:
         h = self.hierarchy
@@ -335,24 +348,20 @@ class InvariantSanitizer:
                 if line is None:
                     continue
                 occupied += 1
-                loc = cache._where.get(line.addr)
+                # location() derives the set from the address, so this
+                # also catches a line parked in a set it does not hash to.
+                loc = cache.location(line.addr)
                 if loc != (set_idx, way):
                     raise InvariantViolation(
                         "cache-structure",
                         f"{name}: line {line.addr:#x} stored at "
-                        f"({set_idx}, {way}) but indexed at {loc}",
+                        f"({set_idx}, {way}) but located at {loc}",
                     )
-                if cache.set_index(line.addr) != set_idx:
-                    raise InvariantViolation(
-                        "cache-structure",
-                        f"{name}: line {line.addr:#x} in set {set_idx} but "
-                        f"hashes to set {cache.set_index(line.addr)}",
-                    )
-        if occupied != len(cache._where):
+        if occupied != len(cache):
             raise InvariantViolation(
                 "cache-structure",
                 f"{name}: {occupied} occupied ways but "
-                f"{len(cache._where)} index entries",
+                f"{len(cache)} index entries",
             )
         policy = cache.policy
         if isinstance(policy, LRUPolicy):

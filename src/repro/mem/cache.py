@@ -44,6 +44,8 @@ class CacheConfig:
         return sets
 
     def validate(self) -> None:
+        if self.line_size <= 0 or self.line_size & (self.line_size - 1):
+            raise ValueError(f"{self.name}: line size {self.line_size} not a power of two")
         if self.size_bytes % (self.assoc * self.line_size):
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} not divisible by "
@@ -70,7 +72,6 @@ class SetAssociativeCache:
         "_all_ways",
         "_mask_cache",
         "_line_shift",
-        "_set_mask",
         "_lru_rows",
     )
 
@@ -82,7 +83,9 @@ class SetAssociativeCache:
         self._sets: List[List[Optional[CacheLine]]] = [
             [None] * self.assoc for _ in range(self.num_sets)
         ]
-        self._where: Dict[int, Tuple[int, int]] = {}
+        #: Line address -> way (the set is recomputed from the address):
+        #: one small int per line, nothing for the cyclic GC to walk.
+        self._where: Dict[int, int] = {}
         self.policy: ReplacementPolicy = make_policy(
             config.replacement, self.num_sets, self.assoc
         )
@@ -90,15 +93,9 @@ class SetAssociativeCache:
         #: Validated way masks keyed by their tuple form (masks repeat:
         #: the DDIO ways, the CPU fill order, per-core CAT masks).
         self._mask_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        # Shift/mask fast path for set indexing (both the line size and —
-        # for all shipped geometries — the set count are powers of two).
-        line_size = config.line_size
-        self._line_shift = (
-            line_size.bit_length() - 1 if line_size & (line_size - 1) == 0 else -1
-        )
-        self._set_mask = (
-            self.num_sets - 1 if self.num_sets & (self.num_sets - 1) == 0 else -1
-        )
+        # The set index is the line number modulo the set count, which
+        # need not be a power of two (a 4.5 MB 12-way LLC has 6144 sets).
+        self._line_shift = config.line_size.bit_length() - 1
         # Fast-path recency: for the exact default LRU policy the cache
         # bumps the policy's per-set tick rows directly, fusing the
         # free-way scan and the victim scan into one pass over the set.
@@ -111,9 +108,7 @@ class SetAssociativeCache:
     # -- addressing ---------------------------------------------------
 
     def set_index(self, addr: int) -> int:
-        if self._line_shift >= 0 and self._set_mask >= 0:
-            return (addr >> self._line_shift) & self._set_mask
-        return (addr // self.config.line_size) % self.num_sets
+        return (addr >> self._line_shift) % self.num_sets
 
     def _validated_mask(self, key: Tuple[int, ...]) -> Tuple[int, ...]:
         if not key:
@@ -134,19 +129,27 @@ class SetAssociativeCache:
     def __contains__(self, addr: int) -> bool:
         return line_address(addr) in self._where
 
+    def location(self, addr: int) -> Optional[Tuple[int, int]]:
+        """``(set, way)`` of the resident line at ``addr``, or ``None``."""
+        addr = line_address(addr)
+        way = self._where.get(addr)
+        return None if way is None else (self.set_index(addr), way)
+
     def peek(self, addr: int) -> Optional[CacheLine]:
         """Return the resident line without touching recency state."""
-        loc = self._where.get(line_address(addr))
-        if loc is None:
+        addr = line_address(addr)
+        way = self._where.get(addr)
+        if way is None:
             return None
-        return self._sets[loc[0]][loc[1]]
+        return self._sets[self.set_index(addr)][way]
 
     def lookup(self, addr: int) -> Optional[CacheLine]:
         """Return the resident line and update recency (a cache hit)."""
-        loc = self._where.get(addr & _LINE_MASK)
-        if loc is None:
+        addr &= _LINE_MASK
+        way = self._where.get(addr)
+        if way is None:
             return None
-        set_idx, way = loc
+        set_idx = (addr >> self._line_shift) % self.num_sets
         rows = self._lru_rows
         if rows is not None:
             policy = self.policy
@@ -187,10 +190,10 @@ class SetAssociativeCache:
         """
         addr = line.addr
         where = self._where
-        existing_loc = where.get(addr)
+        set_idx = (addr >> self._line_shift) % self.num_sets
+        way = where.get(addr)
         rows = self._lru_rows
-        if existing_loc is not None:
-            set_idx, way = existing_loc
+        if way is not None:
             resident = self._sets[set_idx][way]
             assert resident is not None
             resident.dirty = resident.dirty or line.dirty
@@ -205,10 +208,6 @@ class SetAssociativeCache:
                 self.policy.on_access(set_idx, way)
             return None
 
-        if self._line_shift >= 0 and self._set_mask >= 0:
-            set_idx = (addr >> self._line_shift) & self._set_mask
-        else:
-            set_idx = (addr // self.config.line_size) % self.num_sets
         if way_mask is None:
             ways: Tuple[int, ...] = self._all_ways
         else:
@@ -244,7 +243,7 @@ class SetAssociativeCache:
             tick = policy._tick + 1
             policy._tick = tick
             cache_set[target_way] = line
-            where[addr] = (set_idx, target_way)
+            where[addr] = target_way
             row[target_way] = tick
             return victim
 
@@ -260,17 +259,17 @@ class SetAssociativeCache:
             self.policy.on_evict(set_idx, target_way)
 
         cache_set[target_way] = line
-        where[addr] = (set_idx, target_way)
+        where[addr] = target_way
         self.policy.on_access(set_idx, target_way)
         return victim
 
     def remove(self, addr: int) -> Optional[CacheLine]:
         """Remove and return the line at ``addr`` (no writeback implied)."""
         addr = line_address(addr)
-        loc = self._where.pop(addr, None)
-        if loc is None:
+        way = self._where.pop(addr, None)
+        if way is None:
             return None
-        set_idx, way = loc
+        set_idx = (addr >> self._line_shift) % self.num_sets
         line = self._sets[set_idx][way]
         self._sets[set_idx][way] = None
         self.policy.on_evict(set_idx, way)

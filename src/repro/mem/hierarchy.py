@@ -36,8 +36,8 @@ from ..obs.events import LlcWritebackEvent, MlcWritebackEvent, TenantDmaEvent
 from ..sim import units
 from .cache import CacheConfig
 from .dram import DRAM
-from .line import _LINE_MASK, CacheLine, line_address
-from .llc import NonInclusiveLLC
+from .line import CacheLine, line_address
+from .llc import NonInclusiveLLC, owner_cores
 from .mlc import PrivateCache
 from .stats import HierarchyStatsSubscriber, StatsBundle
 from .transaction import (
@@ -372,7 +372,7 @@ class MemoryHierarchy:
         """Handle a line evicted from the LLC data array."""
         if self.llc.inclusive:
             # Inclusive LLC: eviction back-invalidates private copies.
-            for core in sorted(self.llc.directory.owners(victim.addr)):
+            for core in owner_cores(self.llc.directory.get(victim.addr)):
                 private = self._drop_private(core, victim.addr)
                 self._counter_values["back_invalidations"] += 1
                 if private is not None:
@@ -473,10 +473,10 @@ class MemoryHierarchy:
             # Clean L1 victim: silently dropped (MLC still holds it).
             self._retire_line(victim)
 
-    def _directory_back_invalidate(self, entry, now: int) -> None:
+    def _directory_back_invalidate(self, addr: int, mask: int, now: int) -> None:
         """A directory eviction forces the MLC copies out (non-inclusive)."""
-        for core in sorted(entry.owners):
-            line = self._drop_private(core, entry.addr)
+        for core in owner_cores(mask):
+            line = self._drop_private(core, addr)
             self._counter_values["directory_back_invalidations"] += 1
             if line is None:
                 continue
@@ -542,17 +542,11 @@ class MemoryHierarchy:
         # Another core's private caches may own the line: the directory
         # filters the snoop and the data migrates cache-to-cache (our
         # workloads never share lines, but the model must stay coherent
-        # for ones that do).  The entry is read in place (no set copy);
-        # the sorted() below materializes the iteration order before the
-        # removes mutate the owner set.
-        dir_entry = self._dir_entries.get(addr & _LINE_MASK)
-        if dir_entry is not None:
-            remote_owners = [o for o in sorted(dir_entry.owners) if o != core]
-        else:
-            remote_owners = ()
-        if remote_owners:
+        # for ones that do).
+        remote_mask = self._dir_entries.get(addr, 0) & ~(1 << core)
+        if remote_mask:
             migrated: Optional[CacheLine] = None
-            for owner in remote_owners:
+            for owner in owner_cores(remote_mask):
                 line = self._drop_private(owner, addr)
                 self.llc.directory.remove(addr, owner)
                 if line is not None and (migrated is None or line.dirty):
@@ -566,8 +560,8 @@ class MemoryHierarchy:
                 if is_write:
                     migrated.dirty = True
                 self._fill_mlc(core, migrated, now)
-                for evicted_entry in self.llc.directory.add(addr, core):
-                    self._directory_back_invalidate(evicted_entry, now)
+                for evicted, mask in self.llc.directory.add(addr, core):
+                    self._directory_back_invalidate(evicted, mask, now)
                 self._fill_l1(core, addr, False, now)
                 txn.latency = latency
                 txn.level = "c2c"
@@ -611,8 +605,8 @@ class MemoryHierarchy:
         if is_write:
             new_line.dirty = True
         self._fill_mlc(core, new_line, now)
-        for evicted_entry in self.llc.directory.add(addr, core):
-            self._directory_back_invalidate(evicted_entry, now)
+        for evicted, mask in self.llc.directory.add(addr, core):
+            self._directory_back_invalidate(evicted, mask, now)
         self._fill_l1(core, addr, False, now)
         txn.latency = latency
         txn.level = level
@@ -652,10 +646,10 @@ class MemoryHierarchy:
                     break
 
         # Invalidate any private (MLC/L1) copies — steps P1-1/P2-1 of Fig. 1.
-        dir_entry = self._dir_entries.get(addr & _LINE_MASK)
-        if dir_entry is not None:
+        owner_mask = self._dir_entries.get(addr, 0)
+        if owner_mask:
             inval_stream = self._event_streams["mlc_invalidations"]
-            for core in sorted(dir_entry.owners):
+            for core in owner_cores(owner_mask):
                 dropped = self._drop_private(core, addr)
                 if dropped is not None:
                     self._retire_line(dropped)
@@ -720,9 +714,9 @@ class MemoryHierarchy:
         self._counter_values["pcie_reads"] += 1
         latency = self._llc_lat
 
-        dir_entry = self._dir_entries.get(addr & _LINE_MASK)
-        if dir_entry is not None:
-            for core in sorted(dir_entry.owners):
+        owner_mask = self._dir_entries.get(addr, 0)
+        if owner_mask:
+            for core in owner_cores(owner_mask):
                 # MLC copies are invalidated and written back to LLC (Fig. 3
                 # right): the egress read must observe the latest data.
                 line = self._drop_private(core, addr)
@@ -769,12 +763,11 @@ class MemoryHierarchy:
         core = txn.core
         addr = txn.addr
         now = txn.now
-        laddr = addr & _LINE_MASK
-        if laddr in self._mlc_data[core]._where:
+        if addr in self._mlc_data[core]._where:
             txn.level = "dropped"
             return
         l1_data = self._l1_data[core]
-        if l1_data is not None and laddr in l1_data._where:
+        if l1_data is not None and addr in l1_data._where:
             txn.level = "dropped"
             return
         hops = self._active_hops
@@ -797,8 +790,8 @@ class MemoryHierarchy:
                 hops.append(Hop("dram", "read", dram_latency))
             new_line = self._make_line(addr, False, "cpu", core)
         self._fill_mlc(core, new_line, now)
-        for evicted_entry in self.llc.directory.add(addr, core):
-            self._directory_back_invalidate(evicted_entry, now)
+        for evicted, mask in self.llc.directory.add(addr, core):
+            self._directory_back_invalidate(evicted, mask, now)
         self._counter_values["mlc_prefetch_fills"] += 1
         self._event_streams["mlc_prefetch_fills"].append(now)
 

@@ -18,40 +18,45 @@ MLC-resident line and MLC evictions of clean lines need no LLC fill.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cache import CacheConfig, SetAssociativeCache
 from .line import _LINE_MASK, CacheLine, line_address
 from .stats import StatsBundle
 
 
-class DirectoryEntry:
-    """Directory state for one MLC-resident line."""
-
-    __slots__ = ("addr", "owners")
-
-    def __init__(self, addr: int, owners: Optional[set] = None) -> None:
-        self.addr = addr
-        self.owners = owners if owners is not None else set()
+def owner_cores(mask: int) -> List[int]:
+    """The cores whose bits are set in an owner ``mask``, ascending."""
+    cores = []
+    while mask:
+        low = mask & -mask
+        cores.append(low.bit_length() - 1)
+        mask ^= low
+    return cores
 
 
 #: Shared empty result for the no-eviction (common) case of
 #: :meth:`SnoopFilterDirectory.add` — callers only iterate the result, so
 #: one list serves every call without a per-call allocation.
-_NO_EVICTIONS: List[DirectoryEntry] = []
+_NO_EVICTIONS: List[Tuple[int, int]] = []
 
 
 class SnoopFilterDirectory:
     """Tag directory of MLC-resident lines with LRU-bounded capacity.
 
-    ``capacity`` of ``None`` means unbounded (the default used by the
-    reproduction configs, where the directory is provisioned to cover all
-    MLCs as on real parts).
+    Each tracked line maps to an owner bitmask, the presence vector of a
+    hardware snoop filter: bit ``c`` is set while core ``c``'s MLC holds
+    the line.  ``capacity`` of ``None`` means unbounded (the default used
+    by the reproduction configs, where the directory is provisioned to
+    cover all MLCs as on real parts) and keeps a plain dict.  A bounded
+    directory keeps LRU order by delete-and-reinsert and evicts the first
+    key, in an ``OrderedDict``: a plain dict would scan past every earlier
+    deletion to find its first key.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         self.capacity = capacity
-        self._entries: "OrderedDict[int, DirectoryEntry]" = OrderedDict()
+        self._entries: Dict[int, int] = {} if capacity is None else OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -59,57 +64,48 @@ class SnoopFilterDirectory:
     def __contains__(self, addr: int) -> bool:
         return line_address(addr) in self._entries
 
-    def owners(self, addr: int) -> set:
-        entry = self._entries.get(line_address(addr))
-        return set(entry.owners) if entry else set()
+    def owners(self, addr: int) -> Set[int]:
+        return set(owner_cores(self.get(addr)))
 
-    def get(self, addr: int) -> Optional[DirectoryEntry]:
-        """The live entry for ``addr`` (no copy), or ``None``.
+    def get(self, addr: int) -> int:
+        """The owner bitmask of ``addr`` (0 when untracked)."""
+        return self._entries.get(addr & _LINE_MASK, 0)
 
-        Hot-path alternative to :meth:`owners`: callers that only iterate
-        must not mutate the entry's owner set while doing so (take
-        ``sorted(entry.owners)`` first — it materializes a copy).
+    def add(self, addr: int, core: int) -> List[Tuple[int, int]]:
+        """Track line address ``addr`` as resident in ``core``'s MLC.
+
+        Returns the ``(addr, mask)`` entries evicted to make room (empty
+        when the directory has space); the caller must back-invalidate
+        those lines from their owner MLCs.  ``addr`` is stored as given,
+        so callers pass the line address their caches already key on.
         """
-        return self._entries.get(addr & _LINE_MASK)
-
-    def add(self, addr: int, core: int) -> List[DirectoryEntry]:
-        """Track ``addr`` as resident in ``core``'s MLC.
-
-        Returns a list of entries evicted to make room (empty when the
-        directory has space); the caller must back-invalidate those lines
-        from their owner MLCs.
-        """
-        addr = addr & _LINE_MASK
-        entry = self._entries.get(addr)
-        if entry is not None:
-            entry.owners.add(core)
-            # Recency order only matters under a capacity bound; the
-            # unbounded default never evicts, so skip the reorder.
-            if self.capacity is not None:
-                self._entries.move_to_end(addr)
-            return _NO_EVICTIONS
+        entries = self._entries
+        mask = entries.get(addr, 0)
         if self.capacity is None:
-            self._entries[addr] = DirectoryEntry(addr, {core})
+            entries[addr] = mask | (1 << core)
             return _NO_EVICTIONS
-        evicted: List[DirectoryEntry] = []
-        while len(self._entries) >= self.capacity:
-            _, old = self._entries.popitem(last=False)
-            evicted.append(old)
-        self._entries[addr] = DirectoryEntry(addr, {core})
+        if mask:
+            del entries[addr]
+            entries[addr] = mask | (1 << core)
+            return _NO_EVICTIONS
+        evicted: List[Tuple[int, int]] = []
+        while len(entries) >= self.capacity:
+            old = next(iter(entries))
+            evicted.append((old, entries.pop(old)))
+        entries[addr] = 1 << core
         return evicted
 
     def remove(self, addr: int, core: Optional[int] = None) -> None:
         """Drop ``core``'s residency (or the whole entry when ``core=None``)."""
         addr = addr & _LINE_MASK
-        entry = self._entries.get(addr)
-        if entry is None:
-            return
         if core is None:
-            del self._entries[addr]
+            self._entries.pop(addr, None)
             return
-        entry.owners.discard(core)
-        if not entry.owners:
-            del self._entries[addr]
+        mask = self._entries.get(addr, 0) & ~(1 << core)
+        if mask:
+            self._entries[addr] = mask
+        else:
+            self._entries.pop(addr, None)
 
 
 class NonInclusiveLLC:

@@ -82,6 +82,17 @@ class TestHierarchyState:
         with expect("directory-coverage"):
             san.check_all()
 
+    def test_stale_directory_owner_bit(self):
+        h, san = make_sanitizer()
+        warm(h)
+        line = next(h.mlc[0].data.lines())
+        # The converse bug: the snoop filter names core 1 as an owner of
+        # a line only core 0's MLC holds.
+        h.llc.directory.add(line.addr, 1)
+        with expect("directory-exactness") as excinfo:
+            san.check_all()
+        assert "[1]" in str(excinfo.value)
+
 
 class TestCacheStructure:
     def test_where_index_desync(self):
@@ -98,7 +109,7 @@ class TestCacheStructure:
         warm(h)
         cache = h.mlc[0].data
         addr = next(cache.lines()).addr
-        set_idx, way = cache._where[addr]
+        set_idx, way = cache.location(addr)
         cache.policy._last_use[set_idx][way] = 0
         with expect("lru-consistency"):
             san.check_all()

@@ -13,7 +13,16 @@ burst, the Fig. 10 antagonist co-run under DDIO and IDIO, the
 noisy-neighbor tenant pack under the shared and partitioned policies,
 one run under a seeded fault plan, every non-bursty traffic kind, a
 two-burst train, and the balanced and antagonist-storm tenant mixes.
+Ring-256 bursts on a 256 KB MLC pin the LLC geometries and the DRAM
+model (including a 6144-set LLC, whose set index is not a power of
+two), and a seeded mixed trace driven straight into a small
+:class:`~repro.mem.hierarchy.MemoryHierarchy` pins the paths no server
+config reaches: a capacity-bounded snoop-filter directory and the
+non-default replacement policies.
 """
+
+import hashlib
+import random
 
 import pytest
 
@@ -22,8 +31,12 @@ from repro.core.policies import extended_policies, idio, policy_by_name
 from repro.faults import standard_plan
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig
+from repro.mem.cache import CacheConfig
+from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.mem.line import LINE_SIZE
 from repro.sim import units
 from repro.tenants.scenarios import tenant_experiment, tenant_mix
+from tests.memtxn import cpu_access, invalidate, pcie_read, pcie_write, prefetch_fill
 
 #: One ring-64 100 Gbps burst per core under each extended policy.
 POLICY_DIGESTS = {
@@ -74,11 +87,39 @@ TENANT_MIX_DIGESTS = {
     "antagonist-storm": "1b048b2929497d8e95d6b691ac6291dfdd832c934a23a1ce3260d062f99609df",
 }
 
+#: One ring-256 DDIO burst per core with a 256 KB NF MLC, so MLC
+#: evictions reach the LLC; keyed by the server override applied.
+RING256_DIGESTS = {
+    "plain": "5e7d6790bba0939bdab1f5a4330e1674f2ceb52ab991eaa4ec524d27481e9cfa",
+    "inclusive": "79069d549485b93af10b420752a766c1aebbd5c2b4389358839903cdaefb4108",
+    "cat-1way": "683ff3cdf3fa7025d26da2573b8f1332308f76ba94f5e3ed112f22a3d9c7fe10",
+    "banked-dram": "2e5083c846eb4b9b741540de34e15214d67bb2d233cb0aeac92c33c9e487f59a",
+    "llc-4.5mb": "7e89e21d1a60b7751b6d8b5dd0152a4dc1f5884358f298f5ef1a4796b0486c66",
+}
 
-def _burst(**server_kwargs) -> Experiment:
+RING256_OVERRIDES = {
+    "plain": {},
+    "inclusive": {"llc_inclusive": True},
+    "cat-1way": {"nf_cat_ways": 1},
+    "banked-dram": {"dram_model": "banked"},
+    "llc-4.5mb": {"llc_bytes": 4608 * 1024},
+}
+
+#: A seeded mixed trace on a small two-core hierarchy; keyed by the
+#: replacement policy of every cache level (``lru``) or by the
+#: directory bound (``directory-8``, with LRU replacement).
+TRACE_DIGESTS = {
+    "directory-8": "4ecf1b87dc62c36ec0be8168b19054c81ad5e74d9d24d4ded6584ba0987e16cc",
+    "plru": "525833ce0c11f387fd08a9d4c5589f5dc01be3f553548dcd5b319aa06f4711cc",
+    "random": "965551c5bd699f100bbdb52dd867af093f295e01e3371e4586f1a5f65e414008",
+    "lru-ref": "2766c02bf67d6ff2c6c9b079d20e113b03a506d67e5e392bd00d8cc1e90f4d8b",
+}
+
+
+def _burst(ring_size: int = 64, **server_kwargs) -> Experiment:
     return Experiment(
         name="golden",
-        server=ServerConfig(ring_size=64, **server_kwargs),
+        server=ServerConfig(ring_size=ring_size, **server_kwargs),
         burst_rate_gbps=100.0,
         traffic="bursty",
     )
@@ -155,3 +196,77 @@ def test_tenant_mix(mix):
         duration_us=100.0,
     )
     assert _digest(experiment) == TENANT_MIX_DIGESTS[mix]
+
+
+@pytest.mark.parametrize("name", sorted(RING256_DIGESTS))
+def test_ring256_burst(name):
+    experiment = _burst(
+        ring_size=256, nf_mlc_bytes=256 * 1024, **RING256_OVERRIDES[name]
+    )
+    assert _digest(experiment) == RING256_DIGESTS[name]
+
+
+def _line_state(line):
+    return None if line is None else (line.dirty, line.origin, line.owner)
+
+
+def _mixed_trace_digest(replacement: str = "lru", directory_capacity=None) -> str:
+    """Digest of every access outcome plus the final per-line state.
+
+    Two cores share a 192-line pool that overflows their 2 KB L1s and
+    8 KB MLCs and a 12-set LLC, so the trace runs capacity evictions at
+    every level, directory back-invalidations when the directory is
+    bounded, and c2c migrations between the two MLCs.
+    """
+    h = MemoryHierarchy(
+        HierarchyConfig(
+            num_cores=2,
+            l1=CacheConfig("l1d", 2 * 1024, 2, 2, replacement=replacement),
+            mlc=CacheConfig("mlc", 8 * 1024, 4, 12, replacement=replacement),
+            llc=CacheConfig("llc", 12 * 12 * LINE_SIZE, 12, 24,
+                            replacement=replacement),
+            directory_capacity=directory_capacity,
+        )
+    )
+    rng = random.Random(2022)
+    pool = [0x40000 + i * LINE_SIZE for i in range(192)]
+    outcomes = []
+    for now in range(0, 6000 * 10, 10):
+        op = rng.random()
+        core = rng.randrange(2)
+        addr = rng.choice(pool) + rng.randrange(LINE_SIZE)
+        if op < 0.30:
+            result = cpu_access(h, core, addr, False, now)
+            outcomes.append((result.latency, result.level))
+        elif op < 0.50:
+            result = cpu_access(h, core, addr, True, now)
+            outcomes.append((result.latency, result.level))
+        elif op < 0.68:
+            placement = "dram" if rng.random() < 0.2 else "llc"
+            outcomes.append(pcie_write(h, addr, now, placement))
+        elif op < 0.78:
+            outcomes.append(pcie_read(h, addr, now))
+        elif op < 0.90:
+            outcomes.append(prefetch_fill(h, core, addr, now))
+        else:
+            invalidate(h, core, addr, now, rng.choice(("private", "all")))
+            outcomes.append(None)
+    state = []
+    for addr in pool:
+        state.append((
+            h.where(addr),
+            sorted(h.llc.directory.owners(addr)),
+            _line_state(h.llc.peek(addr)),
+            [_line_state(h.mlc[c].peek(addr)) for c in range(2)],
+        ))
+    payload = repr((outcomes, sorted(h.stats.counters.snapshot().items()), state))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_mixed_trace_bounded_directory():
+    assert _mixed_trace_digest(directory_capacity=8) == TRACE_DIGESTS["directory-8"]
+
+
+@pytest.mark.parametrize("replacement", ["plru", "random", "lru-ref"])
+def test_mixed_trace_replacement(replacement):
+    assert _mixed_trace_digest(replacement) == TRACE_DIGESTS[replacement]

@@ -28,6 +28,18 @@ class TestGeometry:
         with pytest.raises(ValueError):
             CacheConfig("c", 1000, 3, 1).validate()
 
+    def test_non_power_of_two_line_size_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            CacheConfig("c", 48 * 4 * 8, 4, 1, line_size=48).validate()
+
+    def test_non_power_of_two_set_count_indexes_by_modulo(self):
+        c = SetAssociativeCache(CacheConfig("llc", 4608 * 1024, 12, 1))
+        assert c.num_sets == 6144
+        addr = (7 * 6144 + 6143) * LINE_SIZE
+        c.insert(CacheLine(addr))
+        assert c.location(addr)[0] == 6143
+        assert c.lookup(addr) is not None and c.remove(addr).addr == addr
+
     def test_table1_mlc_geometry(self):
         cfg = CacheConfig("mlc", 1024 * 1024, 8, 1)
         cfg.validate()
@@ -133,7 +145,7 @@ class TestWayMasks:
         c = small_cache(assoc=4, sets=1)
         c.insert(CacheLine(addr_for_set(c, 0, 0)), way_mask=[2, 3, 0, 1])
         # The line should occupy way 2 (first in the preference order).
-        assert c._where[addr_for_set(c, 0, 0)][1] == 2
+        assert c.location(addr_for_set(c, 0, 0)) == (0, 2)
 
 
 class TestOccupancy:
@@ -173,10 +185,12 @@ class TestProperties:
             # Invariant 2: the address index agrees with the stored lines.
             stored = sorted(line.addr for line in c.lines())
             assert stored == sorted(c._where.keys())
-            # Invariant 3: each line sits in the set its address maps to.
-            for line in c.lines():
-                set_idx, _ = c._where[line.addr]
-                assert set_idx == c.set_index(line.addr)
+            # Invariant 3: each line sits in the set its address maps to,
+            # in the way the location map records.
+            for set_idx, cache_set in enumerate(c._sets):
+                for way, line in enumerate(cache_set):
+                    if line is not None:
+                        assert c.location(line.addr) == (set_idx, way)
 
     @settings(max_examples=30)
     @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=80))

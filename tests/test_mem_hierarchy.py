@@ -5,9 +5,13 @@ PCIe writes/reads and demand misses in a non-inclusive hierarchy, plus the
 invalidate-without-writeback operation.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.harness.experiment import Experiment, run_experiment
+from repro.harness.server import ServerConfig
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.mem.line import LINE_SIZE
@@ -40,16 +44,16 @@ class TestPcieWriteIngress:
         pcie_write(h, ADDR, 0)
         line = h.llc.peek(ADDR)
         assert line is not None and line.dirty and line.origin == "io"
-        _, way = h.llc.data._where[ADDR]
+        _, way = h.llc.data.location(ADDR)
         assert way < h.llc.ddio_ways  # P5-1: write-allocate in DDIO ways
 
     def test_llc_resident_line_updated_in_place(self):
         h = make_hierarchy()
         # Put the line in a non-DDIO way via the CPU victim path.
         h.llc.fill_cpu(__import__("repro.mem.line", fromlist=["CacheLine"]).CacheLine(ADDR), 0)
-        _, way_before = h.llc.data._where[ADDR]
+        _, way_before = h.llc.data.location(ADDR)
         pcie_write(h, ADDR, 0)
-        _, way_after = h.llc.data._where[ADDR]
+        _, way_after = h.llc.data.location(ADDR)
         assert way_before == way_after  # P3-1: in-place update
         assert h.llc.peek(ADDR).dirty
 
@@ -199,7 +203,7 @@ class TestDemandPath:
             cpu_access(h, 0, conflict, False, t)
         assert ADDR not in mlc
         assert ADDR in h.llc
-        _, way = h.llc.data._where[ADDR]
+        _, way = h.llc.data.location(ADDR)
         assert way >= h.llc.ddio_ways  # bloated into a non-DDIO way
 
 
@@ -347,3 +351,25 @@ class TestConservation:
             dir_owners = h.llc.directory.owners(addr)
             mlc_owners = {c for c in range(2) if addr in h.mlc[c]}
             assert dir_owners == mlc_owners
+
+
+class TestPerLineState:
+    def test_no_per_line_containers_after_a_burst(self):
+        # The directory and the location maps hold plain ints per line
+        # (owner bitmasks, ways): nothing the cyclic GC has to walk.
+        result = run_experiment(
+            Experiment(
+                name="gc-guard",
+                server=ServerConfig(ring_size=64),
+                burst_rate_gbps=100.0,
+                traffic="bursty",
+            )
+        )
+        h = result.server.hierarchy
+        assert len(h.llc.directory) > 0
+        maps = [h.llc.directory._entries, h.llc.data._where]
+        maps += [c.data._where for c in h.mlc]
+        maps += [c.data._where for c in h.l1 if c is not None]
+        for per_line in maps:
+            assert per_line
+            assert not any(gc.is_tracked(v) for v in per_line.values())

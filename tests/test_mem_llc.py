@@ -1,10 +1,13 @@
 """Unit tests for the non-inclusive LLC and snoop-filter directory."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mem.cache import CacheConfig
 from repro.mem.line import LINE_SIZE, CacheLine
-from repro.mem.llc import NonInclusiveLLC, SnoopFilterDirectory
+from repro.mem.llc import NonInclusiveLLC, SnoopFilterDirectory, owner_cores
 from repro.mem.stats import StatsBundle
 
 
@@ -56,7 +59,7 @@ class TestDirectory:
         d.add(64, 0)
         d.add(0, 0)  # refresh
         evicted = d.add(128, 0)
-        assert [e.addr for e in evicted] == [64]
+        assert evicted == [(64, 0b1)]
         assert 0 in d and 128 in d
 
     def test_unbounded_never_evicts(self):
@@ -64,6 +67,82 @@ class TestDirectory:
         for i in range(1000):
             assert d.add(i * 64, 0) == []
         assert len(d) == 1000
+
+    def test_get_returns_owner_mask(self):
+        d = SnoopFilterDirectory()
+        assert d.get(64) == 0
+        d.add(64, 0)
+        d.add(64, 3)
+        assert d.get(64) == 0b1001
+        assert owner_cores(d.get(64)) == [0, 3]
+
+
+class _SetDirectory:
+    """Reference model: the owner-set directory the bitmask one replaced.
+
+    An ``OrderedDict`` from line address to a set of owner cores, LRU
+    ordered by ``move_to_end`` under a capacity bound.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = OrderedDict()
+
+    def add(self, addr, core):
+        owners = self.entries.get(addr)
+        if owners is not None:
+            owners.add(core)
+            if self.capacity is not None:
+                self.entries.move_to_end(addr)
+            return []
+        evicted = []
+        while self.capacity is not None and len(self.entries) >= self.capacity:
+            evicted.append(self.entries.popitem(last=False))
+        self.entries[addr] = {core}
+        return evicted
+
+    def remove(self, addr, core=None):
+        owners = self.entries.get(addr)
+        if owners is None:
+            return
+        if core is not None:
+            owners.discard(core)
+        if core is None or not owners:
+            del self.entries[addr]
+
+
+directory_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove-core", "remove"]),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=60,
+)
+
+
+class TestDirectoryDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([None, 1, 2, 3, 4]), directory_ops)
+    def test_bitmask_directory_matches_owner_sets(self, capacity, ops):
+        d = SnoopFilterDirectory(capacity)
+        ref = _SetDirectory(capacity)
+        evicted, ref_evicted = [], []
+        for op, line, core in ops:
+            addr = line * LINE_SIZE
+            if op == "add":
+                evicted += [(a, set(owner_cores(m))) for a, m in d.add(addr, core)]
+                ref_evicted += ref.add(addr, core)
+            elif op == "remove-core":
+                d.remove(addr, core)
+                ref.remove(addr, core)
+            else:
+                d.remove(addr)
+                ref.remove(addr)
+            assert len(d) == len(ref.entries)
+            for a in range(0, 8 * LINE_SIZE, LINE_SIZE):
+                assert d.owners(a) == ref.entries.get(a, set())
+            assert evicted == ref_evicted
 
 
 class TestDDIOWayPartition:
@@ -88,7 +167,7 @@ class TestDDIOWayPartition:
     def test_cpu_fill_prefers_non_ddio_ways(self):
         llc = make_llc(assoc=4, sets=1, ddio_ways=2)
         llc.fill_cpu(CacheLine(addr_in_set(llc, 0, 0)), 0)
-        set_idx, way = llc.data._where[addr_in_set(llc, 0, 0)]
+        set_idx, way = llc.data.location(addr_in_set(llc, 0, 0))
         assert way >= llc.ddio_ways
 
     def test_cpu_fill_can_spill_into_ddio_ways_when_set_full(self):
@@ -96,7 +175,7 @@ class TestDDIOWayPartition:
         for t in range(3):
             llc.fill_cpu(CacheLine(addr_in_set(llc, 0, t)), 0)
         # Ways 2,3 full; third CPU line went into a DDIO way.
-        ways = {llc.data._where[addr_in_set(llc, 0, t)][1] for t in range(3)}
+        ways = {llc.data.location(addr_in_set(llc, 0, t))[1] for t in range(3)}
         assert ways & {0, 1}
 
     def test_invalid_ddio_ways_rejected(self):
@@ -142,8 +221,8 @@ class TestUpdateInPlace:
         llc = make_llc(assoc=4, sets=1)
         addr = addr_in_set(llc, 0, 0)
         llc.fill_cpu(CacheLine(addr), 0)  # lands in a non-DDIO way
-        _, way_before = llc.data._where[addr]
+        _, way_before = llc.data.location(addr)
         llc.fill_io(CacheLine(addr, dirty=True), 0)  # in-place update
-        _, way_after = llc.data._where[addr]
+        _, way_after = llc.data.location(addr)
         assert way_before == way_after
         assert llc.peek(addr).dirty
