@@ -1,8 +1,9 @@
 """Opt-in runtime invariant sanitizer for the simulated memory system.
 
 The :class:`InvariantSanitizer` is the ASan analog for the simulator: it
-subscribes to the observability bus (every completed
-:class:`~repro.mem.transaction.MemoryTransaction` is a topic) and checks
+observes the hierarchy (:meth:`~repro.mem.hierarchy.MemoryHierarchy.observe`
+hands it every completed
+:class:`~repro.mem.transaction.MemoryTransaction`, hops recorded) and checks
 
 * **per transaction** — kind/outcome well-formedness, monotone virtual
   timestamps, hop-chain legality (known components/actions, critical-path
@@ -24,8 +25,9 @@ The sanitizer deliberately reads private fields of the cache containers
 checker and the structural invariants *are* statements about that state.
 
 Checked mode is strictly opt-in (``ServerConfig.checked_mode``); with it
-off, no sanitizer exists and the transaction hot path is untouched,
-which is what keeps the bench gate green.
+off, no sanitizer exists and the transaction hot path is untouched.
+With it on, the callers run the same loops: observing changes how each
+transaction is recorded, never which transactions run.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ _LEGAL_LEVELS = {"l1", "mlc", "llc", "c2c", "dram", "dropped", "invalidated", "a
 
 
 class InvariantSanitizer:
-    """Subscribes to a hierarchy's bus and asserts model invariants."""
+    """Observes a hierarchy and asserts model invariants."""
 
     def __init__(
         self,
@@ -89,7 +91,6 @@ class InvariantSanitizer:
         self._controller = None  # repro.core.controller.IDIOController
         self._tenants = None  # repro.tenants.config.TenantSet
         self._attached = False
-        self._saved_record_hops = False
         #: Fault kinds the registered plan declares (None = no plan).
         self._declared_faults: Optional[Set[str]] = None
         #: Observed injections by kind (checked-mode fault accounting).
@@ -100,26 +101,22 @@ class InvariantSanitizer:
     # ------------------------------------------------------------------
 
     def attach(self) -> "InvariantSanitizer":
-        """Subscribe to the hierarchy's bus; enables hop recording."""
+        """Observe the hierarchy's transactions and its bus's faults."""
         if self._attached:
             raise RuntimeError("sanitizer already attached")
         self._attached = True
-        # Hop chains are the per-transaction evidence; recording must be
-        # on for the hop invariants to see anything.
-        self._saved_record_hops = self.hierarchy.record_hops
-        self.hierarchy.record_hops = True
-        self.hierarchy.bus.subscribe(MemoryTransaction, self.on_transaction)
+        self.hierarchy.observe(self.on_transaction)
         self.hierarchy.bus.subscribe(FaultEvent, self.on_fault)
         return self
 
     def detach(self) -> None:
-        """Unsubscribe and restore the hierarchy's hop-recording flag."""
+        """Stop observing; the hierarchy records no hops once its last
+        observer is gone."""
         if not self._attached:
             return
         self._attached = False
-        self.hierarchy.bus.unsubscribe(MemoryTransaction, self.on_transaction)
+        self.hierarchy.unobserve(self.on_transaction)
         self.hierarchy.bus.unsubscribe(FaultEvent, self.on_fault)
-        self.hierarchy.record_hops = self._saved_record_hops
 
     def register_pool(self, pool) -> None:
         """Track a :class:`~repro.cpu.mempool.BufferPool`'s lifecycle."""

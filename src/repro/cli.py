@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser(
         "check",
         help="run the correctness gate: checked-mode (invariant sanitizer) "
-        "runs plus a dual-run determinism digest comparison",
+        "runs, a dual-run determinism digest comparison, and a checked-vs-bare "
+        "digest comparison",
     )
     check_p.add_argument(
         "--quick", action="store_true", help="reduced-scale runs (for CI)"
@@ -699,7 +700,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     hierarchy invariants on every transaction and at barriers; (2) the
     reference workload runs twice and the two summary fingerprints must
     hash identically (the guarantee the process-pool runner relies on).
-    Exits non-zero on the first class of failure encountered.
+    The first policy's checked run must also hash like the bare runs:
+    observing the hierarchy must not change the program.  Exits non-zero
+    when any of these fails.
     """
     from .analysis import fingerprint_digest
     from .analysis.sanitizer import InvariantViolation
@@ -759,6 +762,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             burst_rate_gbps=rate,
         )
 
+    observed = None  # the first policy's checked-run digest
     for name in names:
         try:
             result = run_experiment(make_experiment(name, checked=True))
@@ -770,6 +774,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             failures += 1
             continue
         print(f"ok   sanitizer[{name}]: {sanitizer.summary_line()}")
+        if name == names[0]:
+            observed = fingerprint_digest(result.summary())
 
     reference = make_experiment(names[0], checked=False)
     digests = [
@@ -783,6 +789,17 @@ def cmd_check(args: argparse.Namespace) -> int:
         failures += 1
     else:
         print(f"ok   determinism: digest {digests[0][:16]}... (two runs)")
+    # Observation neutrality: the sanitizer watched the same loops a bare
+    # run executes, so the checked run must fingerprint like a bare one.
+    if observed is not None:
+        if observed != digests[0]:
+            print(
+                "FAIL observed: checked run diverged from bare "
+                f"({observed[:16]}... != {digests[0][:16]}...)"
+            )
+            failures += 1
+        else:
+            print(f"ok   observed: checked run digest {observed[:16]}... equals bare")
 
     if failures:
         print(f"check: {failures} failure(s)")

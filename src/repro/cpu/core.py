@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..mem.hierarchy import AccessResult, MemoryHierarchy
+from ..mem.hierarchy import MemoryHierarchy
 from ..mem.transaction import CPU_LOAD, CPU_STORE, _LINE_MASK, MemoryTransaction
 from ..sim import Simulator, units
 
@@ -26,13 +26,6 @@ class CoreStats:
     mem_ticks: int = 0
     compute_ticks: int = 0
     hits_by_level: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, result: "AccessResult") -> None:
-        """Record one completed access; accepts an :class:`AccessResult`
-        or anything else carrying ``latency``/``level`` (a transaction)."""
-        self.mem_accesses += 1
-        self.mem_ticks += result.latency
-        self.hits_by_level[result.level] = self.hits_by_level.get(result.level, 0) + 1
 
     @property
     def total_ticks(self) -> int:
@@ -62,11 +55,10 @@ class Core:
         self.stats = CoreStats()
         # Scratch transaction for demand accesses.  A core issues one
         # access at a time and the hierarchy executes it synchronously,
-        # so when nothing retains completed transactions (no hop
-        # recording, no transaction subscribers) the same object is
-        # re-initialized per access instead of allocated, and the demand
-        # handler is invoked directly — with no subscribers the access()
-        # wrapper's dispatch and publication are both no-ops.
+        # so the same object is re-initialized per access instead of
+        # allocated, and the demand handler is invoked directly (access()
+        # would only add the dispatch on kind).  Observers never see it:
+        # an observed hierarchy runs and publishes a copy.
         self._scratch_txn = MemoryTransaction(CPU_LOAD, 0, 0, core=core_id)
 
     def _issue(self, kind: str, addr: int) -> int:
@@ -76,18 +68,13 @@ class Core:
         construction and stats recording inlined (one call per touched
         cacheline — the hottest application-side path in the simulator).
         """
-        hierarchy = self.hierarchy
-        if hierarchy.record_hops or hierarchy._txn_subs:
-            txn = MemoryTransaction(kind, addr, self.sim.now, core=self.core_id)
-            hierarchy.access(txn)
-        else:
-            txn = self._scratch_txn
-            txn.kind = kind
-            txn.addr = addr & _LINE_MASK
-            txn.now = self.sim._now
-            txn.latency = 0
-            txn.level = None
-            hierarchy._run_cpu(txn)
+        txn = self._scratch_txn
+        txn.kind = kind
+        txn.addr = addr & _LINE_MASK
+        txn.now = self.sim._now
+        txn.latency = 0
+        txn.level = None
+        self.hierarchy._run_cpu(txn)
         st = self.stats
         st.mem_accesses += 1
         latency = txn.latency

@@ -41,8 +41,8 @@ class MaintenanceUnit:
         self.scope = scope
         self.invalidated_lines = 0
         # Scratch transaction for the invalidate loop (IDIO issues one
-        # invalidate per consumed buffer line): reused when no hop
-        # recording or transaction subscriber would retain it.
+        # invalidate per consumed buffer line), re-initialized per line;
+        # an observed hierarchy publishes a copy, never this object.
         self._scratch_txn = MemoryTransaction(INVALIDATE, 0, 0, core=core)
 
     def invalidate_range(self, base: int, num_bytes: int, now: int) -> int:
@@ -52,51 +52,17 @@ class MaintenanceUnit:
         :class:`~repro.cpu.pagetable.InvalidatePermissionError` when the
         page table is attached and any page lacks the Invalidatable bit.
         """
-        hierarchy = self.hierarchy
         page_table = self.page_table
         lines = 0
-        if hierarchy.record_hops or hierarchy._txn_subs:
-            access = hierarchy.access
-            for addr in lines_spanning(base, num_bytes):
-                if page_table is not None:
-                    page_table.check_invalidate(addr)
-                access(
-                    MemoryTransaction(
-                        INVALIDATE, addr, now, core=self.core, scope=self.scope
-                    )
-                )
-                lines += 1
-        else:
-            run = hierarchy._run_invalidate
-            txn = self._scratch_txn
-            txn.now = now
-            txn.scope = self.scope
-            for addr in lines_spanning(base, num_bytes):
-                if page_table is not None:
-                    page_table.check_invalidate(addr)
-                txn.addr = addr
-                run(txn)
-                lines += 1
+        run = self.hierarchy._run_invalidate
+        txn = self._scratch_txn
+        txn.now = now
+        txn.scope = self.scope
+        for addr in lines_spanning(base, num_bytes):
+            if page_table is not None:
+                page_table.check_invalidate(addr)
+            txn.addr = addr
+            run(txn)
+            lines += 1
         self.invalidated_lines += lines
         return lines * self.INVALIDATE_LINE_COST
-
-    def flush_range(self, base: int, num_bytes: int, now: int) -> int:
-        """Conventional clean+invalidate (clflush-style): writes dirty data
-        back to DRAM.  Used by the kernel when preparing Invalidatable
-        buffers; provided for completeness and for ablation experiments.
-        """
-        cost = 0
-        for addr in lines_spanning(base, num_bytes):
-            line = self.hierarchy.mlc[self.core].peek(addr)
-            dirty = bool(line and line.dirty)
-            llc_line = self.hierarchy.llc.peek(addr)
-            if llc_line is not None and llc_line.dirty:
-                dirty = True
-            # Drop all cached copies; dirty data goes to DRAM.
-            self.hierarchy.access(
-                MemoryTransaction(INVALIDATE, addr, now, core=self.core, scope="all")
-            )
-            if dirty:
-                self.hierarchy.dram.write(addr, now)
-            cost += self.INVALIDATE_LINE_COST
-        return cost

@@ -110,9 +110,9 @@ class ServerConfig:
     freq_ghz: float = 3.0
     #: Reset statistics after warmup so Fig.-style windows start clean.
     reset_stats_after_warmup: bool = True
-    #: Attach a :class:`~repro.obs.trace.TraceRecorder` to the hierarchy's
-    #: event bus (enables per-hop recording — off by default; tracing
-    #: costs both time and memory, so it is strictly opt-in).
+    #: Attach a :class:`~repro.obs.trace.TraceRecorder` to the hierarchy
+    #: (it observes every transaction, hops recorded — off by default;
+    #: tracing costs both time and memory, so it is strictly opt-in).
     trace_enabled: bool = False
     #: Event cap for the recorder when tracing is enabled.
     trace_max_events: int = 2_000_000

@@ -8,28 +8,34 @@ single typed entry point:
   :class:`~repro.mem.transaction.MemoryTransaction` (demand load/store,
   inbound DMA write, outbound DMA read, IDIO MLC prefetch fill, or the
   paper's invalidate-without-writeback maintenance operation, §IV-A/§V-D)
-  and fill in its outcome: total latency, serving level, and — when hop
-  recording is enabled — a per-component hop list.
+  and fill in its outcome: total latency, serving level, and — while the
+  hierarchy is observed — a per-component hop list.
 
-All traffic flows through that one path: callers construct the
+All traffic flows through one handler per kind: callers construct the
 :class:`MemoryTransaction` themselves (simlint's SIM005 flags any
-reintroduction of per-kind wrapper methods outside ``repro.mem``; the
-deprecated ``cpu_access``/``pcie_write``-style wrappers were removed in
-v0.5.0 — tests use the free-function helpers in ``tests/memtxn.py``).
+reintroduction of per-kind wrapper methods outside ``repro.mem``; tests
+use the free-function helpers in ``tests/memtxn.py``).  The per-line
+callers (cores, the root complex, the maintenance unit) reuse one scratch
+transaction and call the ``_run_*`` handler directly.
 
-Observability is a typed pub/sub bus (:class:`repro.obs.bus.EventBus`):
-the hierarchy publishes :class:`~repro.obs.events.MlcWritebackEvent` /
-:class:`~repro.obs.events.LlcWritebackEvent` (the signals the IDIO
-controller's control plane and the IAT baseline sample — ``mlcWB`` in
-Alg. 1) and, when anyone listens, every completed transaction.  The
-:class:`~repro.mem.stats.StatsBundle` counts writebacks as a bus
-subscriber like everyone else.
+:meth:`MemoryHierarchy.observe` is the one way to watch transactions: it
+rebinds the ``_run_*`` handlers to wrappers that run a fresh copy of each
+request with hops recorded and hand the copy to every observer.  The
+callers' loops do not change, and no observer ever holds a scratch
+object.
+
+The writeback signals go over a typed pub/sub bus
+(:class:`repro.obs.bus.EventBus`): :class:`~repro.obs.events.MlcWritebackEvent`
+/ :class:`~repro.obs.events.LlcWritebackEvent` are what the IDIO
+controller's control plane and the IAT baseline sample (``mlcWB`` in
+Alg. 1), and the :class:`~repro.mem.stats.StatsBundle` counts them as a
+bus subscriber like everyone else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.bus import EventBus
 from ..obs.events import LlcWritebackEvent, MlcWritebackEvent, TenantDmaEvent
@@ -115,6 +121,19 @@ class HierarchyConfig:
         return self.llc or default_llc_config(self.freq_ghz)
 
 
+#: A per-kind handler, or an observer (see :meth:`MemoryHierarchy.observe`).
+TxnHandler = Callable[[MemoryTransaction], None]
+
+#: The per-kind handlers an observed hierarchy wraps.
+_RUN_HANDLERS = (
+    "_run_cpu",
+    "_run_dma_write",
+    "_run_dma_read",
+    "_run_prefetch_fill",
+    "_run_invalidate",
+)
+
+
 @dataclass
 class AccessResult:
     """Outcome of one demand access: latency plus the serving level."""
@@ -158,16 +177,15 @@ class MemoryHierarchy:
         # constructed when somebody listens.
         self._mlc_wb_subs = self.bus.live(MlcWritebackEvent)
         self._llc_wb_subs = self.bus.live(LlcWritebackEvent)
-        self._txn_subs = self.bus.live(MemoryTransaction)
         self._tenant_dma_subs = self.bus.live(TenantDmaEvent)
         #: Per-tenant DMA attribution ranges ``(start, end, tenant)``.
         #: Empty (the default) keeps the DMA-write hot path tenant-free:
         #: one falsy check and no per-write work.
         self._tenant_ranges: List[Tuple[int, int, int]] = []
         self._tenant_dma_names: Dict[int, str] = {}
-        #: When True, :meth:`access` fills each transaction's ``hops``
-        #: list.  Off by default — flipped by an attached TraceRecorder.
-        self.record_hops = False
+        #: Transaction observers (see :meth:`observe`), and the hop list
+        #: of the observed transaction in flight (None when unobserved).
+        self._observers: List[TxnHandler] = []
         self._active_hops: Optional[List[Hop]] = None
 
         self.l1: List[Optional[PrivateCache]] = []
@@ -222,6 +240,14 @@ class MemoryHierarchy:
         self._mlc_inval_names = [
             f"mlc_invalidations_c{core}" for core in range(config.num_cores)
         ]
+        self._bind_handlers()
+
+    # ------------------------------------------------------------------
+    # the unified entry point
+    # ------------------------------------------------------------------
+
+    def _bind_handlers(self) -> None:
+        """Point the dispatch table at the current ``_run_*`` handlers."""
         self._handlers = {
             CPU_LOAD: self._run_cpu,
             CPU_STORE: self._run_cpu,
@@ -231,18 +257,9 @@ class MemoryHierarchy:
             INVALIDATE: self._run_invalidate,
         }
 
-    # ------------------------------------------------------------------
-    # the unified entry point
-    # ------------------------------------------------------------------
-
     def access(self, txn: MemoryTransaction) -> MemoryTransaction:
-        """Execute one transaction; fills ``latency``/``level``/``hops``.
-
-        This is the single entry point every byte of traffic goes
-        through — the legacy per-kind methods below are constructors
-        delegating here.  Completed transactions are published on the
-        bus when a subscriber (e.g. a TraceRecorder) is attached.
-        """
+        """Execute one transaction; fills ``latency``/``level`` (and
+        ``hops`` while observed) and returns it."""
         try:
             handler = self._handlers[txn.kind]
         except KeyError:
@@ -250,25 +267,66 @@ class MemoryHierarchy:
                 f"unknown transaction kind {txn.kind!r}; "
                 f"expected one of {sorted(self._handlers)}"
             ) from None
-        if self.record_hops:
-            self._active_hops = txn.hops
+        handler(txn)
+        return txn
+
+    # ------------------------------------------------------------------
+    # observation
+    # ------------------------------------------------------------------
+
+    def observe(self, observer: TxnHandler) -> None:
+        """Call ``observer`` with every completed transaction, hops recorded.
+
+        Observers run in attach order, each with the same private copy of
+        the transaction; the caller's transaction gets the copy's
+        ``latency``, ``level`` and ``hops``.  The first observer swaps
+        the ``_run_*`` instance attributes for recording wrappers.
+        """
+        self._observers.append(observer)
+        if len(self._observers) == 1:
+            for name in _RUN_HANDLERS:
+                setattr(self, name, self._observed(getattr(self, name)))
+            self._bind_handlers()
+
+    def unobserve(self, observer: TxnHandler) -> None:
+        """Stop calling ``observer`` (no-op when absent); the last one to
+        leave restores the bare handlers and with them the unrecorded
+        hot path."""
+        try:
+            self._observers.remove(observer)
+        except ValueError:
+            return
+        if not self._observers:
+            for name in _RUN_HANDLERS:
+                delattr(self, name)  # the class's method shows through again
+            self._bind_handlers()
+
+    def _observed(self, run: TxnHandler) -> TxnHandler:
+        """Wrap one bare handler: run a fresh copy with hops recorded,
+        copy the outcome back, then hand the copy to every observer."""
+        observers = self._observers
+
+        def observed_run(txn: MemoryTransaction) -> None:
+            copy = MemoryTransaction(
+                txn.kind, txn.addr, txn.now, txn.core, txn.tag, txn.placement, txn.scope
+            )
+            self._active_hops = copy.hops
             try:
-                handler(txn)
+                run(copy)
             finally:
                 self._active_hops = None
-        else:
-            handler(txn)
-        subs = self._txn_subs
-        if subs:
-            for fn in subs:
-                fn(txn)
-        return txn
+            txn.latency = copy.latency
+            txn.level = copy.level
+            txn.hops = copy.hops
+            for fn in observers:
+                fn(copy)
+
+        return observed_run
 
     # Hop recording is inlined at each site as
     #   ``if hops is not None: hops.append(Hop(...))``
     # with ``hops = self._active_hops`` loaded once per handler — a local
-    # None-check instead of a method call keeps the tracing-off hot path
-    # within the bench gate.
+    # None-check is all an unobserved access pays for it.
 
     # ------------------------------------------------------------------
     # bus publications

@@ -7,16 +7,18 @@ MLC prefetch fill, an invalidate-without-writeback — is described by one
 :meth:`repro.mem.hierarchy.MemoryHierarchy.access`.
 
 The hierarchy fills in the outcome fields as the transaction traverses
-the machine: the total ``latency``, the serving ``level``, and — when the
-owning hierarchy has hop recording enabled (``record_hops``) — a ``hops``
-list of :class:`Hop` records, one per component the transaction touched.
+the machine: the total ``latency``, the serving ``level``, and — while
+the owning hierarchy is observed
+(:meth:`~repro.mem.hierarchy.MemoryHierarchy.observe`) — a ``hops`` list
+of :class:`Hop` records, one per component the transaction touched.
 Hop records are what the :class:`repro.obs.trace.TraceRecorder` turns
 into Chrome-trace events and per-component latency breakdowns (the
-telemetry IOCA/5GC²ache-style analyses need).
+telemetry IOCA/5GC²ache-style analyses need), and what the invariant
+sanitizer checks.
 
-Hop recording is off by default so the hot path stays a plain
-attribute-assignment sequence; the records exist only when somebody
-(tracing, tests) asks for them.
+An unobserved hierarchy records no hops, so the hot path stays a plain
+attribute-assignment sequence; the records exist only while somebody
+(tracing, checked mode, tests) watches.
 """
 
 from __future__ import annotations
@@ -130,13 +132,6 @@ class MemoryTransaction:
     @property
     def is_write(self) -> bool:
         return self.kind in (CPU_STORE, DMA_WRITE)
-
-    def hop_latency_by_component(self) -> dict:
-        """Summed critical-path latency per component (requires hops)."""
-        out: dict = {}
-        for hop in self.hops:
-            out[hop.component] = out.get(hop.component, 0) + hop.latency
-        return out
 
     def __repr__(self) -> str:
         hops = ", ".join(f"{h.component}:{h.action}" for h in self.hops)

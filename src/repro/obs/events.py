@@ -1,9 +1,9 @@
 """Typed events published on the observability bus.
 
-Transaction completions are published as the
-:class:`~repro.mem.transaction.MemoryTransaction` object itself (its
-class is the topic); the events here cover everything else the memory
-path and the software stack announce.
+Completed :class:`~repro.mem.transaction.MemoryTransaction` objects are
+not a bus topic: they go to the hierarchy's observers
+(:meth:`~repro.mem.hierarchy.MemoryHierarchy.observe`).  The events here
+cover everything else the memory path and the software stack announce.
 """
 
 from __future__ import annotations

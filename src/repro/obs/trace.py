@@ -4,16 +4,17 @@ A :class:`TraceRecorder` keeps a table of trace processes and the lanes
 (Chrome-trace threads) inside them, and records into it from one of two
 sources:
 
-* **one server's memory path** — ``attach(hierarchy)`` subscribes to the
-  hierarchy's bus and records every completed
+* **one server's memory path** — ``attach(hierarchy)`` observes the
+  hierarchy (:meth:`~repro.mem.hierarchy.MemoryHierarchy.observe`) and
+  records every completed
   :class:`~repro.mem.transaction.MemoryTransaction` hop by hop, plus the
-  writeback, PMD-batch and injected-fault events, on the server process
-  (pid 0) with one lane per component (tids 1-7).  DDIO-way fills, MLC
-  steering fills, direct-DRAM writes and invalidate drops are
-  distinguishable by category, and ``latency_breakdown_ns()`` yields the
-  per-component split (L1/MLC/LLC/DRAM share of the mean access) that
-  the harness surfaces.  Attaching flips the hierarchy's ``record_hops``
-  switch, which is what makes the hop lists non-empty.
+  writeback, PMD-batch and injected-fault events from its bus, on the
+  server process (pid 0) with one lane per component (tids 1-7).
+  DDIO-way fills, MLC steering fills, direct-DRAM writes and invalidate
+  drops are distinguishable by category, and ``latency_breakdown_ns()``
+  yields the per-component split (L1/MLC/LLC/DRAM share of the mean
+  access) that the harness surfaces.  Observing is what makes the
+  hierarchy record hops; it does not change which transactions run.
 * **a sweep** — ``attach(bus)`` on a sweep-level bus records
   :class:`~repro.obs.events.LaneSeries` counter samples (one ``server-N``
   process per rack server, one ``tenant-N`` process per tenant) and rack
@@ -114,8 +115,8 @@ class TraceRecorder:
     # -- wiring ---------------------------------------------------------
 
     def attach(self, source) -> "TraceRecorder":
-        """Subscribe to a sweep-level :class:`EventBus`, or to a
-        hierarchy's bus with hop recording enabled."""
+        """Subscribe to a sweep-level :class:`EventBus`, or observe a
+        hierarchy and subscribe to its bus."""
         if self._bus is not None:
             raise RuntimeError("recorder is already attached")
         if isinstance(source, EventBus):
@@ -123,8 +124,8 @@ class TraceRecorder:
             source.subscribe(ServerCompletedEvent, self.on_server_completed)
             self._bus = source
             return self
+        source.observe(self.on_transaction)
         bus = source.bus
-        bus.subscribe(MemoryTransaction, self.on_transaction)
         bus.subscribe(MlcWritebackEvent, self.on_mlc_writeback)
         bus.subscribe(LlcWritebackEvent, self.on_llc_writeback)
         bus.subscribe(PmdBatchEvent, self.on_pmd_batch)
@@ -133,17 +134,16 @@ class TraceRecorder:
             self._lane(SERVER_PROCESS, name)
         self._hierarchy = source
         self._bus = bus
-        source.record_hops = True
         return self
 
     def detach(self) -> None:
-        """Unsubscribe; a hierarchy's hop recording goes off with its last
-        transaction subscriber."""
+        """Unsubscribe, and stop observing the hierarchy if attached to one."""
         bus = self._bus
         if bus is None:
             return
+        if self._hierarchy is not None:
+            self._hierarchy.unobserve(self.on_transaction)
         for event_type, handler in (
-            (MemoryTransaction, self.on_transaction),
             (MlcWritebackEvent, self.on_mlc_writeback),
             (LlcWritebackEvent, self.on_llc_writeback),
             (PmdBatchEvent, self.on_pmd_batch),
@@ -152,8 +152,6 @@ class TraceRecorder:
             (ServerCompletedEvent, self.on_server_completed),
         ):
             bus.unsubscribe(event_type, handler)
-        if self._hierarchy is not None and not bus.has_subscribers(MemoryTransaction):
-            self._hierarchy.record_hops = False
         self._hierarchy = None
         self._bus = None
 

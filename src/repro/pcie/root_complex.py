@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.transaction import DMA_READ, DMA_WRITE, _LINE_MASK, MemoryTransaction
 from ..sim import Simulator
-from .tlp import IdioTag, MemReadTLP, MemWriteTLP, decode_idio_bits, encode_idio_bits
+from .tlp import IdioTag, decode_idio_bits, encode_idio_bits
 
 #: Format/type DW0 bits of a memory-write TLP (MWr, 3DW header).
 _MWR_FMT_TYPE = 0x40 << 24
@@ -43,42 +43,17 @@ class RootComplex:
         #: batch entry point only leaves its fast path when the injector
         #: carries data-plane faults (TLP reorder / header corruption).
         self.faults = None
-        # Scratch transactions for the batch entry points: the hierarchy
-        # executes each transaction synchronously and nothing retains it
-        # when no hop recording or transaction subscriber is active, so
-        # the same object is re-initialized per line instead of
-        # allocated (one DMA write per line of every received packet).
+        # Scratch transactions for the batch entry points (one DMA write
+        # per line of every received packet): the hierarchy executes each
+        # transaction synchronously, so the same object is re-initialized
+        # per line instead of allocated.  An observed hierarchy runs and
+        # publishes a copy, so no observer ever holds these objects.
         self._scratch_write = MemoryTransaction(DMA_WRITE, 0, 0)
         self._scratch_read = MemoryTransaction(DMA_READ, 0, 0)
 
     def attach_controller(self, hook: SteeringHook) -> None:
         """Install (or replace) the IDIO controller's data-plane hook."""
         self.steering_hook = hook
-
-    def memory_write(self, tlp: MemWriteTLP) -> int:
-        """Process one inbound DMA write TLP; returns hierarchy latency.
-
-        The tag travels in the TLP header's reserved bits: we encode it on
-        the NIC side and decode it here, round-tripping through the real
-        Fig. 7 bit layout so the in-band transport is exercised on every
-        transaction.
-        """
-        now = self.sim.now
-        tag = decode_idio_bits(tlp.header_word())
-        if self.steering_hook is not None:
-            placement = self.steering_hook(tag, tlp.address, now)
-        else:
-            placement = "llc"  # baseline DDIO: static LLC placement
-        txn = MemoryTransaction(
-            DMA_WRITE,
-            tlp.address,
-            now,
-            core=tag.dest_core,
-            tag=tag,
-            placement=placement,
-        )
-        self.hierarchy.access(txn)
-        return txn.latency
 
     def memory_write_batch(
         self,
@@ -87,9 +62,9 @@ class RootComplex:
     ) -> None:
         """Process one DMA burst: a memory-write TLP per line, same tick.
 
-        Semantically identical to calling :meth:`memory_write` once per
-        line (each line's tag still round-trips through the Fig. 7 header
-        bit layout), but without constructing a TLP object per line — the
+        Each line's tag round-trips through the Fig. 7 header bit layout
+        (encoded on the NIC side, decoded here) before the steering hook
+        sees it, without constructing a TLP object per line — the
         encode/decode pair is memoized on the handful of distinct tags a
         run produces.  This is the RX data path's hottest entry point.
         """
@@ -99,60 +74,31 @@ class RootComplex:
             return
         now = self.sim.now
         hook = self.steering_hook
-        hierarchy = self.hierarchy
-        if not (hierarchy.record_hops or hierarchy._txn_subs):
-            # Nothing retains completed transactions: re-initialize one
-            # scratch object per line and run the DMA-write handler
-            # directly (the access() wrapper's dispatch and publication
-            # are both no-ops without subscribers).
-            run = hierarchy._run_dma_write
-            txn = self._scratch_write
-            txn.now = now
-            if tags is None:
-                tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(_UNTAGGED))
-                txn.core = tag.dest_core
-                txn.tag = tag
-                if hook is None:
-                    txn.placement = "llc"
-                    for addr in addrs:
-                        txn.addr = addr & _LINE_MASK
-                        run(txn)
-                else:
-                    for addr in addrs:
-                        txn.addr = addr & _LINE_MASK
-                        txn.placement = hook(tag, addr, now)
-                        run(txn)
-                return
-            for addr, raw_tag in zip(addrs, tags):
-                tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(raw_tag))
-                txn.core = tag.dest_core
-                txn.tag = tag
-                txn.placement = hook(tag, addr, now) if hook is not None else "llc"
-                txn.addr = addr & _LINE_MASK
-                run(txn)
-            return
-        access = hierarchy.access
+        run = self.hierarchy._run_dma_write
+        txn = self._scratch_write
+        txn.now = now
         if tags is None:
             tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(_UNTAGGED))
-            core = tag.dest_core
-            # Positional construction: this loop runs once per DMA'd line.
+            txn.core = tag.dest_core
+            txn.tag = tag
             if hook is None:
+                txn.placement = "llc"  # baseline DDIO: static LLC placement
                 for addr in addrs:
-                    access(MemoryTransaction(DMA_WRITE, addr, now, core, tag))
+                    txn.addr = addr & _LINE_MASK
+                    run(txn)
             else:
                 for addr in addrs:
-                    access(
-                        MemoryTransaction(
-                            DMA_WRITE, addr, now, core, tag, hook(tag, addr, now)
-                        )
-                    )
+                    txn.addr = addr & _LINE_MASK
+                    txn.placement = hook(tag, addr, now)
+                    run(txn)
             return
         for addr, raw_tag in zip(addrs, tags):
             tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(raw_tag))
-            placement = hook(tag, addr, now) if hook is not None else "llc"
-            access(
-                MemoryTransaction(DMA_WRITE, addr, now, tag.dest_core, tag, placement)
-            )
+            txn.core = tag.dest_core
+            txn.tag = tag
+            txn.placement = hook(tag, addr, now) if hook is not None else "llc"
+            txn.addr = addr & _LINE_MASK
+            run(txn)
 
     def _memory_write_batch_faulted(
         self,
@@ -171,35 +117,25 @@ class RootComplex:
         now = self.sim.now
         faults = self.faults
         hook = self.steering_hook
-        access = self.hierarchy.access
+        run = self.hierarchy._run_dma_write
+        txn = self._scratch_write
+        txn.now = now
         addrs, tags = faults.permute_batch(addrs, tags, now)
         for i, addr in enumerate(addrs):
             raw_tag = tags[i] if tags is not None else _UNTAGGED
             word = faults.corrupt_word(_MWR_FMT_TYPE | encode_idio_bits(raw_tag), now)
             tag = decode_idio_bits(word)
-            placement = hook(tag, addr, now) if hook is not None else "llc"
-            access(
-                MemoryTransaction(DMA_WRITE, addr, now, tag.dest_core, tag, placement)
-            )
-
-    def memory_read(self, tlp: MemReadTLP) -> int:
-        """Process one outbound DMA read TLP (TX); returns hierarchy latency."""
-        txn = MemoryTransaction(DMA_READ, tlp.address, self.sim.now)
-        self.hierarchy.access(txn)
-        return txn.latency
+            txn.core = tag.dest_core
+            txn.tag = tag
+            txn.placement = hook(tag, addr, now) if hook is not None else "llc"
+            txn.addr = addr & _LINE_MASK
+            run(txn)
 
     def memory_read_batch(self, addrs: Sequence[int]) -> None:
         """Process one TX burst: a memory-read TLP per line, same tick."""
-        now = self.sim.now
-        hierarchy = self.hierarchy
-        if not (hierarchy.record_hops or hierarchy._txn_subs):
-            run = hierarchy._run_dma_read
-            txn = self._scratch_read
-            txn.now = now
-            for addr in addrs:
-                txn.addr = addr & _LINE_MASK
-                run(txn)
-            return
-        access = hierarchy.access
+        run = self.hierarchy._run_dma_read
+        txn = self._scratch_read
+        txn.now = self.sim.now
         for addr in addrs:
-            access(MemoryTransaction(DMA_READ, addr, now))
+            txn.addr = addr & _LINE_MASK
+            run(txn)

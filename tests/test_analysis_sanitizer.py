@@ -236,14 +236,17 @@ class TestCleanRuns:
 
     def test_detach_restores_hop_recording(self):
         h = make_hierarchy()
-        assert h.record_hops is False
+        before = h.access(MemoryTransaction(CPU_LOAD, 0x10000, 0, core=0))
+        assert before.hops == []
         san = InvariantSanitizer(h, barrier_interval=8).attach()
-        assert h.record_hops is True
+        during = h.access(MemoryTransaction(CPU_LOAD, 0x10040, 0, core=0))
+        assert during.hops and sum(hop.latency for hop in during.hops) == during.latency
         san.detach()
-        assert h.record_hops is False
-        before = san.transactions_checked
+        after = h.access(MemoryTransaction(CPU_LOAD, 0x10080, 0, core=0))
+        assert after.hops == []
+        checked = san.transactions_checked
         warm(h)
-        assert san.transactions_checked == before
+        assert san.transactions_checked == checked
 
     def test_checked_mode_server_wiring(self):
         from repro.core import policies
@@ -274,4 +277,5 @@ class TestCleanRuns:
 
         server = SimulatedServer(ServerConfig())
         assert server.sanitizer is None
-        assert server.hierarchy.record_hops is False
+        txn = server.hierarchy.access(MemoryTransaction(CPU_LOAD, 0x1000, 0, core=0))
+        assert txn.hops == []

@@ -54,18 +54,3 @@ class TestInvalidateRange:
         unit.invalidate_range(BUF, 64, 0)
         assert BUF in h.llc
 
-
-class TestFlushRange:
-    def test_dirty_data_written_to_dram(self):
-        h, unit = make_unit()
-        cpu_access(h, 0, BUF, True, 0)  # dirty in MLC
-        unit.flush_range(BUF, 64, 0)
-        assert h.dram.writes == 1
-        assert BUF not in h.mlc[0]
-
-    def test_clean_data_not_written(self):
-        h, unit = make_unit()
-        cpu_access(h, 0, BUF, False, 0)
-        h.dram.stats.reset()
-        unit.flush_range(BUF, 64, 0)
-        assert h.dram.writes == 0

@@ -1,9 +1,10 @@
-"""The unified transaction entry point: access(txn), hop records, wrappers.
+"""The unified transaction entry point: access(txn), observers, hop records.
 
 Covers the egress DMA (``pcie_read``) and invalidate maintenance paths
 through :meth:`MemoryHierarchy.access` explicitly — including the hop
-records each one produces — plus the transaction/wrapper equivalences the
-refactor must preserve.
+records each one produces while the hierarchy is observed — plus the
+transaction/wrapper equivalences the refactor must preserve and the
+observe/unobserve contract itself.
 """
 
 import pytest
@@ -24,9 +25,15 @@ from repro.mem.line import LINE_SIZE
 from tests.memtxn import cpu_access, invalidate, pcie_read, pcie_write
 
 
-def make_hierarchy(num_cores=2, record_hops=True):
+def ignore(txn):
+    pass
+
+
+def make_hierarchy(num_cores=2, observed=True):
+    """A hierarchy, observed by default so every access records hops."""
     h = MemoryHierarchy(HierarchyConfig(num_cores=num_cores, l1_enabled=False))
-    h.record_hops = record_hops
+    if observed:
+        h.observe(ignore)
     return h
 
 
@@ -65,7 +72,7 @@ class TestTransactionObject:
         assert sum(hop.latency for hop in txn.hops) == txn.latency
 
     def test_hops_empty_when_recording_disabled(self):
-        h = make_hierarchy(record_hops=False)
+        h = make_hierarchy(observed=False)
         txn = cpu_access_txn(0, ADDR, False, 0)
         h.access(txn)
         assert txn.hops == []
@@ -109,8 +116,8 @@ class TestEgressDmaPath:
         assert h.where(ADDR)["mlc"] == []
 
     def test_wrapper_matches_transaction(self):
-        a = make_hierarchy(record_hops=False)
-        b = make_hierarchy(record_hops=False)
+        a = make_hierarchy(observed=False)
+        b = make_hierarchy(observed=False)
         pcie_write(a, ADDR, 0)
         pcie_write(b, ADDR, 0)
         txn = MemoryTransaction(DMA_READ, ADDR, 10)
@@ -159,8 +166,8 @@ class TestInvalidatePath:
             h.access(MemoryTransaction(INVALIDATE, ADDR, 0, core=0, scope="bogus"))
 
     def test_wrapper_matches_transaction(self):
-        a = make_hierarchy(record_hops=False)
-        b = make_hierarchy(record_hops=False)
+        a = make_hierarchy(observed=False)
+        b = make_hierarchy(observed=False)
         for h in (a, b):
             pcie_write(h, ADDR, 0)
             cpu_access(h, 0, ADDR, True, 1)
@@ -225,17 +232,120 @@ class TestCpuPathHops:
         assert txn.level == "mlc"
         assert hops_of(txn) == [("mlc", "hit")]
 
-    def test_hop_latency_by_component(self):
-        h = make_hierarchy()
-        txn = cpu_access_txn(0, ADDR, False, 0)
-        h.access(txn)
-        split = txn.hop_latency_by_component()
-        assert split["dram"] > 0
-        assert sum(split.values()) == txn.latency
-
 
 class TestHop:
     def test_is_named_tuple(self):
         hop = Hop("llc", "fill", 7)
         assert hop.component == "llc"
         assert tuple(hop) == ("llc", "fill", 7)
+
+
+class TestObserve:
+    """observe()/unobserve(): the one way to watch transactions."""
+
+    def test_hops_filled_while_observed_and_empty_after_unobserve(self):
+        h = make_hierarchy(observed=False)
+        h.observe(ignore)
+        txn = cpu_access_txn(0, ADDR, False, 0)
+        h.access(txn)
+        assert hops_of(txn)[0] == ("mlc", "miss")
+        h.unobserve(ignore)
+        txn = cpu_access_txn(0, ADDR + LINE_SIZE, False, 1)
+        h.access(txn)
+        assert txn.hops == []
+        assert txn.level == "dram"
+
+    def test_observers_get_one_copy_and_caller_gets_outcome(self):
+        h = make_hierarchy(observed=False)
+        first, second = [], []
+        h.observe(first.append)
+        h.observe(second.append)
+        txn = MemoryTransaction(DMA_WRITE, ADDR, 7, core=1, placement="dram")
+        h.access(txn)
+        assert len(first) == len(second) == 1
+        seen = first[0]
+        assert seen is second[0]  # every observer sees the same copy
+        assert seen is not txn
+        assert (seen.kind, seen.addr, seen.now, seen.core, seen.placement) == (
+            DMA_WRITE, ADDR, 7, 1, "dram"
+        )
+        assert (txn.latency, txn.level, txn.hops) == (
+            seen.latency, seen.level, seen.hops
+        )
+        assert hops_of(seen) == [("dram", "write")]
+
+    def test_last_unobserve_restores_class_handlers(self):
+        h = make_hierarchy(observed=False)
+        other = []
+        h.observe(ignore)
+        h.observe(other.append)
+        assert "_run_cpu" in vars(h)
+        h.unobserve(ignore)
+        assert "_run_cpu" in vars(h)  # one observer is still watching
+        h.unobserve(other.append)
+        for name in ("_run_cpu", "_run_dma_write", "_run_dma_read",
+                     "_run_prefetch_fill", "_run_invalidate"):
+            assert name not in vars(h), name
+        assert h._handlers[CPU_LOAD].__func__ is MemoryHierarchy._run_cpu
+        assert h._handlers[INVALIDATE].__func__ is MemoryHierarchy._run_invalidate
+
+    def test_unobserve_unknown_is_noop(self):
+        h = make_hierarchy(observed=False)
+        h.unobserve(ignore)
+        h.observe(ignore)
+        h.unobserve(lambda txn: None)
+        assert "_run_cpu" in vars(h)
+
+    def test_observed_and_bare_hierarchies_agree(self):
+        """Observing changes what is recorded, never what happens."""
+        bare = make_hierarchy(observed=False)
+        watched = make_hierarchy()
+        outcomes = {id(bare): [], id(watched): []}
+        for h in (bare, watched):
+            for i in range(200):
+                addr = ADDR + (i * 7 % 48) * LINE_SIZE
+                if i % 5 == 0:
+                    txn = MemoryTransaction(DMA_WRITE, addr, i)
+                elif i % 7 == 0:
+                    txn = MemoryTransaction(DMA_READ, addr, i)
+                elif i % 11 == 0:
+                    txn = MemoryTransaction(INVALIDATE, addr, i, core=i % 2)
+                elif i % 13 == 0:
+                    txn = MemoryTransaction(PREFETCH_FILL, addr, i, core=i % 2)
+                else:
+                    txn = cpu_access_txn(i % 2, addr, i % 3 == 0, i)
+                h.access(txn)
+                outcomes[id(h)].append((txn.latency, txn.level))
+        assert outcomes[id(bare)] == outcomes[id(watched)]
+        assert bare.stats.counters.snapshot() == watched.stats.counters.snapshot()
+
+    def test_scratch_callers_never_hand_out_their_scratch(self):
+        """Core, root complex and maintenance unit reuse one scratch
+        transaction each; observers must only ever see fresh copies."""
+        from repro.cpu.core import Core
+        from repro.cpu.maintenance import MaintenanceUnit
+        from repro.pcie.root_complex import RootComplex
+        from repro.sim import Simulator
+
+        sim = Simulator()
+        h = make_hierarchy(observed=False)
+        kept = []
+        h.observe(kept.append)
+        core = Core(sim, 0, h)
+        rc = RootComplex(sim, h)
+        unit = MaintenanceUnit(0, h)
+        addrs = [ADDR + i * LINE_SIZE for i in range(4)]
+        rc.memory_write_batch(addrs)
+        for addr in addrs:
+            core.mem_read(addr)
+        rc.memory_read_batch(addrs)
+        unit.invalidate_range(ADDR, 4 * LINE_SIZE, 0)
+        scratch = {id(core._scratch_txn), id(rc._scratch_write),
+                   id(rc._scratch_read), id(unit._scratch_txn)}
+        assert len(kept) == 16
+        assert len({id(t) for t in kept}) == 16
+        assert not scratch & {id(t) for t in kept}
+        assert [t.kind for t in kept] == (
+            [DMA_WRITE] * 4 + [CPU_LOAD] * 4 + [DMA_READ] * 4 + [INVALIDATE] * 4
+        )
+        assert [t.addr for t in kept] == addrs * 4

@@ -64,11 +64,14 @@ class TestHierarchyPublishing:
         assert h.stats.counters.get("llc_writebacks") == 1
 
     def test_transactions_published_when_subscribed(self):
+        """Completed transactions go to the hierarchy's observers, not
+        the bus."""
         h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
         seen = []
-        h.bus.subscribe(MemoryTransaction, seen.append)
+        h.observe(seen.append)
         cpu_access(h, 0, 0x1000, False, 0)
         assert len(seen) == 1 and seen[0].level == "dram"
+        assert not h.bus.has_subscribers(MemoryTransaction)
 
 
 class TestCategorize:
@@ -96,16 +99,19 @@ class TestTraceRecorder:
 
     def test_attach_enables_hop_recording(self):
         h, rec = self.make()
-        assert h.record_hops is True
-        pcie_write(h, 0x1000, 0)
+        txn = MemoryTransaction(DMA_WRITE, 0x1000, 0)
+        h.access(txn)
+        assert [(hop.component, hop.action) for hop in txn.hops] == [("llc", "fill")]
         assert rec.transactions == 1
         assert rec.category_counts.get("ddio-fill") == 1
 
     def test_detach_restores_hierarchy(self):
         h, rec = self.make()
         rec.detach()
-        assert h.record_hops is False
-        pcie_write(h, 0x1000, 0)
+        txn = MemoryTransaction(DMA_WRITE, 0x1000, 0)
+        h.access(txn)
+        assert txn.hops == [] and txn.level == "llc"
+        assert "_run_dma_write" not in vars(h)  # bare handlers are back
         assert rec.transactions == 0
         rec.detach()  # second detach is a no-op
 
@@ -197,4 +203,6 @@ class TestServerTracing:
 
         server = SimulatedServer(server_cfg)
         assert server.trace_recorder is None
-        assert server.hierarchy.record_hops is False
+        txn = MemoryTransaction(DMA_WRITE, 0x1000, 0)
+        server.hierarchy.access(txn)
+        assert txn.hops == []

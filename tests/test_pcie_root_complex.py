@@ -2,7 +2,7 @@
 
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.pcie.root_complex import RootComplex
-from repro.pcie.tlp import IdioTag, MemReadTLP, MemWriteTLP
+from repro.pcie.tlp import IdioTag
 from repro.sim import Simulator
 
 
@@ -15,12 +15,12 @@ def make_rc(hook=None):
 class TestBaseline:
     def test_write_lands_in_llc_by_default(self):
         sim, h, rc = make_rc()
-        rc.memory_write(MemWriteTLP(address=0x1000, tag=IdioTag()))
+        rc.memory_write_batch([0x1000], [IdioTag()])
         assert 0x1000 in h.llc
 
     def test_read_counts(self):
         sim, h, rc = make_rc()
-        rc.memory_read(MemReadTLP(address=0x1000))
+        rc.memory_read_batch([0x1000])
         assert h.stats.counters.get("pcie_reads") == 1
 
 
@@ -34,7 +34,7 @@ class TestSteeringHook:
 
         sim, h, rc = make_rc(hook)
         tag = IdioTag(dest_core=3, is_header=True)
-        rc.memory_write(MemWriteTLP(address=0x2000, tag=tag))
+        rc.memory_write_batch([0x2000], [tag])
         assert seen == [(tag, 0x2000)]
 
     def test_hook_tag_roundtrips_through_tlp_bits(self):
@@ -47,17 +47,17 @@ class TestSteeringHook:
 
         sim, h, rc = make_rc(hook)
         original = IdioTag(dest_core=42, is_header=False, is_burst=True)
-        rc.memory_write(MemWriteTLP(address=0x3000, tag=original))
+        rc.memory_write_batch([0x3000], [original])
         assert seen[0] == original
 
     def test_hook_dram_placement_respected(self):
         sim, h, rc = make_rc(lambda tag, addr, now: "dram")
-        rc.memory_write(MemWriteTLP(address=0x4000, tag=IdioTag()))
+        rc.memory_write_batch([0x4000], [IdioTag()])
         assert 0x4000 not in h.llc
         assert h.dram.writes == 1
 
     def test_attach_controller_replaces_hook(self):
         sim, h, rc = make_rc()
         rc.attach_controller(lambda tag, addr, now: "dram")
-        rc.memory_write(MemWriteTLP(address=0x5000, tag=IdioTag()))
+        rc.memory_write_batch([0x5000], [IdioTag()])
         assert h.dram.writes == 1
