@@ -222,10 +222,6 @@ class NonInclusiveLLC:
                 )
         self._tenant_io_masks[tenant] = list(ways)
 
-    def tenant_io_ways(self, tenant: int) -> List[int]:
-        """The I/O way mask in force for ``tenant`` (shared mask if unset)."""
-        return list(self._tenant_io_masks.get(tenant, self._io_mask))
-
     def tenant_way_table(self) -> Dict[int, List[int]]:
         """A copy of the per-tenant I/O way masks (sanitizer/summary hook)."""
         return {t: list(ways) for t, ways in self._tenant_io_masks.items()}

@@ -13,8 +13,9 @@ Two collection primitives are provided:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..obs.events import LlcWritebackEvent, MlcWritebackEvent
 from ..sim import units
@@ -49,15 +50,13 @@ class Counter:
         return f"Counter({body})"
 
 
-def count_between(times: List[int], start: int, end: int) -> int:
-    """Events of a sorted timestamp list falling in ``[start, end)``."""
-    lo = _bisect_left(times, start)
-    hi = _bisect_left(times, end)
-    return hi - lo
+def count_between(times: Sequence[int], start: int, end: int) -> int:
+    """Events of a sorted timestamp sequence falling in ``[start, end)``."""
+    return bisect_left(times, end) - bisect_left(times, start)
 
 
 def rate_series(
-    times: List[int],
+    times: Sequence[int],
     bin_ticks: int,
     start: int = 0,
     end: int = 0,
@@ -80,7 +79,7 @@ def rate_series(
 
 
 def mtps_series(
-    times: List[int],
+    times: Sequence[int],
     bin_ticks: int,
     start: int = 0,
     end: int = 0,
@@ -104,7 +103,7 @@ class EventLog:
     Timestamps are simulator ticks.  ``record`` is the hot path and is kept
     to a single ``append``.  The binning helpers are module-level functions
     (``count_between``/``rate_series``/``mtps_series``) so that detached
-    timestamp lists — e.g. the ones an ``ExperimentSummary`` carries across
+    timestamp arrays — e.g. the ones an ``ExperimentSummary`` carries across
     process boundaries — bin identically to a live log.
     """
 
@@ -149,17 +148,6 @@ class EventLog:
 
     def reset(self) -> None:
         self._streams.clear()
-
-
-def _bisect_left(values: List[int], target: int) -> int:
-    lo, hi = 0, len(values)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if values[mid] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class StatsBundle:

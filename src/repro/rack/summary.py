@@ -16,7 +16,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..analysis.determinism import fingerprint_digest
 from ..harness import metrics
 from ..harness.experiment import ExperimentSummary
 from ..harness.report import format_table
@@ -100,16 +99,21 @@ class RackSummary:
         config,
         flow_counts: Sequence[int],
         summaries: Sequence[ExperimentSummary],
+        digests: Sequence[str],
         steering_digest: int,
     ) -> "RackSummary":
-        """Fold per-server summaries (in server order) into a rack summary."""
-        if len(summaries) != len(flow_counts):
+        """Fold per-server summaries and their fingerprint digests (in
+        server order) into a rack summary."""
+        if not len(summaries) == len(digests) == len(flow_counts):
             raise ValueError(
-                f"{len(summaries)} summaries for {len(flow_counts)} servers"
+                f"{len(summaries)} summaries and {len(digests)} digests "
+                f"for {len(flow_counts)} servers"
             )
         lanes: List[ServerLane] = []
         pooled: List[float] = []
-        for server, (flows, summary) in enumerate(zip(flow_counts, summaries)):
+        for server, (flows, summary, digest) in enumerate(
+            zip(flow_counts, summaries, digests)
+        ):
             pooled.extend(summary.latencies_ns)
             lanes.append(
                 ServerLane(
@@ -123,7 +127,7 @@ class RackSummary:
                     percentiles_us=_percentiles_us(summary.latencies_ns),
                     events_fired=summary.events_fired,
                     wall_seconds=summary.wall_seconds,
-                    digest=fingerprint_digest(summary),
+                    digest=digest,
                 )
             )
         rack = cls(

@@ -156,10 +156,6 @@ class Simulator:
             self._wall_seconds += time.perf_counter() - wall_start
         return self._now
 
-    def run_for(self, duration: int) -> int:
-        """Run for ``duration`` ticks from the current time."""
-        return self.run(until=self._now + duration)
-
 
 class PeriodicTask:
     """Re-schedules a callback every ``period`` ticks until stopped.

@@ -25,7 +25,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..analysis.determinism import fingerprint_digest
 from ..core.policies import PolicyConfig
 from ..harness.report import format_table
 from ..harness.runner import run_sweep
@@ -116,7 +115,8 @@ class TenantSweepSummary:
     def compute_fingerprint(self) -> str:
         """Digest of the matrix: shape + per-cell summary fingerprints.
 
-        Cell digests come from :func:`fingerprint_digest` (which folds in
+        Cell digests come from
+        :func:`~repro.analysis.determinism.fingerprint_digest` (which folds in
         ``tenant_stats``), so a serial sweep and a warm-pool sweep of the
         same seeded matrix — and a cache hit replaying either — are
         byte-identical.
@@ -286,8 +286,8 @@ def run_tenants(
         intensities=list(intensities),
         exit_code=result.exit_code,
     )
-    for (policy_name, intensity), cell_summary, record in zip(
-        keys, result.summaries, result.records
+    for index, ((policy_name, intensity), cell_summary, record) in enumerate(
+        zip(keys, result.summaries, result.records)
     ):
         if cell_summary is None:
             summary.cells.append(
@@ -305,7 +305,7 @@ def run_tenants(
                 policy=policy_name,
                 intensity=intensity,
                 tenant_stats=cell_summary.tenant_stats,
-                digest=fingerprint_digest(cell_summary),
+                digest=result.fingerprint(index),
                 status=record.status,
                 cached=record.status == "cached",
             )

@@ -6,8 +6,12 @@ and the event kernel breaks timestamp ties FIFO.  Two runs of the same
 experiment must agree on every counter and every packet latency.
 """
 
+import hashlib
+from array import array
+
 import pytest
 
+from repro.analysis.determinism import _ARRAY_PIECE, _repr_pieces, fingerprint_digest
 from repro.core.policies import ddio, idio
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig
@@ -74,3 +78,41 @@ class TestDeterminism:
         shutdown_pool()
         prints = [pickle.dumps(s.fingerprint()) for s in (*serial, *pooled)]
         assert len(set(prints)) == 1
+
+
+def plain(value):
+    """``value`` with every array turned into the tuple of its items."""
+    if isinstance(value, array):
+        return tuple(value)
+    if type(value) is tuple:
+        return tuple(plain(item) for item in value)
+    return value
+
+
+def column(n, start=-3):
+    return array("q", range(start * 10**11, (start + n) * 10**11, 10**11))
+
+
+class TestFingerprintDigest:
+    """The digest hashes ``repr`` of the fingerprint with arrays as tuples."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            (),
+            (column(0),),
+            (column(1),),
+            ("s", column(2)),
+            (column(_ARRAY_PIECE),),
+            (column(_ARRAY_PIECE + 1), column(3 * _ARRAY_PIECE - 7)),
+            ((("pcie_writes", column(5)), ("dram_reads", column(0))),),
+            ("it's", None, 1.5, float("inf"), (2.0, -0.0), ((1,),), (True,)),
+        ],
+    )
+    def test_pieces_spell_the_plain_repr(self, value):
+        assert "".join(_repr_pieces(value)) == repr(plain(value))
+
+    def test_summary_digest_hashes_the_plain_repr(self):
+        summary = run_once(idio()).summary()
+        plain_repr = repr(plain(summary.fingerprint())).encode("utf-8")
+        assert fingerprint_digest(summary) == hashlib.sha256(plain_repr).hexdigest()

@@ -1,8 +1,10 @@
 """Unit tests for counters and event logs."""
 
+from array import array
+
 import pytest
 
-from repro.mem.stats import Counter, EventLog, StatsBundle
+from repro.mem.stats import Counter, EventLog, StatsBundle, count_between, rate_series
 from repro.sim import units
 
 
@@ -47,6 +49,19 @@ class TestEventLog:
         for t in (0, 10, 20, 30):
             log.record("wb", t)
         assert log.count_between("wb", 10, 30) == 2  # [10, 30)
+
+    @pytest.mark.parametrize("wrap", [list, lambda ts: array("q", ts)], ids=["list", "array"])
+    def test_detached_streams_bin_like_the_log(self, wrap):
+        times = [0, 10, 10, 20, 30, 45]
+        log = EventLog()
+        for t in times:
+            log.record("wb", t)
+        detached = wrap(times)
+        for start in range(-5, 55, 5):
+            for end in range(start, 55, 5):
+                expected = sum(start <= t < end for t in times)
+                assert count_between(detached, start, end) == expected
+        assert rate_series(detached, 10, 0, 50) == log.rate_series("wb", 10, 0, 50)
 
     def test_rate_series_bins(self):
         log = EventLog()
