@@ -64,6 +64,12 @@ def tiny_experiment(name="cache-exp", **overrides):
     return Experiment(**defaults)
 
 
+def summarize(exp):
+    """``exp``'s summary and its fingerprint digest, as ``put`` takes them."""
+    summary = run_experiment_summary(exp)
+    return summary, fingerprint_digest(summary)
+
+
 @pytest.fixture(autouse=True)
 def _no_ambient_cache():
     """Tests control the default cache explicitly; never inherit one."""
@@ -157,7 +163,7 @@ class TestConfigDigest:
 
         exp = tiny_experiment()
         store = tmp_path / "cache"
-        ResultCache(store, version=original).put(exp, run_experiment_summary(exp))
+        ResultCache(store, version=original).put(exp, *summarize(exp))
         assert ResultCache(store, version=original).get(exp) is not None
         assert ResultCache(store, version=changed).get(exp) is None
 
@@ -192,7 +198,7 @@ class TestStoreRoundTrip:
         exp = tiny_experiment()
         assert cache.get(exp) is None  # cold: absent
         summary = run_experiment_summary(exp)
-        digest = cache.put(exp, summary)
+        digest = cache.put(exp, summary, fingerprint_digest(summary))
         assert digest == cache.digest_for(exp)
         hit = cache.get(exp)
         cold = run_experiment_summary(exp)  # independent recompute
@@ -204,21 +210,21 @@ class TestStoreRoundTrip:
         plan = FaultPlan(specs=(FaultSpec("harness.crash",),))
         exp = tiny_experiment(server_overrides={"fault_plan": plan})
         clean = tiny_experiment()
-        assert cache.put(exp, run_experiment_summary(clean)) is None
+        assert cache.put(exp, *summarize(clean)) is None
         assert cache.entry_paths() == []
         assert cache.get(exp) is None  # forced miss, no file ever
 
     def test_version_change_invalidates(self, tmp_path):
         exp = tiny_experiment()
-        summary = run_experiment_summary(exp)
-        ResultCache(tmp_path, version="1.0").put(exp, summary)
+        summary, fingerprint = summarize(exp)
+        ResultCache(tmp_path, version="1.0").put(exp, summary, fingerprint)
         assert ResultCache(tmp_path, version="1.0").get(exp) is not None
         assert ResultCache(tmp_path, version="2.0").get(exp) is None
 
     def test_corrupt_entry_is_evicted_on_read(self, tmp_path):
         cache = ResultCache(tmp_path)
         exp = tiny_experiment()
-        digest = cache.put(exp, run_experiment_summary(exp))
+        digest = cache.put(exp, *summarize(exp))
         path = cache.path_for(digest)
         path.write_bytes(b"not a pickle")
         assert cache.get(exp) is None
@@ -228,7 +234,7 @@ class TestStoreRoundTrip:
     def test_tampered_summary_fails_fingerprint_check(self, tmp_path):
         cache = ResultCache(tmp_path)
         exp = tiny_experiment()
-        digest = cache.put(exp, run_experiment_summary(exp))
+        digest = cache.put(exp, *summarize(exp))
         path = cache.path_for(digest)
         entry = pickle.loads(path.read_bytes())
         entry["summary"] = replace(entry["summary"], rx_drops=999999)
@@ -240,13 +246,13 @@ class TestStoreRoundTrip:
     def test_concurrent_writers_leave_one_valid_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         exp = tiny_experiment()
-        summary = run_experiment_summary(exp)
+        summary, fingerprint = summarize(exp)
         errors = []
 
         def writer():
             try:
                 for _ in range(10):
-                    cache.put(exp, summary)
+                    cache.put(exp, summary, fingerprint)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -301,7 +307,7 @@ class TestRunnerIntegration:
     def test_partial_hit_batch_preserves_order(self, tmp_path):
         cache = ResultCache(tmp_path)
         a, b, c = (tiny_experiment(n) for n in ("a", "b", "c"))
-        cache.put(b, run_experiment_summary(b))
+        cache.put(b, *summarize(b))
         out = run_experiments([a, b, c], cache=cache)
         assert [s.experiment.name for s in out] == ["a", "b", "c"]
         assert cache.hits == 1 and cache.misses == 2
@@ -364,7 +370,7 @@ class TestVerifyGc:
             tiny_experiment(f"v{i}", traffic_seed=i) for i in range(n)
         ]
         for exp in exps:
-            cache.put(exp, run_experiment_summary(exp))
+            cache.put(exp, *summarize(exp))
         return cache, exps
 
     def test_verify_clean_cache(self, tmp_path):
@@ -413,10 +419,8 @@ class TestVerifyGc:
 
     def test_gc_evicts_foreign_versions_first(self, tmp_path):
         cache, exps = self.populate(tmp_path, n=1)
-        ResultCache(tmp_path, version="0.0.1").put(
-            tiny_experiment("old", traffic_seed=9),
-            run_experiment_summary(tiny_experiment("old", traffic_seed=9)),
-        )
+        old = tiny_experiment("old", traffic_seed=9)
+        ResultCache(tmp_path, version="0.0.1").put(old, *summarize(old))
         assert len(cache.entry_paths()) == 2
         report = cache.gc()
         assert report.evicted_foreign == 1

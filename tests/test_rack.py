@@ -112,7 +112,7 @@ class TestSimulatedRack:
     def test_fold_rejects_count_mismatch(self):
         rack = SimulatedRack(small_config())
         with pytest.raises(ValueError):
-            rack.fold([])
+            rack.fold([], [])
 
 
 class TestRackSweep:
