@@ -10,7 +10,7 @@ test:
 lint:
 	ruff check src tests tools benchmarks
 
-# Full static-analysis battery: simlint SIM001-SIM015 (always; parses in
+# Full static-analysis battery: simlint SIM001–SIM017 (always; parses in
 # parallel through the .simlint-cache AST store) + ruff/mypy (when
 # installed -- missing tools are skipped with a notice, see tools/analyze.py;
 # CI makes them mandatory with --require ruff,mypy).

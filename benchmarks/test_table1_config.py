@@ -18,7 +18,7 @@ def test_table1_configuration(benchmark):
     h = server.hierarchy
 
     rows = [
-        ["Core freq", "3 GHz", f"{server.config.freq_ghz} GHz"],
+        ["Core freq", "3 GHz", f"{units.CPU_FREQ_GHZ} GHz"],
         ["L1D size/assoc", "64 KB / 2", f"{h.l1[0].config.size_bytes // 1024} KB / {h.l1[0].config.assoc}"],
         ["L1D latency", "2 CC", f"{h.l1[0].config.latency / units.cycles(1):.0f} CC"],
         ["MLC size/assoc", "1 MB / 8", f"{h.mlc[0].config.size_bytes // 1024} KB / {h.mlc[0].config.assoc}"],

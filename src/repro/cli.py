@@ -717,7 +717,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     failures = 0
 
     # Stage 0: static analysis.  In a source checkout the simlint
-    # whole-program engine (tools/simlint, SIM001-SIM015) lints the repro
+    # whole-program engine (tools/simlint, SIM001-SIM017) lints the repro
     # package itself; installed contexts without the tools/ tree skip
     # with a notice rather than failing (the CI gate runs the full
     # battery through tools/analyze.py regardless).

@@ -152,12 +152,6 @@ class IDIOController:
 
     # ------------------------------------------------------------------
 
-    def status_of(self, core: int) -> str:
-        """Human-readable steering status for diagnostics."""
-        if self.static_mlc:
-            return "MLC"
-        return "MLC" if self.fsm[core].steers_to_mlc else "LLC"
-
     def stop(self) -> None:
         self._control_task.stop()
         self.hierarchy.bus.unsubscribe(MlcWritebackEvent, self._on_mlc_writeback)

@@ -115,10 +115,6 @@ class IOCAController:
 
     # -- teardown -------------------------------------------------------
 
-    def current_allocation(self) -> Tuple[int, ...]:
-        """The way-count vector currently in force (tenant order)."""
-        return self.reallocations[-1] if self.reallocations else ()
-
     def stop(self) -> None:
         self._task.stop()
         self.hierarchy.bus.unsubscribe(TenantDmaEvent, self._on_tenant_dma)

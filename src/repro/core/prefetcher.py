@@ -11,7 +11,7 @@ no attempt to backpressure the controller.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.transaction import PREFETCH_FILL, MemoryTransaction

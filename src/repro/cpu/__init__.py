@@ -1,7 +1,6 @@
 """CPU-side substrate: cores, the DPDK-style stack, apps, maintenance ops."""
 
 from .apps import (
-    CostModel,
     L2Fwd,
     L2FwdPayloadDrop,
     LLCAntagonist,
@@ -22,7 +21,6 @@ __all__ = [
     "AntagonistDriver",
     "Core",
     "CoreStats",
-    "CostModel",
     "InvalidatePermissionError",
     "L2Fwd",
     "L2FwdPayloadDrop",

@@ -16,20 +16,34 @@
 
 Cost-model constants: software work is charged in cycles at 3 GHz on top
 of the hierarchy's memory latencies.  ``BASE_CYCLES`` covers the PMD/mbuf
-bookkeeping per packet; ``TOUCH_CYCLES_PER_LINE`` the data-touching loop.
-With MLC-resident data this yields ~1.0 us per 1514 B packet — i.e. the
+bookkeeping per packet; ``TOUCH_CYCLES_PER_LINE`` the data-touching loop;
+``HEADER_CYCLES`` the header parse and forwarding decision.  With
+MLC-resident data this yields ~1.0 us per 1514 B packet — i.e. the
 ~12 Gbps per-core saturation the paper reports (§VII).
+
+``MEM_OVERLAP`` models the memory-level parallelism of the streaming
+data-touch loop: a 3-wide OoO core with 16 L2 MSHRs (Table I) keeps
+several line fetches of the same buffer in flight, so the *effective*
+per-line stall is the hierarchy latency divided by the overlap factor.
+Dependent accesses (header parsing, the LLCAntagonist's random walk)
+do not benefit and are charged full latency.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 from ..mem.line import LINE_SIZE, lines_spanning
 from ..net.packet import APP_CLASS_LONG_USE, APP_CLASS_SHORT_USE, HEADER_BYTES, Packet
 from ..sim import units
 from .core import Core
+
+#: Fixed per-packet driver/mbuf overhead, in cycles (~600 ns at 3 GHz).
+BASE_CYCLES = 1800.0
+#: Data-touching work per cacheline, in cycles (~10 ns at 3 GHz).
+TOUCH_CYCLES_PER_LINE = 30.0
+#: Header parsing / forwarding decision work, in cycles.
+HEADER_CYCLES = 300.0
+#: Overlap factor for streaming (independent) line fetches.
+MEM_OVERLAP = 8.0
 
 
 class NetworkFunction:
@@ -52,28 +66,6 @@ class NetworkFunction:
         raise NotImplementedError
 
 
-@dataclass
-class CostModel:
-    """Per-packet software cost knobs shared by the NFs.
-
-    ``mem_overlap`` models the memory-level parallelism of the streaming
-    data-touch loop: a 3-wide OoO core with 16 L2 MSHRs (Table I) keeps
-    several line fetches of the same buffer in flight, so the *effective*
-    per-line stall is the hierarchy latency divided by the overlap factor.
-    Dependent accesses (header parsing, the LLCAntagonist's random walk)
-    do not benefit and are charged full latency.
-    """
-
-    #: Fixed per-packet driver/mbuf overhead, in cycles (~600 ns at 3 GHz).
-    base_cycles: float = 1800.0
-    #: Data-touching work per cacheline, in cycles (~10 ns at 3 GHz).
-    touch_cycles_per_line: float = 30.0
-    #: Header parsing / forwarding decision work, in cycles.
-    header_cycles: float = 300.0
-    #: Overlap factor for streaming (independent) line fetches.
-    mem_overlap: float = 8.0
-
-
 class TouchDrop(NetworkFunction):
     """Receive, touch every byte, drop (Table II)."""
 
@@ -81,27 +73,24 @@ class TouchDrop(NetworkFunction):
     app_class = APP_CLASS_SHORT_USE
     transmits = False
 
-    def __init__(self, cost: Optional[CostModel] = None) -> None:
-        self.cost = cost or CostModel()
+    def __init__(self) -> None:
         self.packets_processed = 0
         self.bytes_processed = 0
 
     def process(self, core: Core, packet: Packet) -> int:
         assert packet.buffer_addr is not None, "packet was never DMA-ed"
-        cost = self.cost
-        latency = core.compute(cost.base_cycles)
+        latency = core.compute(BASE_CYCLES)
         # The per-line touch cost is a constant: convert it once and batch
         # the compute-tick accounting after the loop instead of calling
         # core.compute() per cacheline (this loop touches every line of
         # every received packet — the hottest application loop there is).
-        touch_ticks = units.cycles(cost.touch_cycles_per_line, core.freq_ghz)
-        overlap = cost.mem_overlap
+        touch_ticks = units.cycles(TOUCH_CYCLES_PER_LINE)
         mem_read = core.mem_read
         touched = 0
         for addr in lines_spanning(packet.buffer_addr, packet.size_bytes):
             # Streaming touch loop: line fetches overlap (MLP), so only the
             # effective (divided) stall is charged to the packet.
-            latency += int(mem_read(addr) / overlap) + touch_ticks
+            latency += int(mem_read(addr) / MEM_OVERLAP) + touch_ticks
             touched += 1
         core.stats.compute_ticks += touch_ticks * touched
         self.packets_processed += 1
@@ -121,17 +110,16 @@ class L2Fwd(NetworkFunction):
     app_class = APP_CLASS_SHORT_USE
     transmits = True
 
-    def __init__(self, cost: Optional[CostModel] = None) -> None:
-        self.cost = cost or CostModel()
+    def __init__(self) -> None:
         self.packets_processed = 0
         self.bytes_processed = 0
 
     def process(self, core: Core, packet: Packet) -> int:
         assert packet.buffer_addr is not None, "packet was never DMA-ed"
-        latency = core.compute(self.cost.base_cycles)
+        latency = core.compute(BASE_CYCLES)
         for addr in lines_spanning(packet.buffer_addr, min(packet.size_bytes, HEADER_BYTES)):
             latency += core.mem_read(addr)
-        latency += core.compute(self.cost.header_cycles)
+        latency += core.compute(HEADER_CYCLES)
         # Rewrite the destination MAC in place (zero-copy forward).
         latency += core.mem_write(packet.buffer_addr)
         self.packets_processed += 1
@@ -151,17 +139,16 @@ class L2FwdPayloadDrop(NetworkFunction):
     app_class = APP_CLASS_LONG_USE
     transmits = False
 
-    def __init__(self, cost: Optional[CostModel] = None) -> None:
-        self.cost = cost or CostModel()
+    def __init__(self) -> None:
         self.packets_processed = 0
         self.bytes_processed = 0
 
     def process(self, core: Core, packet: Packet) -> int:
         assert packet.buffer_addr is not None, "packet was never DMA-ed"
-        latency = core.compute(self.cost.base_cycles)
+        latency = core.compute(BASE_CYCLES)
         for addr in lines_spanning(packet.buffer_addr, min(packet.size_bytes, HEADER_BYTES)):
             latency += core.mem_read(addr)
-        latency += core.compute(self.cost.header_cycles)
+        latency += core.compute(HEADER_CYCLES)
         self.packets_processed += 1
         self.bytes_processed += packet.size_bytes
         return latency

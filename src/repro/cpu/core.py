@@ -27,10 +27,6 @@ class CoreStats:
     compute_ticks: int = 0
     hits_by_level: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_ticks(self) -> int:
-        return self.mem_ticks + self.compute_ticks
-
     def average_access_ns(self) -> float:
         """Average memory access latency in ns (the antagonist's CPI proxy)."""
         if self.mem_accesses == 0:
@@ -46,12 +42,10 @@ class Core:
         sim: Simulator,
         core_id: int,
         hierarchy: MemoryHierarchy,
-        freq_ghz: float = 3.0,
     ) -> None:
         self.sim = sim
         self.core_id = core_id
         self.hierarchy = hierarchy
-        self.freq_ghz = freq_ghz
         self.stats = CoreStats()
         # Scratch transaction for demand accesses.  A core issues one
         # access at a time and the hierarchy executes it synchronously,
@@ -94,6 +88,6 @@ class Core:
 
     def compute(self, num_cycles: float) -> int:
         """Charge ``num_cycles`` of non-memory work; returns ticks."""
-        ticks = units.cycles(num_cycles, self.freq_ghz)
+        ticks = units.cycles(num_cycles)
         self.stats.compute_ticks += ticks
         return ticks

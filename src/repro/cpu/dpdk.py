@@ -31,7 +31,7 @@ from ..nic.nic import NIC, NicQueue
 from ..obs.events import PmdBatchEvent
 from ..sim import Simulator
 from ..sim import units
-from .apps import LLCAntagonist, NetworkFunction
+from .apps import MEM_OVERLAP, LLCAntagonist, NetworkFunction
 from .core import Core
 from .maintenance import MaintenanceUnit
 
@@ -267,18 +267,16 @@ class PollModeDriver:
 
     def _process_copy(self, batch, idx, desc, packet, latency: int) -> None:
         """Copy the packet out, recycle the slot, process the copy."""
-        from ..mem.line import lines_spanning, num_lines
+        from ..mem.line import lines_spanning
 
         copy_addr = self._copy_addrs[self._copy_cursor % len(self._copy_addrs)]
         self._copy_cursor += 1
-        overlap = getattr(self.app, "cost", None)
-        mem_overlap = overlap.mem_overlap if overlap is not None else 8.0
         dma_lines = list(lines_spanning(desc.buffer_addr, packet.size_bytes))
         for i, addr in enumerate(dma_lines):
             # memcpy loop: streaming read of the DMA line, streaming write
             # of the application-space destination line.
-            latency += int(self.core.mem_read(addr) / mem_overlap)
-            latency += int(self.core.mem_write(copy_addr + i * LINE_SIZE) / mem_overlap)
+            latency += int(self.core.mem_read(addr) / MEM_OVERLAP)
+            latency += int(self.core.mem_write(copy_addr + i * LINE_SIZE) / MEM_OVERLAP)
             latency += self.core.compute(self.COPY_CYCLES_PER_LINE)
 
         # The DMA buffer is dead right after the first touch (the copy).
@@ -420,7 +418,7 @@ class AntagonistDriver:
         randrange = self._rng.randrange
         mem_read = core.mem_read
         # Constant per-access compute cost: convert once, account once.
-        compute_ticks = units.cycles(app.compute_cycles_per_access, core.freq_ghz)
+        compute_ticks = units.cycles(app.compute_cycles_per_access)
         n = app.accesses_per_iteration
         for _ in range(n):
             latency += mem_read(base + randrange(n_lines) * LINE_SIZE) + compute_ticks

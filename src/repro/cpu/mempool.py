@@ -68,10 +68,6 @@ class BufferPool:
         self.frees += 1
         self._free.append(addr)
 
-    def span_bytes(self) -> int:
-        """Total address-space footprint of the pool."""
-        return self.count * self.stride
-
     def addresses(self) -> List[int]:
         """All buffer addresses the pool manages (free or not)."""
         return [self.base + i * self.stride for i in range(self.count)]

@@ -80,10 +80,6 @@ class PageTable:
                 f"page {self.page_number(addr):#x} is not marked Invalidatable"
             )
 
-    def unmap_range(self, base: int, num_bytes: int) -> None:
-        for pn in self._pages(base, num_bytes):
-            self._entries.pop(pn, None)
-
     @staticmethod
     def _pages(base: int, num_bytes: int) -> Iterable[int]:
         if num_bytes <= 0:

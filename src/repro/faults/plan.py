@@ -148,18 +148,6 @@ class FaultPlan:
             seed=self.seed,
         )
 
-    def fingerprint_key(self) -> Tuple:
-        """A deterministic tuple identifying this plan (for digests)."""
-        return (
-            self.seed,
-            tuple(
-                (s.kind, s.start_us, s.duration_us, s.period_us,
-                 s.probability, s.magnitude)
-                for s in self.specs
-            ),
-        )
-
-
 #: Reference fault schedules per layer, used by the ``repro faults``
 #: degradation matrix and the smoke tests.  Magnitudes are sized for the
 #: reference burst experiment (one ring-sized burst at tens of Gbps over

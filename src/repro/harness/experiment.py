@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cachedirector import CacheDirectorController
 from ..core.controller import IDIOController
-from ..core.policies import PolicyConfig, ddio
+from ..core.policies import PolicyConfig
 from ..mem import stats as stats_mod
 from ..mem.line import LINE_SIZE
 from ..net.traffic import TrafficProfile, make_profile
@@ -36,6 +36,9 @@ SUMMARY_STREAMS: Tuple[str, ...] = (
     "dram_reads",
     "dram_writes",
 )
+
+#: Tick the offered traffic starts at, after warm-up settles.
+TRAFFIC_START = units.microseconds(20)
 
 
 @dataclass
@@ -64,7 +67,6 @@ class Experiment:
     diurnal_period: int = units.milliseconds(1)
     #: Extra time after the traffic ends to let the CPUs drain the rings.
     drain_allowance: int = units.milliseconds(8)
-    traffic_start: int = units.microseconds(20)
 
     def __post_init__(self) -> None:
         # Build (and so validate) the traffic now, not inside the run.
@@ -91,7 +93,7 @@ class Experiment:
             alpha=self.heavy_tail_alpha,
             duration=self.steady_duration,
             packet_bytes=self.server.packet_bytes,
-            start=self.traffic_start,
+            start=TRAFFIC_START,
             seed=seed,
         )
 
@@ -435,10 +437,10 @@ def run_experiment(experiment: Experiment) -> ExperimentResult:
         # window even when a bursty tenant outlasts it.
         profiles = tenants.traffic_profiles(
             experiment.steady_duration,
-            start=experiment.traffic_start,
+            start=TRAFFIC_START,
             packet_bytes=experiment.server.packet_bytes,
         )
-        traffic_end = experiment.traffic_start + experiment.steady_duration
+        traffic_end = TRAFFIC_START + experiment.steady_duration
     else:
         profiles = [
             experiment.traffic_profile(experiment.traffic_seed + i)
@@ -471,7 +473,7 @@ def run_experiment(experiment: Experiment) -> ExperimentResult:
         # over the co-run, not the post-burst idle tail.
         window_end = max(completions) if completions else end_time
         antagonist_ns = antagonist.access_ns_between(
-            experiment.traffic_start, window_end
+            TRAFFIC_START, window_end
         )
         if antagonist_ns is None:
             antagonist_ns = stats.average_access_ns()

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..mem.line import LINE_SIZE
 from ..mem.stats import StatsBundle
 from ..sim import units
 
@@ -72,28 +71,6 @@ def window_stats(stats: StatsBundle, start: int, end: int) -> WindowStats:
         mlc_invalidations=count("mlc_invalidations", start, end),
         pcie_writes=count("pcie_writes", start, end),
     )
-
-
-def dram_bandwidth_gbps(stats: StatsBundle, stream: str, start: int, end: int) -> float:
-    """Average DRAM bandwidth of a window (``dram_reads``/``dram_writes``)."""
-    if end <= start:
-        return 0.0
-    count = stats.events.count_between(stream, start, end)
-    return units.bytes_to_gbps(count * LINE_SIZE, end - start)
-
-
-def rate_normalized_to_rx(
-    stats: StatsBundle, stream: str, start: int, end: int
-) -> float:
-    """Transaction rate of ``stream`` normalized to RX line rate (Fig. 4).
-
-    The RX line rate is the PCIe write rate; a value of 1.0 means the
-    stream moves exactly as many cachelines as the network delivers.
-    """
-    rx = stats.events.count_between("pcie_writes", start, end)
-    if rx == 0:
-        return 0.0
-    return stats.events.count_between(stream, start, end) / rx
 
 
 def burst_processing_time(stats: StatsBundle, completions: Sequence[int]) -> Optional[int]:

@@ -23,7 +23,6 @@ from ..core.controller import IDIOController
 from ..core.policies import PolicyConfig, SteeringController, TenantPartition, ddio
 from ..core.prefetcher import RegulatedMLCPrefetcher
 from ..cpu.apps import (
-    CostModel,
     L2Fwd,
     L2FwdPayloadDrop,
     LLCAntagonist,
@@ -52,11 +51,15 @@ from ..pcie.root_complex import RootComplex
 from ..sim import Simulator, units
 from ..tenants.config import TenantSet, tenant_rng
 
-APP_FACTORIES: Dict[str, Callable[[Optional[CostModel]], NetworkFunction]] = {
-    "touchdrop": lambda cost: TouchDrop(cost),
-    "l2fwd": lambda cost: L2Fwd(cost),
-    "l2fwd-payload-drop": lambda cost: L2FwdPayloadDrop(cost),
+APP_FACTORIES: Dict[str, Callable[[], NetworkFunction]] = {
+    "touchdrop": TouchDrop,
+    "l2fwd": L2Fwd,
+    "l2fwd-payload-drop": L2FwdPayloadDrop,
 }
+
+#: MLC of every antagonist core: shrunk to 256 KB so the antagonist is
+#: LLC-sensitive (§VI).
+ANTAGONIST_MLC_BYTES = 256 * 1024
 
 
 @dataclass
@@ -80,7 +83,6 @@ class ServerConfig:
     #: Add an LLCAntagonist core (Fig. 10/12 co-run scenarios).
     antagonist: bool = False
     antagonist_buffer_bytes: int = 2 * 1024 * 1024
-    antagonist_mlc_bytes: int = 256 * 1024
     #: LLC geometry (3 MB total, 12 ways, 2 DDIO ways by default).
     llc_bytes: int = 3 * 1024 * 1024
     llc_ways: int = 12
@@ -103,13 +105,7 @@ class ServerConfig:
     #: DRAM model: "fixed" (constant latency) or "banked" (channels,
     #: banks, open-row tracking).
     dram_model: str = "fixed"
-    #: Extra pool buffers per ring slot in re-allocate mode.
-    reallocate_pool_factor: int = 2
-    cost_model: Optional[CostModel] = None
     nic: NicConfig = field(default_factory=NicConfig)
-    freq_ghz: float = 3.0
-    #: Reset statistics after warmup so Fig.-style windows start clean.
-    reset_stats_after_warmup: bool = True
     #: Attach a :class:`~repro.obs.trace.TraceRecorder` to the hierarchy
     #: (it observes every transaction, hops recorded — off by default;
     #: tracing costs both time and memory, so it is strictly opt-in).
@@ -136,8 +132,10 @@ class ServerConfig:
     tenants: Optional[TenantSet] = None
 
     def __post_init__(self) -> None:
-        if self.num_nics < 1:
-            raise ValueError(f"num_nics must be at least 1, got {self.num_nics}")
+        for name in ("num_nf_cores", "ring_size", "packet_bytes", "num_nics"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.recycle_mode not in RECYCLE_MODES:
             raise ValueError(
                 f"unknown recycle mode {self.recycle_mode!r}; choose from {RECYCLE_MODES}"
@@ -230,16 +228,15 @@ class SimulatedServer:
         num_antagonists = config.num_cores - config.num_nf_cores
         hier_config = HierarchyConfig(
             num_cores=config.num_cores,
-            freq_ghz=config.freq_ghz,
             l1_enabled=config.l1_enabled,
             # Antagonist cores are LLC-sensitive: they get the small MLC.
             mlc_sizes=[config.nf_mlc_bytes] * config.num_nf_cores
-            + [config.antagonist_mlc_bytes] * num_antagonists,
+            + [ANTAGONIST_MLC_BYTES] * num_antagonists,
             llc=CacheConfig(
                 "llc",
                 config.llc_bytes,
                 config.llc_ways,
-                units.cycles(24, config.freq_ghz),
+                units.cycles(24),
                 mshrs=32,
             ),
             ddio_ways=config.ddio_ways,
@@ -325,8 +322,7 @@ class SimulatedServer:
         the poll-mode driver and one traffic generator per flow."""
         config = self.config
         self.cores: List[Core] = [
-            Core(self.sim, i, self.hierarchy, config.freq_ghz)
-            for i in range(config.num_cores)
+            Core(self.sim, i, self.hierarchy) for i in range(config.num_cores)
         ]
         self.apps: List[NetworkFunction] = []
         self.drivers: List[PollModeDriver] = []
@@ -348,9 +344,9 @@ class SimulatedServer:
             copy_pool = None
             if config.recycle_mode == "reallocate":
                 # One contiguous DMA region covering the ring's initial
-                # buffers plus the mempool's spares; the ring's initial
+                # buffers plus as many mempool spares; the ring's initial
                 # slots are reserved out of the pool.
-                total = config.ring_size * max(2, config.reallocate_pool_factor)
+                total = config.ring_size * 2
                 buf_bytes = total * stride
                 buf_base = alloc.take(buf_bytes)
                 buffer_pool = BufferPool(buf_base, stride, total)
@@ -374,7 +370,7 @@ class SimulatedServer:
                 ]
 
             queue = port.add_queue(i, i, desc_base, buf_base)
-            app = APP_FACTORIES[config.app_for_core(i)](config.cost_model)
+            app = APP_FACTORIES[config.app_for_core(i)]()
             if app.transmits:
                 tx_desc_base = alloc.take(desc_bytes)
                 self.page_table.map_range(tx_desc_base, desc_bytes)
@@ -471,13 +467,13 @@ class SimulatedServer:
             antagonist.warmup()
         for driver in self.drivers:
             driver.init_ring()
-        if self.config.reset_stats_after_warmup:
-            self.stats.reset()
-            for core in self.cores:
-                core.stats.mem_accesses = 0
-                core.stats.mem_ticks = 0
-                core.stats.compute_ticks = 0
-                core.stats.hits_by_level.clear()
+        # Statistics restart after warm-up so Fig.-style windows start clean.
+        self.stats.reset()
+        for core in self.cores:
+            core.stats.mem_accesses = 0
+            core.stats.mem_ticks = 0
+            core.stats.compute_ticks = 0
+            core.stats.hits_by_level.clear()
         for driver in self.drivers:
             driver.start()
         for antagonist in self.antagonists:

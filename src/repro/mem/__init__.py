@@ -3,7 +3,6 @@
 from .cache import CacheConfig, SetAssociativeCache
 from .dram import DRAM, BankedDRAM
 from .hierarchy import (
-    AccessResult,
     HierarchyConfig,
     MemoryHierarchy,
     default_l1_config,
@@ -25,11 +24,9 @@ from .transaction import (
     PREFETCH_FILL,
     Hop,
     MemoryTransaction,
-    cpu_access_txn,
 )
 
 __all__ = [
-    "AccessResult",
     "BankedDRAM",
     "CPU_LOAD",
     "CPU_STORE",
@@ -57,7 +54,6 @@ __all__ = [
     "SnoopFilterDirectory",
     "StatsBundle",
     "TreePLRUPolicy",
-    "cpu_access_txn",
     "default_l1_config",
     "default_llc_config",
     "default_mlc_config",

@@ -167,13 +167,6 @@ class SetAssociativeCache:
                 if entry is not None:
                     yield entry
 
-    def occupancy_by_origin(self) -> Dict[str, int]:
-        """Count resident lines by their ``origin`` tag (DMA bloat stats)."""
-        counts: Dict[str, int] = {}
-        for entry in self.lines():
-            counts[entry.origin] = counts.get(entry.origin, 0) + 1
-        return counts
-
     # -- mutation -----------------------------------------------------
 
     def insert(

@@ -4,13 +4,10 @@ The paper's platform uses DDR4-3200 (Table I).  The phenomena under study
 are cache-resident (writeback rates, DMA bloating), so DRAM is modeled as a
 fixed-latency, bandwidth-accounted sink: every read/write is counted and
 timestamped so the harness can report DRAM read/write bandwidth exactly the
-way Fig. 4 and Fig. 10 do.  An optional peak-bandwidth throttle adds queuing
-delay when the instantaneous demand exceeds the channel capacity.
+way Fig. 4 and Fig. 10 do.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..sim import units
 from .line import LINE_SIZE
@@ -18,18 +15,12 @@ from .stats import StatsBundle
 
 
 class DRAM:
-    """Fixed-latency DRAM with bandwidth accounting.
-
-    ``peak_gbps`` (if set) enforces a simple service-rate model: back-to-back
-    line transfers cannot complete faster than the peak bandwidth allows, and
-    the returned latency includes the queueing delay.
-    """
+    """Fixed-latency DRAM with bandwidth accounting."""
 
     def __init__(
         self,
         stats: StatsBundle,
         latency: int = units.nanoseconds(70),
-        peak_gbps: Optional[float] = None,
         name: str = "dram",
     ) -> None:
         self.stats = stats
@@ -39,31 +30,17 @@ class DRAM:
         self._counter_values = stats._counter_values
         self._event_streams = stats._event_streams
         self.latency = latency
-        self.peak_gbps = peak_gbps
         self.name = name
         #: Optional memory-layer fault injector (``repro.faults``): adds
         #: transient latency spikes to every access while a spike window
         #: is active.  ``None`` keeps reads/writes on the fast path.
         self.faults = None
-        self._next_free = 0
-        if peak_gbps is not None:
-            self._service_time = units.transfer_time(LINE_SIZE, peak_gbps)
-        else:
-            self._service_time = 0
-
-    def _service(self, now: int) -> int:
-        """Queueing delay under the peak-bandwidth throttle."""
-        if self._service_time == 0:
-            return 0
-        start = max(now, self._next_free)
-        self._next_free = start + self._service_time
-        return (start + self._service_time) - now
 
     def read(self, addr: int, now: int) -> int:
         """Perform a line read; returns total latency in ticks."""
         self._counter_values["dram_reads"] += 1
         self._event_streams["dram_reads"].append(now)
-        latency = self.latency + self._service(now)
+        latency = self.latency
         if self.faults is not None:
             latency += self.faults.dram_extra_ticks(now)
         return latency
@@ -72,7 +49,7 @@ class DRAM:
         """Perform a line write; returns total latency in ticks."""
         self._counter_values["dram_writes"] += 1
         self._event_streams["dram_writes"].append(now)
-        latency = self.latency + self._service(now)
+        latency = self.latency
         if self.faults is not None:
             latency += self.faults.dram_extra_ticks(now)
         return latency
@@ -84,11 +61,6 @@ class DRAM:
     @property
     def writes(self) -> int:
         return self.stats.counters.get("dram_writes")
-
-    def bandwidth_gbps(self, stream: str, start: int, end: int) -> float:
-        """Average DRAM bandwidth for ``dram_reads``/``dram_writes`` over a window."""
-        count = self.stats.events.count_between(stream, start, end)
-        return units.bytes_to_gbps(count * LINE_SIZE, end - start)
 
 
 class BankedDRAM(DRAM):
@@ -122,7 +94,7 @@ class BankedDRAM(DRAM):
         channel_gbps: float = 200.0,
         name: str = "dram",
     ) -> None:
-        super().__init__(stats, latency=t_cas, peak_gbps=None, name=name)
+        super().__init__(stats, latency=t_cas, name=name)
         if channels <= 0 or banks <= 0 or row_bytes < LINE_SIZE:
             raise ValueError("invalid DRAM geometry")
         self.channels = channels
@@ -176,9 +148,3 @@ class BankedDRAM(DRAM):
         if self.faults is not None:
             latency += self.faults.dram_extra_ticks(now)
         return latency
-
-    def row_hit_rate(self) -> float:
-        hits = self.stats.counters.get("dram_row_hits")
-        misses = self.stats.counters.get("dram_row_misses")
-        total = hits + misses
-        return hits / total if total else 0.0

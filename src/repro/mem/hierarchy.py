@@ -58,25 +58,27 @@ from .transaction import (
 )
 
 
-def default_l1_config(freq_ghz: float = 3.0) -> CacheConfig:
+#: Per-ring-hop latency of the NUCA LLC (``HierarchyConfig.llc_slices``).
+LLC_HOP_LATENCY = units.cycles(2)
+
+
+def default_l1_config() -> CacheConfig:
     """Table I L1D: 64 KB, 2-way, 2 cycles."""
-    return CacheConfig("l1d", 64 * 1024, 2, units.cycles(2, freq_ghz), mshrs=6)
+    return CacheConfig("l1d", 64 * 1024, 2, units.cycles(2), mshrs=6)
 
 
-def default_mlc_config(freq_ghz: float = 3.0, size_bytes: int = 1024 * 1024) -> CacheConfig:
+def default_mlc_config(size_bytes: int = 1024 * 1024) -> CacheConfig:
     """Table I L2 (MLC): 1 MB, 8-way, 12 cycles."""
-    return CacheConfig("mlc", size_bytes, 8, units.cycles(12, freq_ghz), mshrs=16)
+    return CacheConfig("mlc", size_bytes, 8, units.cycles(12), mshrs=16)
 
 
-def default_llc_config(
-    freq_ghz: float = 3.0, size_bytes: int = 3 * 1024 * 1024
-) -> CacheConfig:
+def default_llc_config(size_bytes: int = 3 * 1024 * 1024) -> CacheConfig:
     """Table I L3: 1.5 MB/core, 12-way, 24 cycles.
 
     The evaluation (§III Obs. 4) scales the LLC to 3 MB total for the
     two-NF-core experiments; that is the default here.
     """
-    return CacheConfig("llc", size_bytes, 12, units.cycles(24, freq_ghz), mshrs=32)
+    return CacheConfig("llc", size_bytes, 12, units.cycles(24), mshrs=32)
 
 
 @dataclass
@@ -84,7 +86,6 @@ class HierarchyConfig:
     """Full hierarchy geometry.  Defaults reproduce Table I (scaled LLC)."""
 
     num_cores: int = 2
-    freq_ghz: float = 3.0
     l1_enabled: bool = True
     l1: Optional[CacheConfig] = None
     #: Per-core MLC configs; entries may be ``None`` to take the default.
@@ -95,17 +96,15 @@ class HierarchyConfig:
     ddio_ways: int = 2
     llc_inclusive: bool = False
     directory_capacity: Optional[int] = None
-    #: NUCA slice count (0 = monolithic LLC) and per-ring-hop latency.
+    #: NUCA slice count (0 = monolithic LLC); see ``LLC_HOP_LATENCY``.
     llc_slices: int = 0
-    llc_hop_latency: int = units.cycles(2)
     dram_latency: int = units.nanoseconds(70)
-    dram_peak_gbps: Optional[float] = None
     #: "fixed" = constant-latency DRAM; "banked" = channels/banks with
     #: open-row tracking (see mem.dram.BankedDRAM).
     dram_model: str = "fixed"
 
     def resolved_l1(self) -> CacheConfig:
-        return self.l1 or default_l1_config(self.freq_ghz)
+        return self.l1 or default_l1_config()
 
     def resolved_mlc(self, core: int) -> CacheConfig:
         if self.mlc is not None:
@@ -115,10 +114,10 @@ class HierarchyConfig:
             override = self.mlc_sizes[core]
             if override:
                 size = override
-        return default_mlc_config(self.freq_ghz, size)
+        return default_mlc_config(size)
 
     def resolved_llc(self) -> CacheConfig:
-        return self.llc or default_llc_config(self.freq_ghz)
+        return self.llc or default_llc_config()
 
 
 #: A per-kind handler, or an observer (see :meth:`MemoryHierarchy.observe`).
@@ -132,14 +131,6 @@ _RUN_HANDLERS = (
     "_run_prefetch_fill",
     "_run_invalidate",
 )
-
-
-@dataclass
-class AccessResult:
-    """Outcome of one demand access: latency plus the serving level."""
-
-    latency: int
-    level: str  # "l1" | "mlc" | "llc" | "c2c" | "dram"
 
 
 class MemoryHierarchy:
@@ -203,18 +194,14 @@ class MemoryHierarchy:
             directory_capacity=config.directory_capacity,
             inclusive=config.llc_inclusive,
             slices=config.llc_slices,
-            hop_latency=config.llc_hop_latency,
+            hop_latency=LLC_HOP_LATENCY,
         )
         if config.dram_model == "banked":
             from .dram import BankedDRAM
 
             self.dram: DRAM = BankedDRAM(self.stats)
         elif config.dram_model == "fixed":
-            self.dram = DRAM(
-                self.stats,
-                latency=config.dram_latency,
-                peak_gbps=config.dram_peak_gbps,
-            )
+            self.dram = DRAM(self.stats, latency=config.dram_latency)
         else:
             raise ValueError(f"unknown dram_model {config.dram_model!r}")
         # Direct references into the cache containers for the demand and

@@ -20,11 +20,6 @@ def line_address(byte_address: int) -> int:
     return byte_address & _LINE_MASK
 
 
-def line_index(byte_address: int) -> int:
-    """The line number (address divided by the line size)."""
-    return byte_address >> _LINE_SHIFT
-
-
 def lines_spanning(byte_address: int, num_bytes: int) -> Iterator[int]:
     """Yield the line-aligned addresses covering ``[addr, addr+num_bytes)``.
 

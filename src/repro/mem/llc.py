@@ -278,10 +278,6 @@ class NonInclusiveLLC:
     def lookup(self, addr: int) -> Optional[CacheLine]:
         return self.data.lookup(addr)
 
-    def io_occupancy(self) -> int:
-        """Number of resident lines whose origin is I/O (DMA-bloat metric)."""
-        return self.data.occupancy_by_origin().get("io", 0)
-
     # -- fills ----------------------------------------------------------
 
     def fill_io(

@@ -35,10 +35,6 @@ class PrivateCache:
     def __len__(self) -> int:
         return len(self.data)
 
-    @property
-    def capacity_lines(self) -> int:
-        return self.config.num_sets * self.config.assoc
-
     def peek(self, addr: int) -> Optional[CacheLine]:
         return self.data.peek(addr)
 

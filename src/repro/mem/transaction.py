@@ -140,10 +140,3 @@ class MemoryTransaction:
             f"core={self.core}, level={self.level}, latency={self.latency}"
             f"{', hops=[' + hops + ']' if hops else ''})"
         )
-
-
-def cpu_access_txn(core: int, addr: int, is_write: bool, now: int) -> MemoryTransaction:
-    """Convenience constructor for a demand load/store transaction."""
-    return MemoryTransaction(
-        CPU_STORE if is_write else CPU_LOAD, addr, now, core=core
-    )

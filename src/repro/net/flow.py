@@ -20,7 +20,7 @@ pieces here serve that regime:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from .packet import FiveTuple
 
@@ -176,13 +176,6 @@ class FlowSteering:
                 best_server = server
         return best_server
 
-    def assign(self, flows: Sequence[FiveTuple]) -> List[List[FiveTuple]]:
-        """Partition ``flows`` into per-server lists (order-preserving)."""
-        buckets: List[List[FiveTuple]] = [[] for _ in range(self.num_servers)]
-        for flow in flows:
-            buckets[self.server_for(flow)].append(flow)
-        return buckets
-
     def assignment_counts(self, flows: Sequence[FiveTuple]) -> List[int]:
         """Flows per server without materializing the partition."""
         counts = [0] * self.num_servers
@@ -202,13 +195,3 @@ class FlowSteering:
         for part in (mode_code, self.num_servers, self.table_bits, self.seed):
             digest = _mix64(digest ^ _mix64(part))
         return digest
-
-
-def steering_table_histogram(steering: FlowSteering) -> Dict[int, int]:
-    """Server -> indirection-table entry count (``rss`` mode only)."""
-    if steering.mode != "rss":
-        raise ValueError("histogram is only defined for rss steering")
-    counts: Dict[int, int] = {}
-    for server in steering._table:
-        counts[server] = counts.get(server, 0) + 1
-    return counts

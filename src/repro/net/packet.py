@@ -82,20 +82,6 @@ class Packet:
         return num_lines(self.size_bytes)
 
     @property
-    def header_lines(self) -> int:
-        """Lines carrying the protocol header (always the first line)."""
-        return num_lines(min(self.size_bytes, HEADER_BYTES))
-
-    @property
-    def payload_lines(self) -> int:
-        return self.num_lines - self.header_lines
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes the frame occupies on the wire, including overhead."""
-        return self.size_bytes + WIRE_OVERHEAD_BYTES
-
-    @property
     def latency(self) -> Optional[int]:
         """Arrival-to-completion latency in ticks (None until processed)."""
         if self.completion_time is None:

@@ -235,10 +235,6 @@ class DiurnalProfile(TrafficProfile):
         phase = 2.0 * math.pi * (t / self.period)
         return self.trough_rate_gbps + swing * (1.0 - math.cos(phase)) / 2.0
 
-    def mean_rate_gbps(self) -> float:
-        """The average offered rate over whole periods."""
-        return (self.trough_rate_gbps + self.peak_rate_gbps) / 2.0
-
     def arrivals(self) -> Iterator[Arrival]:
         """Lewis-Shedler thinning: candidates arrive at the *peak* rate with
         exponential gaps and each is accepted with probability

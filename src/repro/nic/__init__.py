@@ -3,16 +3,14 @@
 from .classifier import ClassifierConfig, IdioClassifier, gbps_to_bytes_per_interval
 from .descriptor import DESCRIPTOR_BYTES, DescriptorRing, RingFullError, RxDescriptor
 from .dma import DMAEngine
-from .flow_director import DEFAULT_TABLE_BITS, FilterEntry, FlowDirector
+from .flow_director import FlowDirector
 from .nic import NIC, NicConfig, NicQueue
 
 __all__ = [
     "ClassifierConfig",
-    "DEFAULT_TABLE_BITS",
     "DESCRIPTOR_BYTES",
     "DMAEngine",
     "DescriptorRing",
-    "FilterEntry",
     "FlowDirector",
     "IdioClassifier",
     "NIC",

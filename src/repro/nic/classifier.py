@@ -56,10 +56,6 @@ class IdioClassifier:
             sim, config.counter_interval, self._reset_counters, "classifier-reset"
         )
 
-    @property
-    def threshold_bytes_per_interval(self) -> int:
-        return self._threshold_bytes
-
     def _reset_counters(self) -> None:
         for core in range(self.config.num_cores):
             # A window that did NOT cross the threshold ends any ongoing

@@ -14,7 +14,7 @@ gap; :meth:`DescriptorRing.use_distance` exposes it for instrumentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..net.packet import Packet

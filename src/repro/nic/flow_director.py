@@ -1,50 +1,23 @@
 """Ethernet Flow Director (§II-C): steering packets to cores.
 
-Two flavors are modeled, matching Intel's feature set:
-
-* **EP (Externally Programmed)** — exact-match rules installed by software
-  (the mode used when an application is pinned to a core; this is what ADQ
-  setups rely on);
-* **ATR (Application Targeting Routing)** — the NIC learns the target core
-  by observing outbound traffic and populating a hash-indexed filter table.
-
-The filter table is hash-indexed with up to 8k entries, as in modern
-adapters.
+The server installs only **EP (Externally Programmed)** exact-match
+rules, one per flow, when it pins an application to a core (the setup
+ADQ relies on).  A flow without a rule goes to the default core.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from ..net.packet import FiveTuple
 
-#: Filter table entries in modern Ethernet adapters (8k, §II-C).
-DEFAULT_TABLE_BITS = 13
-
-
-@dataclass
-class FilterEntry:
-    """One filter-table slot mapping a flow to its destination core/queue."""
-
-    flow: FiveTuple
-    dest_core: int
-
 
 class FlowDirector:
-    """Flow-to-core steering with EP rules and an ATR filter table."""
+    """Flow-to-core steering by exact-match EP rules."""
 
-    def __init__(self, table_bits: int = DEFAULT_TABLE_BITS, default_core: int = 0) -> None:
-        if table_bits <= 0:
-            raise ValueError(f"table_bits must be positive, got {table_bits}")
-        self.table_bits = table_bits
-        self.table_size = 1 << table_bits
+    def __init__(self, default_core: int = 0) -> None:
         self.default_core = default_core
         self._ep_rules: Dict[FiveTuple, int] = {}
-        self._atr_table: Dict[int, FilterEntry] = {}
-        self.collisions = 0
-
-    # -- EP mode ----------------------------------------------------------
 
     def install_rule(self, flow: FiveTuple, dest_core: int) -> None:
         """Install an exact-match (perfect filter) rule."""
@@ -52,27 +25,6 @@ class FlowDirector:
             raise ValueError(f"dest_core must be non-negative, got {dest_core}")
         self._ep_rules[flow] = dest_core
 
-    def remove_rule(self, flow: FiveTuple) -> None:
-        self._ep_rules.pop(flow, None)
-
-    # -- ATR mode ---------------------------------------------------------
-
-    def learn(self, flow: FiveTuple, dest_core: int) -> None:
-        """ATR learning: record the core that transmitted on this flow."""
-        idx = flow.hash_value(self.table_bits)
-        existing = self._atr_table.get(idx)
-        if existing is not None and existing.flow != flow:
-            self.collisions += 1
-        self._atr_table[idx] = FilterEntry(flow, dest_core)
-
-    # -- lookup -------------------------------------------------------------
-
     def lookup(self, flow: FiveTuple) -> int:
-        """Destination core for ``flow``: EP rules first, then ATR, then default."""
-        core = self._ep_rules.get(flow)
-        if core is not None:
-            return core
-        entry = self._atr_table.get(flow.hash_value(self.table_bits))
-        if entry is not None and entry.flow == flow:
-            return entry.dest_core
-        return self.default_core
+        """Destination core for ``flow``: its EP rule, else the default."""
+        return self._ep_rules.get(flow, self.default_core)

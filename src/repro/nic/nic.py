@@ -118,9 +118,6 @@ class NIC:
         self._core_to_queue[core] = queue
         return queue
 
-    def queue_for_core(self, core: int) -> NicQueue:
-        return self._core_to_queue[core]
-
     def add_tx_queue(
         self, core: int, desc_base: int, ring_size: Optional[int] = None
     ) -> TxEngine:

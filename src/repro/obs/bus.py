@@ -70,7 +70,3 @@ class EventBus:
         """Deliver ``event`` to every subscriber of ``type(event)``."""
         for handler in self._topics.get(type(event), ()):
             handler(event)
-
-    def topics(self) -> List[Type]:
-        """Event types with at least one subscriber."""
-        return [t for t, subs in self._topics.items() if subs]

@@ -8,11 +8,8 @@ from .tlp import (
     HEADER_FLAG_BIT,
     MAX_DEST_CORE,
     IdioTag,
-    MemReadTLP,
-    MemWriteTLP,
     decode_idio_bits,
     encode_idio_bits,
-    tlp_is_idio_tagged,
 )
 
 __all__ = [
@@ -22,11 +19,8 @@ __all__ = [
     "HEADER_FLAG_BIT",
     "IdioTag",
     "MAX_DEST_CORE",
-    "MemReadTLP",
-    "MemWriteTLP",
     "RootComplex",
     "SteeringHook",
     "decode_idio_bits",
     "encode_idio_bits",
-    "tlp_is_idio_tagged",
 ]

@@ -36,8 +36,6 @@ IDIO_METADATA_BITS = tuple(
     sorted((HEADER_FLAG_BIT, BURST_FLAG_BIT) + DEST_CORE_BITS, reverse=True)
 )
 
-_IDIO_MASK = sum(1 << b for b in IDIO_METADATA_BITS)
-
 
 @dataclass(frozen=True, slots=True)
 class IdioTag:
@@ -93,36 +91,3 @@ def decode_idio_bits(word: int) -> IdioTag:
     return IdioTag(
         dest_core=core_code, app_class=0, is_header=is_header, is_burst=is_burst
     )
-
-
-@dataclass(frozen=True, slots=True)
-class MemWriteTLP:
-    """A memory-write TLP for one cacheline of inbound DMA."""
-
-    address: int
-    tag: IdioTag
-    length_bytes: int = 64
-
-    def header_word(self) -> int:
-        """First header DW: format/type for MWr plus the IDIO reserved bits.
-
-        Only the reserved bits matter to the simulation; the format/type
-        field (0x40 = MWr, 3DW header) is included so the word is a valid
-        TLP DW0 and the IDIO bits demonstrably avoid the defined fields.
-        """
-        fmt_type = 0x40 << 24
-        word = fmt_type | encode_idio_bits(self.tag)
-        return word
-
-
-@dataclass(frozen=True, slots=True)
-class MemReadTLP:
-    """A memory-read TLP for one cacheline of outbound DMA (TX)."""
-
-    address: int
-    length_bytes: int = 64
-
-
-def tlp_is_idio_tagged(word: int) -> bool:
-    """Whether any IDIO reserved bit is set in a header DW."""
-    return bool(word & _IDIO_MASK)

@@ -10,7 +10,6 @@ profile the load balancer spreads across the fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from ..core.policies import PolicyConfig
 from ..harness.server import ServerConfig
@@ -91,7 +90,3 @@ class RackConfig:
     def with_policy(self, policy: PolicyConfig) -> "RackConfig":
         """The same rack with every server under a different policy."""
         return replace(self, server=replace(self.server, policy=policy))
-
-    def flows_hint(self) -> Optional[int]:
-        """Average flows per server (for reports; actual counts vary)."""
-        return self.total_flows // self.num_servers

@@ -21,7 +21,6 @@ produce byte-identical rack fingerprints.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import List, Optional, Sequence, cast
 
 from ..harness.experiment import Experiment, ExperimentSummary
@@ -114,13 +113,6 @@ class SimulatedRack:
         return [
             self.server_experiment(i) for i in range(self.config.num_servers)
         ]
-
-    def with_checked_servers(self) -> "SimulatedRack":
-        """A copy of this rack with the invariant sanitizer on every server."""
-        config = replace(
-            self.config, server=replace(self.config.server, checked_mode=True)
-        )
-        return SimulatedRack(config)
 
     # ------------------------------------------------------------------
     # sweep

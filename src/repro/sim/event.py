@@ -8,7 +8,7 @@ required for deterministic replays of the NIC/CPU interleavings.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 
 class Event:
@@ -79,12 +79,3 @@ class EventQueue:
             if not event.cancelled:
                 return event
         raise IndexError("pop from empty event queue")
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]

@@ -18,6 +18,8 @@ MICROSECOND = 1_000 * NANOSECOND
 MILLISECOND = 1_000 * MICROSECOND
 #: Ticks per second.
 SECOND = 1_000 * MILLISECOND
+#: Core clock of the modeled server (Table I).
+CPU_FREQ_GHZ = 3.0
 
 
 def picoseconds(value: float) -> int:
@@ -65,14 +67,12 @@ def to_seconds(ticks: int) -> float:
     return ticks / SECOND
 
 
-def cycles(count: float, freq_ghz: float = 3.0) -> int:
-    """Convert a CPU cycle count at ``freq_ghz`` GHz into ticks.
+def cycles(count: float) -> int:
+    """Convert a CPU cycle count at :data:`CPU_FREQ_GHZ` into ticks.
 
     One cycle at 3 GHz is 1/3 ns, i.e. 333.33 ps.
     """
-    if freq_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_ghz}")
-    return int(round(count * 1_000 / freq_ghz)) * PICOSECOND
+    return int(round(count * 1_000 / CPU_FREQ_GHZ)) * PICOSECOND
 
 
 def gbps_to_bytes_per_tick(gbps: float) -> float:

@@ -8,7 +8,9 @@ retired wrapper: build the :class:`MemoryTransaction`, call ``access``,
 read the fields off the transaction.
 """
 
-from repro.mem.hierarchy import AccessResult, MemoryHierarchy
+from dataclasses import dataclass
+
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.transaction import (
     CPU_LOAD,
     CPU_STORE,
@@ -20,11 +22,24 @@ from repro.mem.transaction import (
 )
 
 
+@dataclass
+class AccessResult:
+    """Outcome of one demand access: latency plus the serving level."""
+
+    latency: int
+    level: str  # "l1" | "mlc" | "llc" | "c2c" | "dram"
+
+
+def cpu_access_txn(core: int, addr: int, is_write: bool, now: int) -> MemoryTransaction:
+    """A demand load/store transaction, not yet issued."""
+    return MemoryTransaction(CPU_STORE if is_write else CPU_LOAD, addr, now, core=core)
+
+
 def cpu_access(
     h: MemoryHierarchy, core: int, addr: int, is_write: bool, now: int
 ) -> AccessResult:
     """A demand load/store from ``core``; returns latency and hit level."""
-    txn = MemoryTransaction(CPU_STORE if is_write else CPU_LOAD, addr, now, core=core)
+    txn = cpu_access_txn(core, addr, is_write, now)
     h.access(txn)
     return AccessResult(txn.latency, txn.level or "dram")
 

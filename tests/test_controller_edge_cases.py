@@ -39,7 +39,9 @@ class TestControllerEdgeCases:
         sim = Simulator()
         h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
         ctl = IDIOController(sim, h, static_mlc=True)
-        assert ctl.status_of(0) == "MLC"
+        # No burst was seen, yet a payload line is still steered to the MLC.
+        ctl.steer(IdioTag(dest_core=0), 0x1000, 0)
+        assert ctl.decisions["mlc_prefetch"] == 1
 
     def test_multiple_controllers_not_required_but_coexist(self):
         """Two controllers on one hierarchy both observe writebacks

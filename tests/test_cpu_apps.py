@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cpu.apps import (
-    CostModel,
     L2Fwd,
     L2FwdPayloadDrop,
     LLCAntagonist,

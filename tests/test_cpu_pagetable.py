@@ -26,12 +26,6 @@ class TestMapping:
         pt.map_range(100, 10)  # inside page 0
         assert pt.entry(0) is not None
 
-    def test_unmap(self):
-        pt = PageTable()
-        pt.map_range(0, PAGE_SIZE)
-        pt.unmap_range(0, PAGE_SIZE)
-        assert pt.entry(0) is None
-
     def test_zero_bytes_maps_nothing(self):
         pt = PageTable()
         pt.map_range(0, 0)

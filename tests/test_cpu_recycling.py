@@ -109,7 +109,7 @@ class TestReallocateMode:
         pool = driver.buffer_pool
         for desc in driver.queue.ring.descriptors:
             offset = desc.buffer_addr - pool.base
-            assert 0 <= offset < pool.span_bytes()
+            assert 0 <= offset < pool.count * pool.stride
 
     def test_larger_dma_footprint_than_run_to_completion(self):
         """Re-allocation cycles through 2x the buffer addresses, so the

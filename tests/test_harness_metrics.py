@@ -4,7 +4,6 @@ import pytest
 
 from repro.harness import metrics
 from repro.mem.stats import StatsBundle
-from repro.sim import units
 
 
 class TestPercentile:
@@ -76,26 +75,6 @@ class TestWindowStats:
 
 
 class TestRates:
-    def test_rate_normalized_to_rx(self):
-        s = StatsBundle()
-        for t in range(10):
-            s.bump("pcie_writes", t)
-        for t in range(5):
-            s.bump("mlc_writebacks", t)
-        assert metrics.rate_normalized_to_rx(s, "mlc_writebacks", 0, 100) == 0.5
-
-    def test_rate_normalized_no_rx(self):
-        s = StatsBundle()
-        assert metrics.rate_normalized_to_rx(s, "mlc_writebacks", 0, 100) == 0.0
-
-    def test_dram_bandwidth(self):
-        s = StatsBundle()
-        # 1000 writes of 64 B in 1 us = 512 Gbps.
-        for i in range(1000):
-            s.bump("dram_writes", i * units.nanoseconds(1))
-        bw = metrics.dram_bandwidth_gbps(s, "dram_writes", 0, units.microseconds(1))
-        assert bw == pytest.approx(512.0, rel=0.01)
-
     def test_reduction_percent(self):
         assert metrics.reduction_percent(100.0, 25.0) == 75.0
         assert metrics.reduction_percent(0.0, 10.0) == 0.0

@@ -15,6 +15,7 @@ from repro.core.policies import (
 from repro.harness.experiment import Experiment
 from repro.harness.server import ServerConfig, SimulatedServer
 from repro.net.traffic import ImixProfile, PoissonProfile, SteadyProfile
+from repro.pcie.tlp import IdioTag
 from repro.sim import units
 from repro.tenants.scenarios import tenant_mix
 from tests.traffic import offer_bursts
@@ -35,6 +36,9 @@ class TestConfigValidation:
               "ddio_ways": 1}, "tenant way quotas sum to 2"),
             ({"num_nics": 0}, "num_nics must be at least 1"),
             ({"recycle_mode": "recycle-bin"}, "unknown recycle mode"),
+            ({"num_nf_cores": 0}, "num_nf_cores must be at least 1"),
+            ({"packet_bytes": 0}, "packet_bytes must be at least 1"),
+            ({"ring_size": 0}, "ring_size must be at least 1"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):
@@ -97,7 +101,7 @@ class TestTopology:
     def test_queue_per_nf_core(self):
         server = SimulatedServer(ServerConfig(num_nf_cores=2))
         assert set(server.nics[0].queues) == {0, 1}
-        assert server.nics[0].queue_for_core(1).core == 1
+        assert {q.core for q in server.nics[0].queues.values()} == {0, 1}
 
     def test_memory_regions_disjoint(self):
         server = SimulatedServer(ServerConfig())
@@ -160,7 +164,8 @@ class TestPolicyWiring:
     def test_static_pins_status(self):
         server = SimulatedServer(ServerConfig(policy=static_idio()))
         assert server.steering.static_mlc
-        assert server.steering.status_of(0) == "MLC"
+        server.steering.steer(IdioTag(dest_core=0), 0x1000, 0)
+        assert server.steering.decisions["mlc_prefetch"] == 1
 
 
 class TestTrafficInjection:

@@ -172,7 +172,7 @@ class TestDemandPath:
     def test_mlc_victim_fills_llc_any_dirtiness(self):
         """Non-inclusive victim cache: clean AND dirty MLC victims fill LLC."""
         h = make_hierarchy(num_cores=1)
-        mlc_lines = h.mlc[0].capacity_lines
+        mlc_lines = h.mlc[0].config.size_bytes // LINE_SIZE
         for i in range(mlc_lines + 10):
             cpu_access(h, 0, i * LINE_SIZE, False, i)
         assert h.stats.counters.get("mlc_writebacks") == 10
@@ -183,7 +183,7 @@ class TestDemandPath:
         h = make_hierarchy(num_cores=1)
         calls = []
         h.bus.subscribe(MlcWritebackEvent, lambda event: calls.append(event.core))
-        mlc_lines = h.mlc[0].capacity_lines
+        mlc_lines = h.mlc[0].config.size_bytes // LINE_SIZE
         for i in range(mlc_lines + 1):
             cpu_access(h, 0, i * LINE_SIZE, False, i)
         assert calls == [0]
@@ -302,7 +302,7 @@ class TestInclusiveCounterfactual:
 
     def test_clean_mlc_victim_needs_no_llc_fill(self):
         h = make_hierarchy(num_cores=1, inclusive=True)
-        mlc_lines = h.mlc[0].capacity_lines
+        mlc_lines = h.mlc[0].config.size_bytes // LINE_SIZE
         for i in range(mlc_lines + 5):
             cpu_access(h, 0, i * LINE_SIZE, False, i)
         assert h.stats.counters.get("mlc_writebacks") == 0  # clean drops

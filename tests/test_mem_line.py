@@ -7,7 +7,6 @@ from repro.mem.line import (
     LINE_SIZE,
     CacheLine,
     line_address,
-    line_index,
     lines_spanning,
     num_lines,
 )
@@ -19,11 +18,6 @@ class TestAddressHelpers:
         assert line_address(63) == 0
         assert line_address(64) == 64
         assert line_address(130) == 128
-
-    def test_line_index(self):
-        assert line_index(0) == 0
-        assert line_index(64) == 1
-        assert line_index(6400) == 100
 
     def test_mtu_frame_spans_24_lines(self):
         assert num_lines(1514) == 24

@@ -188,7 +188,7 @@ class TestDDIOWayPartition:
         llc = make_llc()
         llc.fill_io(CacheLine(0, dirty=True), 0)
         llc.fill_cpu(CacheLine(64), 0)
-        assert llc.io_occupancy() == 1
+        assert [line.origin for line in llc.data.lines()].count("io") == 1
 
 
 class TestCATMasks:

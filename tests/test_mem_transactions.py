@@ -18,11 +18,10 @@ from repro.mem import (
     PREFETCH_FILL,
     Hop,
     MemoryTransaction,
-    cpu_access_txn,
 )
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.mem.line import LINE_SIZE
-from tests.memtxn import cpu_access, invalidate, pcie_read, pcie_write
+from tests.memtxn import cpu_access, cpu_access_txn, invalidate, pcie_read, pcie_write
 
 
 def ignore(txn):

@@ -11,14 +11,14 @@ from repro.net.packet import (
     FiveTuple,
     Packet,
 )
+from repro.net.traffic import SteadyProfile
+from repro.sim import units
 
 
 class TestPacket:
     def test_mtu_frame_geometry(self):
         p = Packet(size_bytes=MTU_FRAME_BYTES)
         assert p.num_lines == 24
-        assert p.header_lines == 1
-        assert p.payload_lines == 23
 
     def test_1024_byte_packet(self):
         p = Packet(size_bytes=1024)
@@ -27,12 +27,11 @@ class TestPacket:
     def test_tiny_packet_is_all_header(self):
         p = Packet(size_bytes=60)
         assert p.num_lines == 1
-        assert p.header_lines == 1
-        assert p.payload_lines == 0
 
     def test_wire_bytes_includes_overhead(self):
-        p = Packet(size_bytes=1514)
-        assert p.wire_bytes == 1538
+        # Arrivals are spaced by the frame plus 24 B of wire overhead.
+        profile = SteadyProfile(rate_gbps=10.0, duration=units.microseconds(10))
+        assert profile.inter_arrival() == units.transfer_time(1538, 10.0)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

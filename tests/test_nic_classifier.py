@@ -26,7 +26,7 @@ class TestThreshold:
 
     def test_threshold_stored(self):
         _, clf = make_classifier(threshold_gbps=10.0)
-        assert clf.threshold_bytes_per_interval == 1250
+        assert clf._threshold_bytes == 1250
 
 
 class TestBurstDetection:

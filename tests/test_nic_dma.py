@@ -76,7 +76,7 @@ class TestNicRx:
         sim, h, dma, nic = make_stack()
         flow = self.setup_queue(nic)
         nic.receive(Packet(flow=flow))
-        queue = nic.queue_for_core(0)
+        queue = nic.queues[0]
         assert queue.ring.peek_ready() is None
         sim.run()
         assert queue.ring.peek_ready() is not None
@@ -86,7 +86,7 @@ class TestNicRx:
         sim, h, dma, nic = make_stack()
         flow = self.setup_queue(nic)
         nic.receive(Packet(flow=flow))
-        queue = nic.queue_for_core(0)
+        queue = nic.queues[0]
         ready_time = []
 
         def check():
@@ -107,7 +107,7 @@ class TestNicRx:
         results = [nic.receive(Packet(flow=flow)) for _ in range(3)]
         assert results == [True, True, False]
         assert nic.total_drops == 1
-        assert nic.queue_for_core(0).rx_drops == 1
+        assert nic.queues[0].rx_drops == 1
 
     def test_unpinned_core_rejected(self):
         sim, h, dma, nic = make_stack()

@@ -1,8 +1,8 @@
-"""Unit tests for Flow Director (EP + ATR modes)."""
+"""Unit tests for Flow Director (EP exact-match rules)."""
 
 import pytest
 
-from repro.net.flow import make_flow, make_flows
+from repro.net.flow import make_flow
 from repro.nic.flow_director import FlowDirector
 
 
@@ -17,51 +17,6 @@ class TestEPMode:
         fd = FlowDirector(default_core=7)
         assert fd.lookup(make_flow(0)) == 7
 
-    def test_remove_rule(self):
-        fd = FlowDirector()
-        flow = make_flow(0)
-        fd.install_rule(flow, 3)
-        fd.remove_rule(flow)
-        assert fd.lookup(flow) == fd.default_core
-
     def test_invalid_core_rejected(self):
         with pytest.raises(ValueError):
             FlowDirector().install_rule(make_flow(0), -1)
-
-    def test_ep_beats_atr(self):
-        fd = FlowDirector()
-        flow = make_flow(0)
-        fd.learn(flow, 1)
-        fd.install_rule(flow, 2)
-        assert fd.lookup(flow) == 2
-
-
-class TestATRMode:
-    def test_learn_then_lookup(self):
-        fd = FlowDirector()
-        flow = make_flow(5)
-        fd.learn(flow, 4)
-        assert fd.lookup(flow) == 4
-
-    def test_hash_collision_detected(self):
-        fd = FlowDirector(table_bits=1)  # 2-entry table forces collisions
-        flows = make_flows(8)
-        for i, flow in enumerate(flows):
-            fd.learn(flow, i)
-        assert fd.collisions > 0
-
-    def test_collided_flow_falls_back_to_default(self):
-        fd = FlowDirector(table_bits=1, default_core=0)
-        flows = make_flows(8)
-        for i, flow in enumerate(flows):
-            fd.learn(flow, i)
-        # Every lookup returns either the learned core or the default.
-        for i, flow in enumerate(flows):
-            assert fd.lookup(flow) in (i, 0)
-
-    def test_table_size(self):
-        assert FlowDirector(table_bits=13).table_size == 8192
-
-    def test_invalid_table_bits(self):
-        with pytest.raises(ValueError):
-            FlowDirector(table_bits=0)

@@ -57,7 +57,7 @@ def test_rx_pipeline_laws_under_fuzzed_arrivals(pattern):
     assert len(completed) == accepted
     assert len({p.packet_id for p in completed}) == accepted
     # Law 3: the ring ends empty and consistent.
-    queue = server.nics[0].queue_for_core(0)
+    queue = server.nics[0].queues[0]
     assert queue.ring.occupancy() == 0
     assert queue.ring.free_slots() == queue.ring.size
     # Law 4: latencies are ordered sanely (completion after arrival).

@@ -8,13 +8,15 @@ from repro.pcie.tlp import (
     BURST_FLAG_BIT,
     DEST_CORE_BITS,
     HEADER_FLAG_BIT,
+    IDIO_METADATA_BITS,
     MAX_DEST_CORE,
     IdioTag,
-    MemWriteTLP,
     decode_idio_bits,
     encode_idio_bits,
-    tlp_is_idio_tagged,
 )
+
+#: DW0 format/type of a memory-write TLP with a 3DW header.
+MWR_FMT_TYPE = 0x40 << 24
 
 
 class TestBitLayout:
@@ -82,18 +84,20 @@ class TestEncodeDecode:
 
 
 class TestMemWriteTLP:
+    """A memory-write DW0: the MWr format/type plus the IDIO reserved bits."""
+
     def test_header_word_contains_mwr_type(self):
-        tlp = MemWriteTLP(address=0x1000, tag=IdioTag(dest_core=1))
-        assert (tlp.header_word() >> 24) & 0x7F == 0x40
+        word = MWR_FMT_TYPE | encode_idio_bits(IdioTag(dest_core=1))
+        assert (word >> 24) & 0x7F == 0x40
 
     def test_header_word_roundtrips_tag(self):
         tag = IdioTag(dest_core=7, is_header=True)
-        tlp = MemWriteTLP(address=0x1000, tag=tag)
-        assert decode_idio_bits(tlp.header_word()) == tag
+        assert decode_idio_bits(MWR_FMT_TYPE | encode_idio_bits(tag)) == tag
 
     def test_untagged_word_not_idio_tagged(self):
-        assert not tlp_is_idio_tagged(0x4000_0000)
+        assert decode_idio_bits(MWR_FMT_TYPE) == IdioTag()
 
     def test_tagged_word_detected(self):
         word = encode_idio_bits(IdioTag(dest_core=1))
-        assert tlp_is_idio_tagged(word)
+        assert word != 0
+        assert word & ~sum(1 << b for b in IDIO_METADATA_BITS) == 0

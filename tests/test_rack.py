@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.policies import idio
 from repro.harness.runner import shutdown_pool
+from repro.harness.server import ServerConfig
 from repro.obs.events import LaneSeries, ServerCompletedEvent
 from repro.obs.trace import TraceRecorder
 from repro.rack import (
@@ -54,9 +55,6 @@ class TestRackConfig:
         config = small_config().with_policy(idio())
         assert config.server.policy.name == "idio"
         assert config.num_servers == 4
-
-    def test_flows_hint(self):
-        assert small_config().flows_hint() == 256
 
 
 class TestServerRng:
@@ -106,8 +104,8 @@ class TestSimulatedRack:
         assert idle.steady_duration == 0
 
     def test_with_checked_servers(self):
-        rack = SimulatedRack(small_config()).with_checked_servers()
-        assert rack.config.server.checked_mode
+        rack = SimulatedRack(small_config(server=ServerConfig(checked_mode=True)))
+        assert all(exp.server.checked_mode for exp in rack.experiments())
 
     def test_fold_rejects_count_mismatch(self):
         rack = SimulatedRack(small_config())
@@ -166,8 +164,10 @@ class TestRackSweep:
         assert summary.completed > 0
 
     def test_checked_mode_rack(self):
-        config = small_config(num_servers=2, total_flows=256)
-        rack = SimulatedRack(config).with_checked_servers()
+        config = small_config(
+            num_servers=2, total_flows=256, server=ServerConfig(checked_mode=True)
+        )
+        rack = SimulatedRack(config)
         summary = rack.run()
         assert summary.completed > 0
 

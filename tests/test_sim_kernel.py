@@ -34,13 +34,6 @@ class TestEventQueue:
         with pytest.raises(IndexError):
             EventQueue().pop()
 
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        e1 = Event(1, 1, lambda: None)
-        q.push(e1)
-        e1.cancel()
-        assert q.peek_time() is None
-
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=200))
     def test_pop_order_is_sorted(self, times):
         q = EventQueue()

@@ -30,20 +30,12 @@ class TestTimeConversions:
 
 class TestCycles:
     def test_one_cycle_at_3ghz_is_333ps(self):
-        assert units.cycles(1, 3.0) == 333
+        assert units.CPU_FREQ_GHZ == 3.0
+        assert units.cycles(1) == 333
 
     def test_twelve_cycles_mlc_latency(self):
         # Table I: MLC latency is 12 cycles = 4 ns at 3 GHz.
-        assert units.cycles(12, 3.0) == pytest.approx(4000, abs=10)
-
-    def test_cycles_at_1ghz(self):
-        assert units.cycles(1, 1.0) == 1000
-
-    def test_invalid_frequency_raises(self):
-        with pytest.raises(ValueError):
-            units.cycles(1, 0)
-        with pytest.raises(ValueError):
-            units.cycles(1, -2.5)
+        assert units.cycles(12) == pytest.approx(4000, abs=10)
 
 
 class TestBandwidth:

@@ -5,7 +5,7 @@ per rule plus a clean control file.  Each fixture's first line declares
 the module it masquerades as (the scope rules key off module names), so
 the snippets never have to live inside ``src/repro``.
 
-Whole-program rules (SIM011-SIM015) get fixture *packages* — directories
+Whole-program rules (SIM011-SIM015, SIM017) get fixture *packages* — directories
 of interacting modules — linted through :func:`tools.simlint.lint_project`
 so the cross-module machinery (import resolution, call graph, taint
 summaries) is on the hook, paired with a clean package proving the rule
@@ -165,7 +165,7 @@ def test_src_repro_is_simlint_clean():
 
 
 # ----------------------------------------------------------------------
-# Whole-program rules (SIM011-SIM015)
+# Whole-program rules (SIM011-SIM015, SIM017)
 # ----------------------------------------------------------------------
 
 #: (fixture package, the one rule it must trip, expected violation count).
@@ -176,6 +176,7 @@ PROGRAM_FIXTURE_CASES = [
     ("sim013_steering", "SIM013", 1),
     ("sim014_facade", "SIM014", 4),
     ("sim015_worker", "SIM015", 2),
+    ("sim017_dead", "SIM017", 3),
 ]
 
 
@@ -228,7 +229,7 @@ def test_program_rules_respect_pragmas(tmp_path):
 
 
 def test_src_repro_is_clean_under_full_battery():
-    """The whole-program acceptance gate: SIM001-SIM015 with zero baseline.
+    """The whole-program acceptance gate: SIM001-SIM017 with zero baseline.
 
     Both halves matter: the tree reports nothing, *and* the committed
     baseline is empty — no finding is being hidden by a suppression.

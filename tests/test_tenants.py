@@ -119,7 +119,7 @@ class TestIOCAApportionment:
         server, ts = self._server(tenants=3)
         controller = server.steering
         assert controller is not None
-        alloc = controller.current_allocation()
+        alloc = controller.reallocations[-1]
         assert sum(alloc) == TENANT_DDIO_WAYS
         for count, tenant in zip(alloc, ts):
             assert count >= tenant.llc_way_quota

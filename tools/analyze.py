@@ -3,7 +3,7 @@
 
 ``make analyze`` runs this.  The repo-specific simlint pass
 (:mod:`tools.simlint`) always runs — it has no dependencies beyond the
-standard library — and covers the full SIM001-SIM015 battery including
+standard library — and covers the full SIM001-SIM017 battery including
 the whole-program engine.  ruff and mypy are development-environment
 tools that may not be installed (the simulator itself needs nothing
 outside the stdlib); when one is missing it is *skipped with a notice*

@@ -26,6 +26,7 @@ SIM012   bus publish/subscribe wiring must pair up, typed
 SIM013   config/summary fields must be digest- and fingerprint-visible
 SIM014   the ``repro.api`` facade must not drift
 SIM015   worker paths keep module state process-local and writes atomic
+SIM017   every public definition is referenced outside tests or exported
 =======  ==============================================================
 
 Use :func:`lint_project` programmatically, or run

@@ -1,6 +1,6 @@
 """Command-line front end: ``python -m tools.simlint [paths...]``.
 
-Runs the full SIM001-SIM015 battery (per-file rules + whole-program
+Runs the full SIM001-SIM017 battery (per-file rules + whole-program
 engine) with the committed suppression baseline applied.  Machine
 consumers use ``--json`` (stdout) and ``--sarif FILE``; CI adds
 ``--github`` so findings annotate the pull-request diff.

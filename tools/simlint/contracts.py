@@ -1,4 +1,4 @@
-"""Cross-module contract rules SIM012-SIM015.
+"""Cross-module contract rules SIM012-SIM015 and SIM017.
 
 Each rule here needs the whole-program model (:class:`~tools.simlint.
 engine.Project`): the hazards they catch are invisible to any single
@@ -33,16 +33,30 @@ mutating anything else from a worker path is a shared-state illusion.
 On-disk writes on concurrent paths must stage + ``os.replace`` in the
 same function (the atomic idiom) so a reader can never observe a torn
 file.
+
+SIM017 — dead definitions: a public function, method or class under
+``repro`` must be referenced somewhere other than its own ``def`` and
+``tests/``, or be exported by ``repro.api``.  A reference is any name
+token, or any identifier inside a string literal, in the linted files
+and in the repo's ``tools/``, ``bench/`` and ``examples/`` trees.
+Subpackage ``__init__`` imports and ``__all__`` lists do not count: a
+re-export keeps nothing alive.  The rule runs only when ``repro.api`` is
+among the linted files, since part of the package cannot see the
+references the rest of it makes.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .engine import ClassInfo, Project, dotted_chain
-from .rules import Violation
+from .engine import Project, SourceFile, dotted_chain, parse_source_file
+from .rules import _FIXTURE_RE, Violation, iter_python_files
 
 #: rule id -> one-line description (merged into ``--list-rules``).
 PROGRAM_RULES: Dict[str, str] = {
@@ -51,6 +65,7 @@ PROGRAM_RULES: Dict[str, str] = {
     "SIM013": "config/summary field invisible to the cache digest or fingerprint",
     "SIM014": "repro.api facade drift (exports, docs, deprecated wrappers)",
     "SIM015": "worker-path mutation of shared module state or non-atomic write",
+    "SIM017": "public definition referenced only by tests and not exported",
 }
 
 # ----------------------------------------------------------------------
@@ -665,11 +680,120 @@ def check_concurrency(project: Project) -> List[Violation]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# SIM017: dead definitions
+# ----------------------------------------------------------------------
+
+#: Trees whose name tokens count as references whatever paths are linted.
+REFERENCE_ROOTS = ("tools", "bench", "examples")
+_REPO_ROOT = Path(__file__).resolve().parents[2]
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _is_test_file(file: SourceFile) -> bool:
+    """Test code: a ``tests.*`` fixture module or a file under ``tests/``."""
+    if file.module == "tests" or file.module.startswith("tests."):
+        return True
+    try:
+        rel = Path(file.path).resolve().relative_to(_REPO_ROOT)
+    except ValueError:
+        return False
+    return rel.parts[0] == "tests" and not _FIXTURE_RE.match(file.source)
+
+
+def _reexport_lines(tree: ast.Module) -> Set[int]:
+    """Lines of a package ``__init__``'s imports and ``__all__``."""
+    lines: Set[int] = set()
+    for stmt in tree.body:
+        reexport = isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+            isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        )
+        if reexport:
+            lines.update(range(stmt.lineno, stmt.end_lineno + 1))
+    return lines
+
+
+def _referenced_names(source: str, skip_lines: Set[int]) -> Set[str]:
+    """Every name token and string-literal identifier, minus def sites."""
+    names: Set[str] = set()
+    prev = ""
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.start[0] in skip_lines:
+            continue
+        if tok.type == tokenize.NAME:
+            if prev not in ("def", "class"):
+                names.add(tok.string)
+            prev = tok.string
+        elif tok.type == tokenize.STRING:
+            names.update(_IDENT_RE.findall(tok.string))
+    return names
+
+
+def _file_references(file: SourceFile) -> Set[str]:
+    skip = _reexport_lines(file.tree) if file.is_package else set()
+    return _referenced_names(file.source, skip)
+
+
+@lru_cache(maxsize=None)
+def _root_references(root: Path) -> frozenset:
+    """Reference names of the fixed sibling trees, read once per process."""
+    dirs = [str(root / d) for d in REFERENCE_ROOTS if (root / d).is_dir()]
+    names: Set[str] = set()
+    for path in iter_python_files(dirs):
+        names |= _file_references(parse_source_file(path))
+    return frozenset(names)
+
+
+def _api_exports(project: Project) -> Set[Tuple[str, str]]:
+    names = project.modules[FACADE_API].all_names or []
+    exports = {(FACADE_API, name) for name in names}
+    for name in names:
+        resolved = project.resolve(FACADE_API, [name])
+        if resolved is not None:
+            exports.add(resolved)
+    return exports
+
+
+def check_dead_definitions(project: Project) -> List[Violation]:
+    if FACADE_API not in project.modules:
+        return []  # a partial path set cannot see every reference
+    referenced = set(_root_references(_REPO_ROOT))
+    for file in project.files:
+        if not _is_test_file(file):
+            referenced |= _file_references(file)
+    exported = _api_exports(project)
+    violations: List[Violation] = []
+    for module, facts in sorted(project.modules.items()):
+        if module != "repro" and not module.startswith("repro."):
+            continue
+        defs = [(qual, fn.node) for qual, fn in facts.functions.items()]
+        defs += [(name, info.node) for name, info in facts.classes.items()]
+        for qual, node in defs:
+            name = qual.rsplit(".", 1)[-1]
+            if name.startswith("_") or name in referenced:
+                continue
+            if (module, qual) in exported:
+                continue
+            violations.append(
+                Violation(
+                    facts.file.path,
+                    node.lineno,
+                    node.col_offset,
+                    "SIM017",
+                    f"{qual!r} is referenced only at its definition or from "
+                    "tests, and repro.api does not export it; delete it",
+                )
+            )
+    return violations
+
+
 def check_contracts(project: Project) -> List[Violation]:
-    """Run SIM012-SIM015; SIM011 lives in :mod:`tools.simlint.flow`."""
+    """Run SIM012-SIM015 and SIM017; SIM011 lives in :mod:`tools.simlint.flow`."""
     violations: List[Violation] = []
     violations.extend(check_bus_contracts(project))
     violations.extend(check_digest_coverage(project))
     violations.extend(check_api_facade(project))
     violations.extend(check_concurrency(project))
+    violations.extend(check_dead_definitions(project))
     return violations
