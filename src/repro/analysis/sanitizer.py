@@ -13,7 +13,7 @@ hands it every completed
 * **at barriers** (every ``barrier_interval`` transactions, and on
   :meth:`check_all`) — MLC/LLC exclusivity for the non-inclusive
   hierarchy, L1 ⊆ MLC inclusion, directory coverage and exactness,
-  cache/replacement structural consistency, 2-bit FSM state legality,
+  cache/LRU structural consistency, 2-bit FSM state legality,
   and mempool buffer-lifecycle accounting (no leak / double free).
 
 Every failure raises :class:`InvariantViolation` naming the violated
@@ -39,7 +39,6 @@ from ..faults.events import FaultEvent
 from ..mem.cache import SetAssociativeCache
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.llc import owner_cores
-from ..mem.replacement import LRUPolicy
 from ..mem.transaction import DMA_WRITE, KINDS, PREFETCH_FILL, MemoryTransaction
 
 
@@ -281,7 +280,7 @@ class InvariantSanitizer:
         h = self.hierarchy
         llc_data = h.llc.data
         for core in range(h.config.num_cores):
-            mlc = h.mlc[core].data
+            mlc = h.mlc[core]
             # Non-inclusive exclusivity: a line in some private MLC must
             # not simultaneously occupy an LLC data way — duplication
             # would double-count LLC occupancy and distort every
@@ -297,7 +296,7 @@ class InvariantSanitizer:
                         )
             l1 = h.l1[core]
             if l1 is not None:
-                for line in l1.data.lines():
+                for line in l1.lines():
                     # L1 ⊆ MLC by design (the hierarchy back-invalidates
                     # L1 on MLC eviction).
                     if line.addr not in mlc:
@@ -331,10 +330,10 @@ class InvariantSanitizer:
         h = self.hierarchy
         caches = [("llc", h.llc.data)]
         for core in range(h.config.num_cores):
-            caches.append((f"mlc[{core}]", h.mlc[core].data))
+            caches.append((f"mlc[{core}]", h.mlc[core]))
             l1 = h.l1[core]
             if l1 is not None:
-                caches.append((f"l1[{core}]", l1.data))
+                caches.append((f"l1[{core}]", l1))
         for name, cache in caches:
             self._check_one_cache(name, cache)
 
@@ -360,23 +359,21 @@ class InvariantSanitizer:
                 f"{name}: {occupied} occupied ways but "
                 f"{len(cache)} index entries",
             )
-        policy = cache.policy
-        if isinstance(policy, LRUPolicy):
-            for set_idx, cache_set in enumerate(cache._sets):
-                row = policy._last_use[set_idx]
-                for way, line in enumerate(cache_set):
-                    if line is not None and row[way] <= 0:
-                        raise InvariantViolation(
-                            "lru-consistency",
-                            f"{name}: occupied way ({set_idx}, {way}) has no "
-                            "LRU recency stamp",
-                        )
-                    if line is None and row[way] != 0:
-                        raise InvariantViolation(
-                            "lru-consistency",
-                            f"{name}: empty way ({set_idx}, {way}) carries a "
-                            f"stale LRU stamp {row[way]}",
-                        )
+        for set_idx, cache_set in enumerate(cache._sets):
+            row = cache._last_use[set_idx]
+            for way, line in enumerate(cache_set):
+                if line is not None and row[way] <= 0:
+                    raise InvariantViolation(
+                        "lru-consistency",
+                        f"{name}: occupied way ({set_idx}, {way}) has no "
+                        "LRU recency stamp",
+                    )
+                if line is None and row[way] != 0:
+                    raise InvariantViolation(
+                        "lru-consistency",
+                        f"{name}: empty way ({set_idx}, {way}) carries a "
+                        f"stale LRU stamp {row[way]}",
+                    )
 
     def _check_fsm_states(self) -> None:
         if self._controller is None:

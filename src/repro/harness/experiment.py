@@ -422,6 +422,8 @@ class ExperimentResult:
         After this, only the summary-level fields remain usable; call
         :meth:`summary` first if the derived data is still needed.
         """
+        if self.server is not None:
+            self.server.sim.discard_pending()
         self.server = None
 
 

@@ -1,7 +1,7 @@
 """Memory-hierarchy substrate: caches, DRAM, and the non-inclusive data paths."""
 
 from .cache import CacheConfig, SetAssociativeCache
-from .dram import DRAM, BankedDRAM
+from .dram import DRAM
 from .hierarchy import (
     HierarchyConfig,
     MemoryHierarchy,
@@ -11,8 +11,6 @@ from .hierarchy import (
 )
 from .line import LINE_SIZE, CacheLine, line_address, lines_spanning, num_lines
 from .llc import NonInclusiveLLC, SnoopFilterDirectory
-from .mlc import PrivateCache
-from .replacement import LRUPolicy, RandomPolicy, TreePLRUPolicy, make_policy
 from .stats import Counter, EventLog, HierarchyStatsSubscriber, StatsBundle
 from .transaction import (
     CPU_LOAD,
@@ -27,7 +25,6 @@ from .transaction import (
 )
 
 __all__ = [
-    "BankedDRAM",
     "CPU_LOAD",
     "CPU_STORE",
     "CacheConfig",
@@ -43,22 +40,17 @@ __all__ = [
     "INVALIDATE",
     "KINDS",
     "LINE_SIZE",
-    "LRUPolicy",
     "MemoryHierarchy",
     "MemoryTransaction",
     "NonInclusiveLLC",
     "PREFETCH_FILL",
-    "PrivateCache",
-    "RandomPolicy",
     "SetAssociativeCache",
     "SnoopFilterDirectory",
     "StatsBundle",
-    "TreePLRUPolicy",
     "default_l1_config",
     "default_llc_config",
     "default_mlc_config",
     "line_address",
     "lines_spanning",
-    "make_policy",
     "num_lines",
 ]

@@ -14,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .line import LINE_SIZE, CacheLine, line_address
-from .replacement import LRUPolicy, ReplacementPolicy, make_policy
-
-_LINE_MASK = ~(LINE_SIZE - 1)
+from .line import _LINE_MASK, _LINE_SHIFT, LINE_SIZE, CacheLine, line_address
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,34 +29,31 @@ class CacheConfig:
     size_bytes: int
     assoc: int
     latency: int
-    mshrs: int = 32
-    replacement: str = "lru"
-    line_size: int = LINE_SIZE
 
     @property
     def num_sets(self) -> int:
-        sets = self.size_bytes // (self.assoc * self.line_size)
-        if sets <= 0:
-            raise ValueError(f"{self.name}: size too small for geometry")
-        return sets
+        return self.size_bytes // (self.assoc * LINE_SIZE)
 
     def validate(self) -> None:
-        if self.line_size <= 0 or self.line_size & (self.line_size - 1):
-            raise ValueError(f"{self.name}: line size {self.line_size} not a power of two")
-        if self.size_bytes % (self.assoc * self.line_size):
-            raise ValueError(
-                f"{self.name}: size {self.size_bytes} not divisible by "
-                f"assoc*line_size ({self.assoc}*{self.line_size})"
-            )
         if self.assoc <= 0:
-            raise ValueError(f"{self.name}: associativity must be positive")
+            raise ValueError(
+                f"{self.name}: associativity must be positive, got {self.assoc}"
+            )
+        if self.size_bytes <= 0 or self.size_bytes % (self.assoc * LINE_SIZE):
+            raise ValueError(
+                f"{self.name}: size {self.size_bytes} B is not a positive "
+                f"multiple of {self.assoc} ways x {LINE_SIZE} B lines"
+            )
 
 
 class SetAssociativeCache:
-    """A set-associative cache storing :class:`CacheLine` objects.
+    """A true-LRU set-associative cache storing :class:`CacheLine` objects.
 
     Lookup/insert/remove are O(assoc).  The container holds no timing; it
-    is pure state plus replacement bookkeeping.
+    is pure state plus recency bookkeeping: a cache-wide access counter
+    stamps the touched way in its set's row of ``_last_use`` (0 marks an
+    empty way), and a fill into a full set evicts the allowed way with
+    the smallest stamp.
     """
 
     __slots__ = (
@@ -68,16 +62,16 @@ class SetAssociativeCache:
         "assoc",
         "_sets",
         "_where",
-        "policy",
+        "_last_use",
+        "_tick",
         "_all_ways",
-        "_mask_cache",
-        "_line_shift",
-        "_lru_rows",
     )
 
     def __init__(self, config: CacheConfig) -> None:
         config.validate()
         self.config = config
+        # The set index is the line number modulo the set count, which
+        # need not be a power of two (a 4.5 MB 12-way LLC has 6144 sets).
         self.num_sets = config.num_sets
         self.assoc = config.assoc
         self._sets: List[List[Optional[CacheLine]]] = [
@@ -86,40 +80,17 @@ class SetAssociativeCache:
         #: Line address -> way (the set is recomputed from the address):
         #: one small int per line, nothing for the cyclic GC to walk.
         self._where: Dict[int, int] = {}
-        self.policy: ReplacementPolicy = make_policy(
-            config.replacement, self.num_sets, self.assoc
-        )
+        #: Per-set recency stamps, one per way (0 = empty).
+        self._last_use: List[List[int]] = [
+            [0] * self.assoc for _ in range(self.num_sets)
+        ]
+        self._tick = 0
         self._all_ways: Tuple[int, ...] = tuple(range(self.assoc))
-        #: Validated way masks keyed by their tuple form (masks repeat:
-        #: the DDIO ways, the CPU fill order, per-core CAT masks).
-        self._mask_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        # The set index is the line number modulo the set count, which
-        # need not be a power of two (a 4.5 MB 12-way LLC has 6144 sets).
-        self._line_shift = config.line_size.bit_length() - 1
-        # Fast-path recency: for the exact default LRU policy the cache
-        # bumps the policy's per-set tick rows directly, fusing the
-        # free-way scan and the victim scan into one pass over the set.
-        # Any other policy (plru, random, the reference LRU)
-        # goes through the generic on_access/victim protocol.
-        self._lru_rows: Optional[List[List[int]]] = (
-            self.policy._last_use if type(self.policy) is LRUPolicy else None
-        )
 
     # -- addressing ---------------------------------------------------
 
     def set_index(self, addr: int) -> int:
-        return (addr >> self._line_shift) % self.num_sets
-
-    def _validated_mask(self, key: Tuple[int, ...]) -> Tuple[int, ...]:
-        if not key:
-            raise ValueError(f"{self.config.name}: empty way mask")
-        for w in key:
-            if w < 0 or w >= self.assoc:
-                raise ValueError(
-                    f"{self.config.name}: way {w} outside 0..{self.assoc - 1}"
-                )
-        self._mask_cache[key] = key
-        return key
+        return (addr >> _LINE_SHIFT) % self.num_sets
 
     # -- queries ------------------------------------------------------
 
@@ -149,15 +120,10 @@ class SetAssociativeCache:
         way = self._where.get(addr)
         if way is None:
             return None
-        set_idx = (addr >> self._line_shift) % self.num_sets
-        rows = self._lru_rows
-        if rows is not None:
-            policy = self.policy
-            tick = policy._tick + 1
-            policy._tick = tick
-            rows[set_idx][way] = tick
-        else:
-            self.policy.on_access(set_idx, way)
+        set_idx = (addr >> _LINE_SHIFT) % self.num_sets
+        tick = self._tick + 1
+        self._tick = tick
+        self._last_use[set_idx][way] = tick
         return self._sets[set_idx][way]
 
     def lines(self) -> Iterator[CacheLine]:
@@ -176,84 +142,51 @@ class SetAssociativeCache:
     ) -> Optional[CacheLine]:
         """Insert ``line``; return the evicted victim line, if any.
 
-        ``way_mask`` restricts which ways the fill may use (and therefore
-        which resident lines may be evicted).  If the line is already
-        resident this degenerates to an in-place update (dirty OR-ed in,
-        recency touched) and returns ``None``.
+        ``way_mask`` lists the ways the fill may use, in the order free
+        ways are preferred, and therefore which resident lines may be
+        evicted.  The caller owns its validity: the LLC's way-mask
+        setters check each mask once, when it is installed.  If the line
+        is already resident this degenerates to an in-place update (dirty
+        OR-ed in, recency touched) and returns ``None``.
         """
         addr = line.addr
         where = self._where
-        set_idx = (addr >> self._line_shift) % self.num_sets
+        set_idx = (addr >> _LINE_SHIFT) % self.num_sets
         way = where.get(addr)
-        rows = self._lru_rows
+        row = self._last_use[set_idx]
+        tick = self._tick + 1
+        self._tick = tick
         if way is not None:
             resident = self._sets[set_idx][way]
             assert resident is not None
             resident.dirty = resident.dirty or line.dirty
             resident.origin = line.origin
             resident.owner = line.owner
-            if rows is not None:
-                policy = self.policy
-                tick = policy._tick + 1
-                policy._tick = tick
-                rows[set_idx][way] = tick
-            else:
-                self.policy.on_access(set_idx, way)
+            row[way] = tick
             return None
 
-        if way_mask is None:
-            ways: Tuple[int, ...] = self._all_ways
-        else:
-            key = tuple(way_mask)
-            ways = self._mask_cache.get(key) or self._validated_mask(key)
-
+        # One pass finds the first free way in mask order *and* tracks
+        # the least recently used occupied way (the first one on ties).
         cache_set = self._sets[set_idx]
-        victim: Optional[CacheLine] = None
-
-        if rows is not None:
-            # Fused scan: one pass finds the first free way *and* tracks
-            # the LRU victim among occupied ways, so a full set costs one
-            # traversal instead of free-scan + policy.victim + bookkeeping
-            # calls.  Tie-break (first eligible among never-touched ways)
-            # matches LRUPolicy.victim exactly.
-            row = rows[set_idx]
-            target_way = -1
-            best_way = -1
-            best_tick = -1
-            for w in ways:
-                if cache_set[w] is None:
-                    target_way = w
-                    break
-                t = row[w]
-                if best_tick < 0 or t < best_tick:
-                    best_way = w
-                    best_tick = t
-            if target_way < 0:
-                target_way = best_way
-                victim = cache_set[target_way]
-                del where[victim.addr]
-            policy = self.policy
-            tick = policy._tick + 1
-            policy._tick = tick
-            cache_set[target_way] = line
-            where[addr] = target_way
-            row[target_way] = tick
-            return victim
-
         target_way = -1
-        for w in ways:
+        best_way = -1
+        best_tick = -1
+        for w in self._all_ways if way_mask is None else way_mask:
             if cache_set[w] is None:
                 target_way = w
                 break
+            t = row[w]
+            if best_tick < 0 or t < best_tick:
+                best_way = w
+                best_tick = t
+        victim: Optional[CacheLine] = None
         if target_way < 0:
-            target_way = self.policy.victim(set_idx, ways)
+            target_way = best_way
             victim = cache_set[target_way]
             del where[victim.addr]
-            self.policy.on_evict(set_idx, target_way)
-
         cache_set[target_way] = line
         where[addr] = target_way
-        self.policy.on_access(set_idx, target_way)
+        row[target_way] = tick
         return victim
 
     def remove(self, addr: int) -> Optional[CacheLine]:
@@ -262,13 +195,14 @@ class SetAssociativeCache:
         way = self._where.pop(addr, None)
         if way is None:
             return None
-        set_idx = (addr >> self._line_shift) % self.num_sets
+        set_idx = (addr >> _LINE_SHIFT) % self.num_sets
         line = self._sets[set_idx][way]
         self._sets[set_idx][way] = None
-        self.policy.on_evict(set_idx, way)
+        self._last_use[set_idx][way] = 0
         return line
 
     def clear(self) -> None:
         for set_idx in range(self.num_sets):
             self._sets[set_idx] = [None] * self.assoc
+            self._last_use[set_idx] = [0] * self.assoc
         self._where.clear()

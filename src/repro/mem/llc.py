@@ -6,9 +6,8 @@ This models the Skylake-style LLC of Fig. 1:
   ways a DDIO write-allocate may fill ("DDIO" ways);
 * a snoop-filter directory ("Excl MLC" in the figure) holding the tags of
   lines currently resident in some private MLC, used to filter coherence
-  traffic.  Directory evictions back-invalidate the MLC copy, as in real
-  non-inclusive hierarchies (this is the effect exploited by directory
-  side-channel attacks the paper cites).
+  traffic.  It is provisioned to cover every MLC, as on real parts, so it
+  never evicts.
 
 Inclusive mode (``inclusive=True``) is provided as a counterfactual used by
 the ablation benchmarks: in inclusive mode the LLC keeps a copy of every
@@ -17,7 +16,6 @@ MLC-resident line and MLC evictions of clean lines need no LLC fill.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cache import CacheConfig, SetAssociativeCache
@@ -35,28 +33,16 @@ def owner_cores(mask: int) -> List[int]:
     return cores
 
 
-#: Shared empty result for the no-eviction (common) case of
-#: :meth:`SnoopFilterDirectory.add` — callers only iterate the result, so
-#: one list serves every call without a per-call allocation.
-_NO_EVICTIONS: List[Tuple[int, int]] = []
-
-
 class SnoopFilterDirectory:
-    """Tag directory of MLC-resident lines with LRU-bounded capacity.
+    """Tag directory of MLC-resident lines.
 
     Each tracked line maps to an owner bitmask, the presence vector of a
     hardware snoop filter: bit ``c`` is set while core ``c``'s MLC holds
-    the line.  ``capacity`` of ``None`` means unbounded (the default used
-    by the reproduction configs, where the directory is provisioned to
-    cover all MLCs as on real parts) and keeps a plain dict.  A bounded
-    directory keeps LRU order by delete-and-reinsert and evicts the first
-    key, in an ``OrderedDict``: a plain dict would scan past every earlier
-    deletion to find its first key.
+    the line.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self.capacity = capacity
-        self._entries: Dict[int, int] = {} if capacity is None else OrderedDict()
+    def __init__(self) -> None:
+        self._entries: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -71,29 +57,14 @@ class SnoopFilterDirectory:
         """The owner bitmask of ``addr`` (0 when untracked)."""
         return self._entries.get(addr & _LINE_MASK, 0)
 
-    def add(self, addr: int, core: int) -> List[Tuple[int, int]]:
+    def add(self, addr: int, core: int) -> None:
         """Track line address ``addr`` as resident in ``core``'s MLC.
 
-        Returns the ``(addr, mask)`` entries evicted to make room (empty
-        when the directory has space); the caller must back-invalidate
-        those lines from their owner MLCs.  ``addr`` is stored as given,
-        so callers pass the line address their caches already key on.
+        ``addr`` is stored as given, so callers pass the line address
+        their caches already key on.
         """
         entries = self._entries
-        mask = entries.get(addr, 0)
-        if self.capacity is None:
-            entries[addr] = mask | (1 << core)
-            return _NO_EVICTIONS
-        if mask:
-            del entries[addr]
-            entries[addr] = mask | (1 << core)
-            return _NO_EVICTIONS
-        evicted: List[Tuple[int, int]] = []
-        while len(entries) >= self.capacity:
-            old = next(iter(entries))
-            evicted.append((old, entries.pop(old)))
-        entries[addr] = 1 << core
-        return evicted
+        entries[addr] = entries.get(addr, 0) | (1 << core)
 
     def remove(self, addr: int, core: Optional[int] = None) -> None:
         """Drop ``core``'s residency (or the whole entry when ``core=None``)."""
@@ -108,6 +79,11 @@ class SnoopFilterDirectory:
             self._entries.pop(addr, None)
 
 
+def _cpu_fill_order(ddio_ways: int, assoc: int) -> Tuple[int, ...]:
+    """Every way, the non-DDIO ("Excl LLC") ones first."""
+    return tuple(range(ddio_ways, assoc)) + tuple(range(ddio_ways))
+
+
 class NonInclusiveLLC:
     """The shared LLC: data array + directory + way-partition bookkeeping."""
 
@@ -116,7 +92,6 @@ class NonInclusiveLLC:
         config: CacheConfig,
         stats: StatsBundle,
         ddio_ways: int = 2,
-        directory_capacity: Optional[int] = None,
         inclusive: bool = False,
         slices: int = 0,
         hop_latency: int = 0,
@@ -140,29 +115,29 @@ class NonInclusiveLLC:
         # the shared counter dict is hit directly (see StatsBundle.bump).
         self._counter_values = stats._counter_values
         self.data = SetAssociativeCache(config)
-        self.directory = SnoopFilterDirectory(directory_capacity)
+        self.directory = SnoopFilterDirectory()
         self.ddio_ways = ddio_ways
         self.inclusive = inclusive
         self.slices = slices
         self.hop_latency = hop_latency
         #: CacheDirector-style per-line home-slice overrides.
         self._slice_override: Dict[int, int] = {}
-        self._io_mask = list(range(ddio_ways))
-        self._all_mask = list(range(config.assoc))
+        # Way masks are validated tuples, built when they are installed
+        # and handed to every fill as they are.
+        self._io_mask: Tuple[int, ...] = tuple(range(ddio_ways))
         # CPU fills may use any way, but prefer the non-DDIO ("Excl LLC")
         # ways: empty-slot scans follow this order, so CPU data only
         # spills into the DDIO ways when the rest of the set is full.
         # (DMA bloating still happens — a full set's LRU victim can be
         # anywhere — but CPU lines do not gratuitously park in the ways
         # the next DMA write-allocate will reclaim.)
-        self._cpu_fill_order = list(range(ddio_ways, config.assoc)) + list(
-            range(ddio_ways)
-        )
-        #: per-core CAT masks; default = all ways (set_way_mask overrides).
-        self._core_masks: Dict[int, List[int]] = {}
+        self._cpu_fill_order = _cpu_fill_order(ddio_ways, config.assoc)
+        #: per-core CAT masks; a core absent from this map fills in the
+        #: CPU fill order.
+        self._core_masks: Dict[int, Tuple[int, ...]] = {}
         #: per-tenant I/O way masks (IOCA-style partitioning); a tenant
         #: absent from this map falls back to the shared DDIO partition.
-        self._tenant_io_masks: Dict[int, List[int]] = {}
+        self._tenant_io_masks: Dict[int, Tuple[int, ...]] = {}
 
     # -- configuration -------------------------------------------------
 
@@ -180,26 +155,21 @@ class NonInclusiveLLC:
                 f"ddio_ways must be in 1..{self.config.assoc}, got {ddio_ways}"
             )
         self.ddio_ways = ddio_ways
-        self._io_mask = list(range(ddio_ways))
-        self._cpu_fill_order = list(range(ddio_ways, self.config.assoc)) + list(
-            range(ddio_ways)
-        )
+        self._io_mask = tuple(range(ddio_ways))
+        self._cpu_fill_order = _cpu_fill_order(ddio_ways, self.config.assoc)
 
     def set_core_way_mask(self, core: int, ways: Sequence[int]) -> None:
         """CAT-style restriction of a core's LLC fills to ``ways``.
 
         Used by the ``_1way`` configurations of Fig. 4.
         """
-        ways = sorted(set(ways))
-        if not ways:
+        mask = tuple(sorted(set(ways)))
+        if not mask:
             raise ValueError("way mask must not be empty")
-        for w in ways:
+        for w in mask:
             if w < 0 or w >= self.config.assoc:
                 raise ValueError(f"way {w} outside the LLC's {self.config.assoc} ways")
-        self._core_masks[core] = list(ways)
-
-    def core_way_mask(self, core: int) -> List[int]:
-        return list(self._core_masks.get(core, self._all_mask))
+        self._core_masks[core] = mask
 
     def set_tenant_io_ways(self, tenant: int, ways: Sequence[int]) -> None:
         """Restrict ``tenant``'s DMA write-allocates to ``ways``.
@@ -212,15 +182,15 @@ class NonInclusiveLLC:
         """
         if tenant < 0:
             raise ValueError(f"tenant must be non-negative, got {tenant}")
-        ways = sorted(set(ways))
-        if not ways:
+        mask = tuple(sorted(set(ways)))
+        if not mask:
             raise ValueError("tenant way mask must not be empty")
-        for w in ways:
+        for w in mask:
             if w < 0 or w >= self.ddio_ways:
                 raise ValueError(
                     f"tenant way {w} outside the {self.ddio_ways}-way DDIO partition"
                 )
-        self._tenant_io_masks[tenant] = list(ways)
+        self._tenant_io_masks[tenant] = mask
 
     def tenant_way_table(self) -> Dict[int, List[int]]:
         """A copy of the per-tenant I/O way masks (sanitizer/summary hook)."""
@@ -307,11 +277,9 @@ class NonInclusiveLLC:
         This is the path that produces *DMA bloating*: an MLC writeback of a
         consumed DMA line lands in a non-DDIO way with origin ``cpu``.
         """
-        if core is None or core not in self._core_masks:
-            mask = self._cpu_fill_order
-        else:
-            mask = self.core_way_mask(core)
-        victim = self.data.insert(line, way_mask=mask)
+        victim = self.data.insert(
+            line, way_mask=self._core_masks.get(core, self._cpu_fill_order)
+        )
         if victim is not None:
             self._counter_values["llc_evictions"] += 1
         return victim

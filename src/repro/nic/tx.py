@@ -147,8 +147,11 @@ class TxEngine:
             self.ring.complete(desc)
             self.packets_sent += 1
             self.bytes_sent += desc.length
-            if desc.on_complete is not None:
-                desc.on_complete()
+            # The slot is free again: drop its closure, which holds the
+            # driver that posted it.
+            on_complete, desc.on_complete = desc.on_complete, None
+            if on_complete is not None:
+                on_complete()
             self._work()  # continue with the next posted descriptor
 
         self.dma.write_buffer(

@@ -11,6 +11,10 @@ import heapq
 from typing import Any, Callable, List
 
 
+def _cancelled() -> None:
+    """The callback of a cancelled event (never called)."""
+
+
 class Event:
     """A scheduled callback.
 
@@ -35,8 +39,13 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event so the kernel skips it when it is popped."""
+        """Mark the event so the kernel skips it when it is popped.
+
+        The callback is dropped too: it often holds its owner, which
+        holds this event, and a cancelled event never fires.
+        """
         self.cancelled = True
+        self.callback = _cancelled
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.sequence) < (other.time, other.sequence)

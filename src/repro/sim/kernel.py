@@ -12,7 +12,7 @@ import time
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from .event import Event, EventQueue
+from .event import Event, EventQueue, _cancelled
 
 
 class SimulationError(RuntimeError):
@@ -95,6 +95,15 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, callback, name)
+
+    def discard_pending(self) -> None:
+        """Drop every queued event once the simulation is over.
+
+        Pending callbacks (polls, arrivals, periodic ticks) hold the
+        models that hold this simulator, so a finished run's queue would
+        otherwise keep the whole server alive in reference cycles.
+        """
+        self._queue._heap.clear()
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or
@@ -193,3 +202,6 @@ class PeriodicTask:
         """Stop future firings (the current one, if mid-flight, completes)."""
         self._stopped = True
         self._event.cancel()
+        # A stopped task never calls back again; dropping the callback
+        # breaks the task <-> owner cycle (the owner holds the task).
+        self.callback = _cancelled

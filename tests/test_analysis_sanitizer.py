@@ -54,7 +54,7 @@ class TestHierarchyState:
     def test_mlc_llc_duplicate_line(self):
         h, san = make_sanitizer()
         warm(h)
-        line = next(h.mlc[0].data.lines())
+        line = next(h.mlc[0].lines())
         # Plant the non-inclusive violation: the same address resident in
         # both a private MLC and the LLC data array.
         h.llc.data.insert(CacheLine(line.addr))
@@ -66,9 +66,9 @@ class TestHierarchyState:
     def test_l1_without_mlc_copy(self):
         h, san = make_sanitizer(l1_enabled=True)
         warm(h)
-        l1_line = next(h.l1[0].data.lines())
+        l1_line = next(h.l1[0].lines())
         # Drop the MLC copy behind the hierarchy's back; L1 ⊆ MLC breaks.
-        h.mlc[0].data.remove(l1_line.addr)
+        h.mlc[0].remove(l1_line.addr)
         h.llc.directory.remove(l1_line.addr, 0)
         with expect("l1-inclusion"):
             san.check_all()
@@ -76,7 +76,7 @@ class TestHierarchyState:
     def test_untracked_mlc_line(self):
         h, san = make_sanitizer()
         warm(h)
-        line = next(h.mlc[0].data.lines())
+        line = next(h.mlc[0].lines())
         # A coherence bug: the snoop filter forgets an MLC-resident line.
         h.llc.directory.remove(line.addr, 0)
         with expect("directory-coverage"):
@@ -85,7 +85,7 @@ class TestHierarchyState:
     def test_stale_directory_owner_bit(self):
         h, san = make_sanitizer()
         warm(h)
-        line = next(h.mlc[0].data.lines())
+        line = next(h.mlc[0].lines())
         # The converse bug: the snoop filter names core 1 as an owner of
         # a line only core 0's MLC holds.
         h.llc.directory.add(line.addr, 1)
@@ -98,7 +98,7 @@ class TestCacheStructure:
     def test_where_index_desync(self):
         h, san = make_sanitizer()
         warm(h)
-        cache = h.mlc[0].data
+        cache = h.mlc[0]
         addr = next(cache.lines()).addr
         del cache._where[addr]
         with expect("cache-structure"):
@@ -107,10 +107,10 @@ class TestCacheStructure:
     def test_lru_stamp_cleared_on_occupied_way(self):
         h, san = make_sanitizer()
         warm(h)
-        cache = h.mlc[0].data
+        cache = h.mlc[0]
         addr = next(cache.lines()).addr
         set_idx, way = cache.location(addr)
-        cache.policy._last_use[set_idx][way] = 0
+        cache._last_use[set_idx][way] = 0
         with expect("lru-consistency"):
             san.check_all()
 

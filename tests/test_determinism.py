@@ -1,7 +1,7 @@
 """Determinism: identical configurations produce identical simulations.
 
 Reproducibility is a core property of the harness — every stochastic
-element (random replacement, the antagonist's access pattern) is seeded,
+element (the traffic generators, the antagonist's access pattern) is seeded,
 and the event kernel breaks timestamp ties FIFO.  Two runs of the same
 experiment must agree on every counter and every packet latency.
 """

@@ -13,12 +13,12 @@ burst, the Fig. 10 antagonist co-run under DDIO and IDIO, the
 noisy-neighbor tenant pack under the shared and partitioned policies,
 one run under a seeded fault plan, every non-bursty traffic kind, a
 two-burst train, and the balanced and antagonist-storm tenant mixes.
-Ring-256 bursts on a 256 KB MLC pin the LLC geometries and the DRAM
-model (including a 6144-set LLC, whose set index is not a power of
-two), and a seeded mixed trace driven straight into a small
-:class:`~repro.mem.hierarchy.MemoryHierarchy` pins the paths no server
-config reaches: a capacity-bounded snoop-filter directory and the
-non-default replacement policies.
+Ring-256 bursts on a 256 KB MLC pin the LLC geometries (including a
+6144-set LLC, whose set index is not a power of two), and a seeded
+mixed trace driven straight into a small
+:class:`~repro.mem.hierarchy.MemoryHierarchy` pins every transaction
+kind against capacity evictions at each level and cache-to-cache
+migrations, which no server config mixes.
 """
 
 import hashlib
@@ -93,7 +93,6 @@ RING256_DIGESTS = {
     "plain": "5e7d6790bba0939bdab1f5a4330e1674f2ceb52ab991eaa4ec524d27481e9cfa",
     "inclusive": "79069d549485b93af10b420752a766c1aebbd5c2b4389358839903cdaefb4108",
     "cat-1way": "683ff3cdf3fa7025d26da2573b8f1332308f76ba94f5e3ed112f22a3d9c7fe10",
-    "banked-dram": "2e5083c846eb4b9b741540de34e15214d67bb2d233cb0aeac92c33c9e487f59a",
     "llc-4.5mb": "7e89e21d1a60b7751b6d8b5dd0152a4dc1f5884358f298f5ef1a4796b0486c66",
 }
 
@@ -101,19 +100,12 @@ RING256_OVERRIDES = {
     "plain": {},
     "inclusive": {"llc_inclusive": True},
     "cat-1way": {"nf_cat_ways": 1},
-    "banked-dram": {"dram_model": "banked"},
     "llc-4.5mb": {"llc_bytes": 4608 * 1024},
 }
 
-#: A seeded mixed trace on a small two-core hierarchy; keyed by the
-#: replacement policy of every cache level (``lru``) or by the
-#: directory bound (``directory-8``, with LRU replacement).
-TRACE_DIGESTS = {
-    "directory-8": "4ecf1b87dc62c36ec0be8168b19054c81ad5e74d9d24d4ded6584ba0987e16cc",
-    "plru": "525833ce0c11f387fd08a9d4c5589f5dc01be3f553548dcd5b319aa06f4711cc",
-    "random": "965551c5bd699f100bbdb52dd867af093f295e01e3371e4586f1a5f65e414008",
-    "lru-ref": "2766c02bf67d6ff2c6c9b079d20e113b03a506d67e5e392bd00d8cc1e90f4d8b",
-}
+#: A seeded mixed trace on a small two-core hierarchy (first recorded
+#: with the reference dict-and-``min()`` LRU on every cache level).
+MIXED_TRACE_DIGEST = "2766c02bf67d6ff2c6c9b079d20e113b03a506d67e5e392bd00d8cc1e90f4d8b"
 
 
 def _burst(ring_size: int = 64, **server_kwargs) -> Experiment:
@@ -210,22 +202,19 @@ def _line_state(line):
     return None if line is None else (line.dirty, line.origin, line.owner)
 
 
-def _mixed_trace_digest(replacement: str = "lru", directory_capacity=None) -> str:
+def _mixed_trace_digest() -> str:
     """Digest of every access outcome plus the final per-line state.
 
     Two cores share a 192-line pool that overflows their 2 KB L1s and
     8 KB MLCs and a 12-set LLC, so the trace runs capacity evictions at
-    every level, directory back-invalidations when the directory is
-    bounded, and c2c migrations between the two MLCs.
+    every level and c2c migrations between the two MLCs.
     """
     h = MemoryHierarchy(
         HierarchyConfig(
             num_cores=2,
-            l1=CacheConfig("l1d", 2 * 1024, 2, 2, replacement=replacement),
-            mlc=CacheConfig("mlc", 8 * 1024, 4, 12, replacement=replacement),
-            llc=CacheConfig("llc", 12 * 12 * LINE_SIZE, 12, 24,
-                            replacement=replacement),
-            directory_capacity=directory_capacity,
+            l1=CacheConfig("l1d", 2 * 1024, 2, 2),
+            mlc=CacheConfig("mlc", 8 * 1024, 4, 12),
+            llc=CacheConfig("llc", 12 * 12 * LINE_SIZE, 12, 24),
         )
     )
     rng = random.Random(2022)
@@ -263,10 +252,5 @@ def _mixed_trace_digest(replacement: str = "lru", directory_capacity=None) -> st
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def test_mixed_trace_bounded_directory():
-    assert _mixed_trace_digest(directory_capacity=8) == TRACE_DIGESTS["directory-8"]
-
-
-@pytest.mark.parametrize("replacement", ["plru", "random", "lru-ref"])
-def test_mixed_trace_replacement(replacement):
-    assert _mixed_trace_digest(replacement) == TRACE_DIGESTS[replacement]
+def test_mixed_trace():
+    assert _mixed_trace_digest() == MIXED_TRACE_DIGEST

@@ -39,6 +39,16 @@ class TestConfigValidation:
             ({"num_nf_cores": 0}, "num_nf_cores must be at least 1"),
             ({"packet_bytes": 0}, "packet_bytes must be at least 1"),
             ({"ring_size": 0}, "ring_size must be at least 1"),
+            ({"llc_bytes": 1000}, "llc_bytes: size 1000 B is not a positive multiple"),
+            ({"llc_ways": 0}, "llc_ways must be at least 1, got 0"),
+            ({"ddio_ways": 0}, r"ddio_ways must be in 1\.\.12, got 0"),
+            ({"ddio_ways": 13}, r"ddio_ways must be in 1\.\.12, got 13"),
+            ({"nf_mlc_bytes": 1000}, "nf_mlc_bytes: size 1000 B is not a positive multiple"),
+            ({"nf_cat_ways": 0}, r"nf_cat_ways must be in 1\.\.10 \(the non-DDIO ways\), got 0"),
+            ({"nf_cat_ways": 11}, r"nf_cat_ways must be in 1\.\.10 \(the non-DDIO ways\), got 11"),
+            ({"antagonist": True, "antagonist_buffer_bytes": 0},
+             "antagonist_buffer_bytes must be at least 1, got 0"),
+            ({"llc_slices": -1}, "llc_slices must be non-negative, got -1"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):
@@ -123,8 +133,7 @@ class TestTopology:
 
     def test_cat_mask_applied(self):
         server = SimulatedServer(ServerConfig(nf_cat_ways=1))
-        mask = server.hierarchy.llc.core_way_mask(0)
-        assert mask == [2]  # first non-DDIO way only
+        assert server.hierarchy.llc._core_masks[0] == (2,)  # first non-DDIO way only
 
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError):
@@ -220,13 +229,3 @@ class TestTrafficInjection:
         sizes = {p.size_bytes for p in server.completed_packets()}
         assert count > 0
         assert sizes <= {64, 594, 1518}
-
-    def test_banked_dram_selectable(self):
-        from repro.mem.dram import BankedDRAM
-
-        server = SimulatedServer(ServerConfig(ring_size=32, dram_model="banked"))
-        assert isinstance(server.hierarchy.dram, BankedDRAM)
-        server.start()
-        offer_bursts(server, packets_per_burst=8)
-        server.run_until_drained(units.milliseconds(2))
-        assert len(server.completed_packets()) == 16

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.line import LINE_SIZE, CacheLine
+from repro.mem.llc import NonInclusiveLLC
+from repro.mem.stats import StatsBundle
 
 
-def small_cache(assoc=4, sets=4, replacement="lru"):
-    cfg = CacheConfig(
-        "test", sets * assoc * LINE_SIZE, assoc, latency=1, replacement=replacement
-    )
-    return SetAssociativeCache(cfg)
+def small_cache(assoc=4, sets=4):
+    return SetAssociativeCache(CacheConfig("test", sets * assoc * LINE_SIZE, assoc, latency=1))
 
 
 def addr_for_set(cache, set_idx, tag=0):
@@ -29,10 +28,6 @@ class TestGeometry:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             CacheConfig("c", 1000, 3, 1).validate()
-
-    def test_non_power_of_two_line_size_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            CacheConfig("c", 48 * 4 * 8, 4, 1, line_size=48).validate()
 
     def test_non_power_of_two_set_count_indexes_by_modulo(self):
         c = SetAssociativeCache(CacheConfig("llc", 4608 * 1024, 12, 1))
@@ -133,15 +128,21 @@ class TestWayMasks:
             c.insert(CacheLine(addr_for_set(c, 0, t)), way_mask=[0, 1])
         assert outside in c
 
+    # The cache trusts its masks: the LLC's setters validate each mask
+    # once, when it is installed, so these checks live there.
     def test_empty_mask_rejected(self):
-        c = small_cache()
-        with pytest.raises(ValueError):
-            c.insert(CacheLine(0), way_mask=[])
+        llc = NonInclusiveLLC(CacheConfig("llc", 4 * 4 * LINE_SIZE, 4, 1), StatsBundle())
+        with pytest.raises(ValueError, match="must not be empty"):
+            llc.set_core_way_mask(0, [])
+        with pytest.raises(ValueError, match="must not be empty"):
+            llc.set_tenant_io_ways(0, [])
 
     def test_out_of_range_way_rejected(self):
-        c = small_cache(assoc=2, sets=1)
-        with pytest.raises(ValueError):
-            c.insert(CacheLine(0), way_mask=[5])
+        llc = NonInclusiveLLC(CacheConfig("llc", 2 * LINE_SIZE, 2, 1), StatsBundle(), ddio_ways=1)
+        with pytest.raises(ValueError, match="outside the LLC's 2 ways"):
+            llc.set_core_way_mask(0, [5])
+        with pytest.raises(ValueError, match="outside the 1-way DDIO partition"):
+            llc.set_tenant_io_ways(0, [1])
 
     def test_mask_order_controls_empty_slot_preference(self):
         c = small_cache(assoc=4, sets=1)

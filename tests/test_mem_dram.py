@@ -1,6 +1,6 @@
 """Unit tests for the DRAM model."""
 
-from repro.mem.dram import DRAM
+from repro.mem.dram import DRAM, DRAM_LATENCY
 from repro.mem.stats import StatsBundle
 from repro.sim import units
 
@@ -15,14 +15,15 @@ class TestDram:
         assert dram.writes == 2
 
     def test_fixed_latency(self):
-        dram = DRAM(StatsBundle(), latency=units.nanoseconds(70))
-        assert dram.read(0, 0) == units.nanoseconds(70)
+        dram = DRAM(StatsBundle())
+        assert DRAM_LATENCY == units.nanoseconds(70)
+        assert dram.read(0, 0) == dram.write(64, 0) == DRAM_LATENCY
 
     def test_no_throttle_by_default(self):
-        dram = DRAM(StatsBundle(), latency=100)
+        dram = DRAM(StatsBundle())
         # Back-to-back accesses at the same tick see no queueing.
-        assert dram.read(0, 0) == 100
-        assert dram.read(64, 0) == 100
+        assert dram.read(0, 0) == DRAM_LATENCY
+        assert dram.read(64, 0) == DRAM_LATENCY
 
     def test_bandwidth_accounting(self):
         stats = StatsBundle()

@@ -19,14 +19,12 @@ from repro.obs.events import MlcWritebackEvent
 from tests.memtxn import cpu_access, invalidate, pcie_read, pcie_write, prefetch_fill
 
 
-def make_hierarchy(num_cores=2, l1=False, llc_bytes=None, ddio_ways=2, inclusive=False,
-                   directory_capacity=None):
+def make_hierarchy(num_cores=2, l1=False, llc_bytes=None, ddio_ways=2, inclusive=False):
     cfg = HierarchyConfig(
         num_cores=num_cores,
         l1_enabled=l1,
         ddio_ways=ddio_ways,
         llc_inclusive=inclusive,
-        directory_capacity=directory_capacity,
     )
     if llc_bytes is not None:
         cfg.llc = CacheConfig("llc", llc_bytes, 4, latency=1000)
@@ -196,10 +194,10 @@ class TestDemandPath:
         # Force the line out of the MLC by filling it with other lines
         # mapping to the same MLC set.
         mlc = h.mlc[0]
-        set_idx = mlc.data.set_index(ADDR)
-        base_tag = (ADDR // LINE_SIZE) // mlc.data.num_sets
-        for t in range(1, mlc.data.assoc + 1):
-            conflict = ((base_tag + t) * mlc.data.num_sets + set_idx) * LINE_SIZE
+        set_idx = mlc.set_index(ADDR)
+        base_tag = (ADDR // LINE_SIZE) // mlc.num_sets
+        for t in range(1, mlc.assoc + 1):
+            conflict = ((base_tag + t) * mlc.num_sets + set_idx) * LINE_SIZE
             cpu_access(h, 0, conflict, False, t)
         assert ADDR not in mlc
         assert ADDR in h.llc
@@ -308,16 +306,6 @@ class TestInclusiveCounterfactual:
         assert h.stats.counters.get("mlc_writebacks") == 0  # clean drops
 
 
-class TestDirectoryCapacity:
-    def test_directory_eviction_back_invalidates(self):
-        h = make_hierarchy(num_cores=1, directory_capacity=4)
-        addrs = [i * LINE_SIZE for i in range(6)]
-        for i, a in enumerate(addrs):
-            cpu_access(h, 0, a, False, i)
-        assert len(h.llc.directory) <= 4
-        assert h.stats.counters.get("directory_back_invalidations") >= 2
-
-
 class TestConservation:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.tuples(
@@ -368,8 +356,8 @@ class TestPerLineState:
         h = result.server.hierarchy
         assert len(h.llc.directory) > 0
         maps = [h.llc.directory._entries, h.llc.data._where]
-        maps += [c.data._where for c in h.mlc]
-        maps += [c.data._where for c in h.l1 if c is not None]
+        maps += [c._where for c in h.mlc]
+        maps += [c._where for c in h.l1 if c is not None]
         for per_line in maps:
             assert per_line
             assert not any(gc.is_tracked(v) for v in per_line.values())

@@ -1,7 +1,5 @@
 """Unit tests for the non-inclusive LLC and snoop-filter directory."""
 
-from collections import OrderedDict
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,20 +51,12 @@ class TestDirectory:
         d = SnoopFilterDirectory()
         d.remove(128)  # must not raise
 
-    def test_capacity_eviction_is_lru(self):
-        d = SnoopFilterDirectory(capacity=2)
-        d.add(0, 0)
-        d.add(64, 0)
-        d.add(0, 0)  # refresh
-        evicted = d.add(128, 0)
-        assert evicted == [(64, 0b1)]
-        assert 0 in d and 128 in d
-
     def test_unbounded_never_evicts(self):
         d = SnoopFilterDirectory()
         for i in range(1000):
-            assert d.add(i * 64, 0) == []
+            d.add(i * 64, 0)
         assert len(d) == 1000
+        assert all(d.get(i * 64) == 0b1 for i in range(1000))
 
     def test_get_returns_owner_mask(self):
         d = SnoopFilterDirectory()
@@ -78,28 +68,14 @@ class TestDirectory:
 
 
 class _SetDirectory:
-    """Reference model: the owner-set directory the bitmask one replaced.
+    """Reference model: the owner-set directory the bitmask one replaced,
+    a dict from line address to a set of owner cores."""
 
-    An ``OrderedDict`` from line address to a set of owner cores, LRU
-    ordered by ``move_to_end`` under a capacity bound.
-    """
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.entries = OrderedDict()
+    def __init__(self):
+        self.entries = {}
 
     def add(self, addr, core):
-        owners = self.entries.get(addr)
-        if owners is not None:
-            owners.add(core)
-            if self.capacity is not None:
-                self.entries.move_to_end(addr)
-            return []
-        evicted = []
-        while self.capacity is not None and len(self.entries) >= self.capacity:
-            evicted.append(self.entries.popitem(last=False))
-        self.entries[addr] = {core}
-        return evicted
+        self.entries.setdefault(addr, set()).add(core)
 
     def remove(self, addr, core=None):
         owners = self.entries.get(addr)
@@ -123,16 +99,15 @@ directory_ops = st.lists(
 
 class TestDirectoryDifferential:
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([None, 1, 2, 3, 4]), directory_ops)
-    def test_bitmask_directory_matches_owner_sets(self, capacity, ops):
-        d = SnoopFilterDirectory(capacity)
-        ref = _SetDirectory(capacity)
-        evicted, ref_evicted = [], []
+    @given(directory_ops)
+    def test_bitmask_directory_matches_owner_sets(self, ops):
+        d = SnoopFilterDirectory()
+        ref = _SetDirectory()
         for op, line, core in ops:
             addr = line * LINE_SIZE
             if op == "add":
-                evicted += [(a, set(owner_cores(m))) for a, m in d.add(addr, core)]
-                ref_evicted += ref.add(addr, core)
+                d.add(addr, core)
+                ref.add(addr, core)
             elif op == "remove-core":
                 d.remove(addr, core)
                 ref.remove(addr, core)
@@ -142,7 +117,6 @@ class TestDirectoryDifferential:
             assert len(d) == len(ref.entries)
             for a in range(0, 8 * LINE_SIZE, LINE_SIZE):
                 assert d.owners(a) == ref.entries.get(a, set())
-            assert evicted == ref_evicted
 
 
 class TestDDIOWayPartition:

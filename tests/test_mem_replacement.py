@@ -1,105 +1,73 @@
-"""Unit + property tests for replacement policies."""
+"""Unit + property tests for the cache's true-LRU replacement."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.mem.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
+from repro.mem.cache import CacheConfig, SetAssociativeCache
+from repro.mem.line import LINE_SIZE, CacheLine
+from repro.mem.llc import NonInclusiveLLC
+from repro.mem.stats import StatsBundle
+
+
+def make_cache(sets, assoc):
+    return SetAssociativeCache(CacheConfig("lru", sets * assoc * LINE_SIZE, assoc, 1))
+
+
+def line_in_set(cache, set_idx, tag):
+    return (tag * cache.num_sets + set_idx) * LINE_SIZE
+
+
+def fill_set(cache, set_idx, count):
+    """Fill ways ``0..count-1`` of one set; return the line addresses."""
+    addrs = [line_in_set(cache, set_idx, tag) for tag in range(count)]
+    for addr in addrs:
+        assert cache.insert(CacheLine(addr)) is None
+    return addrs
 
 
 class TestLRU:
     def test_victim_is_least_recent(self):
-        p = LRUPolicy(4, 4)
-        for way in (0, 1, 2, 3):
-            p.on_access(0, way)
-        p.on_access(0, 0)  # refresh way 0
-        assert p.victim(0, [0, 1, 2, 3]) == 1
+        c = make_cache(4, 4)
+        a = fill_set(c, 0, 4)
+        c.lookup(a[0])  # refresh way 0
+        victim = c.insert(CacheLine(line_in_set(c, 0, 9)))
+        assert victim.addr == a[1]
 
     def test_victim_respects_eligibility(self):
-        p = LRUPolicy(1, 4)
-        for way in (0, 1, 2, 3):
-            p.on_access(0, way)
-        # way 0 is the global LRU but not eligible.
-        assert p.victim(0, [2, 3]) == 2
+        c = make_cache(1, 4)
+        a = fill_set(c, 0, 4)
+        # a[0] is the set's LRU line but its way is not eligible.
+        victim = c.insert(CacheLine(line_in_set(c, 0, 9)), way_mask=(2, 3))
+        assert victim.addr == a[2]
 
     def test_untouched_way_preferred(self):
-        p = LRUPolicy(1, 4)
-        p.on_access(0, 0)
-        p.on_access(0, 1)
-        assert p.victim(0, [0, 1, 2]) == 2
+        c = make_cache(1, 4)
+        fill_set(c, 0, 2)
+        new = line_in_set(c, 0, 9)
+        assert c.insert(CacheLine(new), way_mask=(0, 1, 2)) is None
+        assert c.location(new) == (0, 2)
 
     def test_sets_are_independent(self):
-        p = LRUPolicy(2, 2)
-        p.on_access(0, 0)
-        p.on_access(1, 1)
-        assert p.victim(1, [0, 1]) == 0
+        c = make_cache(2, 2)
+        x = fill_set(c, 0, 2)
+        y = fill_set(c, 1, 2)
+        c.lookup(y[1])
+        for _ in range(3):
+            c.lookup(x[0])  # recency in set 0 must not age set 1
+        victim = c.insert(CacheLine(line_in_set(c, 1, 9)))
+        assert victim.addr == y[0]
 
     def test_empty_eligible_raises(self):
-        with pytest.raises(ValueError):
-            LRUPolicy(1, 2).victim(0, [])
+        # Masks are validated once, when the LLC installs them.
+        llc = NonInclusiveLLC(CacheConfig("llc", 4 * 4 * LINE_SIZE, 4, 1), StatsBundle())
+        with pytest.raises(ValueError, match="must not be empty"):
+            llc.set_tenant_io_ways(0, [])
 
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=64))
     def test_most_recent_way_never_victim(self, accesses):
-        p = LRUPolicy(1, 8)
-        for way in range(8):
-            p.on_access(0, way)
+        c = make_cache(1, 8)
+        a = fill_set(c, 0, 8)
         for way in accesses:
-            p.on_access(0, way)
-        assert p.victim(0, list(range(8))) != accesses[-1]
-
-
-class TestTreePLRU:
-    def test_victim_in_eligible_set(self):
-        p = TreePLRUPolicy(4, 8)
-        for way in range(8):
-            p.on_access(0, way)
-        assert p.victim(0, [1, 3, 5]) in {1, 3, 5}
-
-    def test_just_accessed_way_avoided_when_possible(self):
-        p = TreePLRUPolicy(1, 4)
-        p.on_access(0, 2)
-        assert p.victim(0, list(range(4))) != 2
-
-    def test_non_power_of_two_assoc(self):
-        p = TreePLRUPolicy(1, 12)
-        for way in range(12):
-            p.on_access(0, way)
-        assert 0 <= p.victim(0, list(range(12))) < 12
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=100),
-        st.sets(st.integers(min_value=0, max_value=11), min_size=1),
-    )
-    def test_victim_always_eligible(self, accesses, eligible):
-        p = TreePLRUPolicy(1, 12)
-        for way in accesses:
-            p.on_access(0, way)
-        assert p.victim(0, sorted(eligible)) in eligible
-
-
-class TestRandom:
-    def test_deterministic_with_seed(self):
-        a = RandomPolicy(1, 8, seed=7)
-        b = RandomPolicy(1, 8, seed=7)
-        picks_a = [a.victim(0, list(range(8))) for _ in range(20)]
-        picks_b = [b.victim(0, list(range(8))) for _ in range(20)]
-        assert picks_a == picks_b
-
-    def test_victim_eligible(self):
-        p = RandomPolicy(1, 8, seed=1)
-        for _ in range(50):
-            assert p.victim(0, [2, 5]) in {2, 5}
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", [("lru", LRUPolicy), ("plru", TreePLRUPolicy), ("random", RandomPolicy)])
-    def test_make_policy(self, name, cls):
-        assert isinstance(make_policy(name, 4, 4), cls)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_policy("mru", 4, 4)
+            c.lookup(a[way])
+        victim = c.insert(CacheLine(line_in_set(c, 0, 9)))
+        assert victim.addr != a[accesses[-1]]

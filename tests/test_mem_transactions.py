@@ -285,8 +285,8 @@ class TestObserve:
         for name in ("_run_cpu", "_run_dma_write", "_run_dma_read",
                      "_run_prefetch_fill", "_run_invalidate"):
             assert name not in vars(h), name
-        assert h._handlers[CPU_LOAD].__func__ is MemoryHierarchy._run_cpu
-        assert h._handlers[INVALIDATE].__func__ is MemoryHierarchy._run_invalidate
+        assert h._run_cpu.__func__ is MemoryHierarchy._run_cpu
+        assert h._run_invalidate.__func__ is MemoryHierarchy._run_invalidate
 
     def test_unobserve_unknown_is_noop(self):
         h = make_hierarchy(observed=False)
