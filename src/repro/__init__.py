@@ -62,7 +62,7 @@ from .api import (
     units,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "Experiment",

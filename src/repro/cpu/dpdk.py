@@ -381,7 +381,13 @@ class AntagonistDriver:
         self.samples: List[Tuple[int, int, int]] = []
 
     def warmup(self) -> None:
-        """Initialize (touch) the whole buffer, as the paper does (§VI)."""
+        """Initialize (touch) the whole buffer, as the paper does (§VI).
+
+        One demand store per line, all at time 0.  In a sweep, later
+        cells with the same warm-up restore the hierarchy this left from
+        a :class:`~repro.harness.server.WarmCheckpoint` instead (see
+        :meth:`~repro.harness.server.SimulatedServer.start`).
+        """
         for i in range(self.app.num_lines()):
             self.core.mem_write(self.app.buffer_base + i * LINE_SIZE)
 

@@ -21,7 +21,7 @@ from ..mem.line import LINE_SIZE
 from ..net.traffic import TrafficProfile, make_profile
 from ..sim import units
 from . import metrics
-from .server import ServerConfig, SimulatedServer
+from .server import ServerConfig, SimulatedServer, WarmCheckpoint
 
 #: Event streams whose raw timestamps an :class:`ExperimentSummary` keeps,
 #: so summary timelines/window counts bin exactly like the live event log.
@@ -427,10 +427,16 @@ class ExperimentResult:
         self.server = None
 
 
-def run_experiment(experiment: Experiment) -> ExperimentResult:
-    """Build the server, inject traffic, run to drain, derive metrics."""
+def run_experiment(
+    experiment: Experiment, warm: Optional[WarmCheckpoint] = None
+) -> ExperimentResult:
+    """Build the server, inject traffic, run to drain, derive metrics.
+
+    ``warm`` is the sweep's warm-up checkpoint (see
+    :meth:`SimulatedServer.start`); it never changes the result.
+    """
     server = SimulatedServer(experiment.server)
-    server.start()
+    server.start(warm)
 
     tenants = experiment.server.tenants
     if tenants is not None:

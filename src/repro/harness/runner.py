@@ -52,6 +52,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from ..analysis.determinism import fingerprint_digest
 from ..cache import resolve_cache
 from .experiment import Experiment, ExperimentSummary, run_experiment
+from .server import WarmCheckpoint
 
 
 def default_jobs() -> int:
@@ -62,9 +63,11 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-def run_experiment_summary(experiment: Experiment) -> ExperimentSummary:
+def run_experiment_summary(
+    experiment: Experiment, warm: Optional[WarmCheckpoint] = None
+) -> ExperimentSummary:
     """Run one experiment and reduce it to a summary, releasing the server."""
-    result = run_experiment(experiment)
+    result = run_experiment(experiment, warm)
     summary = result.summary()
     result.drop_server()
     return summary
@@ -102,10 +105,12 @@ def _apply_harness_faults(experiment: Experiment, attempt: int) -> None:
             time.sleep(spec.magnitude)
 
 
-def _run_attempt(experiment: Experiment, attempt: int) -> ExperimentSummary:
+def _run_attempt(
+    experiment: Experiment, attempt: int, warm: Optional[WarmCheckpoint] = None
+) -> ExperimentSummary:
     """One attempt at one experiment: harness faults, then the run."""
     _apply_harness_faults(experiment, attempt)
-    return run_experiment_summary(experiment)
+    return run_experiment_summary(experiment, warm)
 
 
 # ----------------------------------------------------------------------
@@ -115,10 +120,13 @@ def _run_attempt(experiment: Experiment, attempt: int) -> ExperimentSummary:
 # Worker-side state.  ``_worker_init`` runs once per worker process and
 # records where batches are spooled; ``_worker_table`` memoizes the most
 # recently loaded batch so the spool file is read once per (worker,
-# generation), not once per task.
+# generation), not once per task.  ``_worker_warm`` is that batch's
+# warm-up checkpoint (``None`` for a one-experiment batch): a new
+# generation drops it, so no warmed state outlives its sweep.
 _worker_spool: Optional[str] = None
 _worker_generation: int = -1
 _worker_table: List[Experiment] = []
+_worker_warm: Optional[WarmCheckpoint] = None
 
 
 def _worker_init(spool_path: str) -> None:
@@ -127,7 +135,7 @@ def _worker_init(spool_path: str) -> None:
 
 
 def _worker_experiment(generation: int, index: int) -> Experiment:
-    global _worker_generation, _worker_table
+    global _worker_generation, _worker_table, _worker_warm
     if generation != _worker_generation:
         assert _worker_spool is not None, "worker used before initialization"
         with open(_worker_spool, "rb") as fh:
@@ -140,13 +148,15 @@ def _worker_experiment(generation: int, index: int) -> Experiment:
                 f"generation {spooled_generation} is spooled"
             )
         _worker_generation, _worker_table = spooled_generation, table
+        _worker_warm = WarmCheckpoint() if len(table) > 1 else None
     return _worker_table[index]
 
 
 def _run_indexed_attempt(task: Tuple[int, int, int]) -> ExperimentSummary:
     """Pool entry point: ``(generation, index, attempt)``."""
     generation, index, attempt = task
-    return _run_attempt(_worker_experiment(generation, index), attempt)
+    experiment = _worker_experiment(generation, index)
+    return _run_attempt(experiment, attempt, _worker_warm)
 
 
 class WarmPool:
@@ -434,10 +444,12 @@ def run_sweep(
         pool = get_pool(jobs)
     if pool is None:
         _note_dispatch("serial" if misses else "cached", 1 if misses else 0, 0, len(misses))
+        # The sweep's warm-up checkpoint lives as long as this call.
+        warm = WarmCheckpoint() if len(misses) > 1 else None
 
         def fetch(slot: int, attempt: int) -> ExperimentSummary:
             start = time.perf_counter()
-            summary = _run_attempt(batch[misses[slot]], attempt)
+            summary = _run_attempt(batch[misses[slot]], attempt, warm)
             if timeout_s is not None and time.perf_counter() - start > timeout_s:
                 raise multiprocessing.TimeoutError()
             return summary

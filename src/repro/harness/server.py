@@ -15,6 +15,8 @@ packets.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -35,6 +37,7 @@ from ..cpu.maintenance import MaintenanceUnit
 from ..cpu.mempool import BufferPool
 from ..cpu.pagetable import PageTable
 from ..faults import FaultEvent, FaultInjectors, FaultPlan
+from ..mem.cache import SetAssociativeCache
 from ..mem.hierarchy import (
     HierarchyConfig,
     MemoryHierarchy,
@@ -211,6 +214,82 @@ class _Allocator:
         addr = (self._next + align - 1) // align * align
         self._next = addr + num_bytes
         return addr
+
+
+class WarmCheckpoint:
+    """One sweep's warmed hierarchy, kept as bytes.
+
+    Warm-up reads only the cache geometry, the LLC's CPU-fill masks and
+    the addresses the antagonists and drivers write, so two servers that
+    agree on those end warm-up in identical hierarchies.  The first
+    server with a reusable warm-up stores its warmed caches and
+    directory here; a later server with the same key restores them.
+    At most one snapshot is held.  A server warms cold when anything
+    could tell the difference: an observer (trace or checked mode), a
+    fault plan, or a writeback subscriber (the IDIO and IAT controllers
+    count warm-up writebacks).
+    """
+
+    __slots__ = ("key", "state")
+
+    def __init__(self) -> None:
+        self.key: Optional[str] = None
+        self.state: Optional[bytes] = None
+
+    def warm_up(self, server: SimulatedServer) -> None:
+        """Warm ``server`` up, from the snapshot when its key matches."""
+        hierarchy = server.hierarchy
+        if hierarchy.watched or not server.config.fault_plan.is_empty:
+            server._warm_up()
+            return
+        key = _warm_key(server)
+        if key == self.key:
+            assert self.state is not None
+            caches, entries = pickle.loads(self.state)
+            for cache, state in zip(_warm_caches(hierarchy), caches):
+                cache.load_state(state)
+            directory = hierarchy.llc.directory._entries
+            directory.clear()
+            directory.update(entries)
+            return
+        server._warm_up()
+        if self.key is None:
+            self.state = pickle.dumps(
+                (
+                    [cache.dump_state() for cache in _warm_caches(hierarchy)],
+                    hierarchy.llc.directory._entries,
+                ),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+            self.key = key
+
+
+def _warm_caches(hierarchy: MemoryHierarchy) -> List[SetAssociativeCache]:
+    """Every cache array warm-up can fill: L1s, MLCs, then the LLC."""
+    l1s = [cache for cache in hierarchy.l1 if cache is not None]
+    return l1s + hierarchy.mlc + [hierarchy.llc.data]
+
+
+def _warm_key(server: SimulatedServer) -> str:
+    """A digest of everything warm-up reads."""
+    llc = server.hierarchy.llc
+    inputs = (
+        [cache.config for cache in _warm_caches(server.hierarchy)],
+        [cache is not None for cache in server.hierarchy.l1],
+        llc.inclusive,
+        llc.slices,
+        sorted(llc._core_masks.items()),
+        llc._cpu_fill_order,
+        [
+            (a.core.core_id, a.app.buffer_base, a.app.num_lines())
+            for a in server.antagonists
+        ],
+        [
+            (d.core.core_id, [desc.desc_addr for desc in d.queue.ring.descriptors])
+            for d in server.drivers
+        ],
+    )
+    return hashlib.sha256(repr(inputs).encode()).hexdigest()
 
 
 class SimulatedServer:
@@ -472,15 +551,22 @@ class SimulatedServer:
     # experiment control
     # ------------------------------------------------------------------
 
-    def start(self) -> None:
-        """Warm up, reset statistics, and start all software agents."""
+    def start(self, warm: Optional[WarmCheckpoint] = None) -> None:
+        """Warm up, reset statistics, and start all software agents.
+
+        Warm-up runs at time 0: each antagonist writes its whole buffer
+        and each driver writes its descriptor ring.  With a ``warm``
+        checkpoint (one per sweep, held by the sweep runner) a server
+        whose warm-up nothing can watch restores the hierarchy that an
+        earlier cell's identical warm-up left, instead of replaying it.
+        """
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        for antagonist in self.antagonists:
-            antagonist.warmup()
-        for driver in self.drivers:
-            driver.init_ring()
+        if warm is None:
+            self._warm_up()
+        else:
+            warm.warm_up(self)
         # Statistics restart after warm-up so Fig.-style windows start clean.
         self.stats.reset()
         for core in self.cores:
@@ -492,6 +578,12 @@ class SimulatedServer:
             driver.start()
         for antagonist in self.antagonists:
             antagonist.start()
+
+    def _warm_up(self) -> None:
+        for antagonist in self.antagonists:
+            antagonist.warmup()
+        for driver in self.drivers:
+            driver.init_ring()
 
     def inject_traffic(self, profiles: Sequence[TrafficProfile]) -> int:
         """Schedule ``profiles[i]`` on ``generators[i]`` (one generator per

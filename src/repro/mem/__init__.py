@@ -11,7 +11,7 @@ from .hierarchy import (
 )
 from .line import LINE_SIZE, CacheLine, line_address, lines_spanning, num_lines
 from .llc import NonInclusiveLLC, SnoopFilterDirectory
-from .stats import Counter, EventLog, HierarchyStatsSubscriber, StatsBundle
+from .stats import Counter, EventLog, StatsBundle
 from .transaction import (
     CPU_LOAD,
     CPU_STORE,
@@ -35,7 +35,6 @@ __all__ = [
     "DRAM",
     "EventLog",
     "HierarchyConfig",
-    "HierarchyStatsSubscriber",
     "Hop",
     "INVALIDATE",
     "KINDS",

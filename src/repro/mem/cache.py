@@ -11,6 +11,7 @@ Way masks are how the two partitioning features of the paper are modeled:
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -200,6 +201,35 @@ class SetAssociativeCache:
         self._sets[set_idx][way] = None
         self._last_use[set_idx][way] = 0
         return line
+
+    def dump_state(self) -> bytes:
+        """The cache's contents and recency state as bytes.
+
+        Each way is ``None`` or an ``(addr, dirty, origin, owner)``
+        tuple, set by set; ``_where``, ``_last_use`` and ``_tick`` follow
+        as they are.  No :class:`CacheLine` object is kept, so the bytes
+        pin nothing of this cache.
+        """
+        ways = [
+            None if line is None else (line.addr, line.dirty, line.origin, line.owner)
+            for cache_set in self._sets
+            for line in cache_set
+        ]
+        return pickle.dumps(
+            (ways, self._where, self._last_use, self._tick),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+
+    def load_state(self, state: bytes) -> None:
+        """Replace every line and recency stamp with a :meth:`dump_state`
+        of a cache of the same geometry, rebuilt as fresh lines."""
+        ways, where, last_use, tick = pickle.loads(state)
+        lines = [None if way is None else CacheLine(*way) for way in ways]
+        assoc = self.assoc
+        self._sets = [lines[i : i + assoc] for i in range(0, len(lines), assoc)]
+        self._where = where
+        self._last_use = last_use
+        self._tick = tick
 
     def clear(self) -> None:
         for set_idx in range(self.num_sets):

@@ -24,12 +24,14 @@ request with hops recorded and hand the copy to every observer.  The
 callers' loops do not change, and no observer ever holds a scratch
 object.
 
-The writeback signals go over a typed pub/sub bus
-(:class:`repro.obs.bus.EventBus`): :class:`~repro.obs.events.MlcWritebackEvent`
-/ :class:`~repro.obs.events.LlcWritebackEvent` are what the IDIO
-controller's control plane and the IAT baseline sample (``mlcWB`` in
-Alg. 1), and the :class:`~repro.mem.stats.StatsBundle` counts them as a
-bus subscriber like everyone else.
+The hierarchy counts every MLC and LLC writeback inline, as it counts
+its other transitions.  It then publishes
+:class:`~repro.obs.events.MlcWritebackEvent` /
+:class:`~repro.obs.events.LlcWritebackEvent` on a typed pub/sub bus
+(:class:`repro.obs.bus.EventBus`), building the event only when someone
+subscribes: the IDIO controller's control plane, the IAT baseline
+(``mlcWB`` in Alg. 1) or a trace recorder.  A subscriber always sees the
+counters already bumped.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .cache import CacheConfig, SetAssociativeCache
 from .dram import DRAM
 from .line import CacheLine, line_address
 from .llc import NonInclusiveLLC, owner_cores
-from .stats import HierarchyStatsSubscriber, StatsBundle
+from .stats import StatsBundle
 from .transaction import (
     CPU_LOAD,
     CPU_STORE,
@@ -151,14 +153,8 @@ class MemoryHierarchy:
     ) -> None:
         self.config = config
         self.stats = stats or StatsBundle()
-        #: The observability bus.  The stats bundle subscribes first so
-        #: counters are current when later subscribers (controllers,
-        #: recorders) observe the same event.
+        #: The observability bus (writeback and tenant-DMA events).
         self.bus = bus or EventBus()
-        self._stats_subscriber = HierarchyStatsSubscriber(
-            self.stats, config.num_cores
-        )
-        self._stats_subscriber.install(self.bus)
         # Hot-path counter/event-log access: the handlers below perform
         # one unlogged increment (or one increment + one timestamp
         # append) per state transition, so they hit the bundle's
@@ -222,6 +218,9 @@ class MemoryHierarchy:
         # every invalidation; f-strings there are measurable).
         self._mlc_inval_names = [
             f"mlc_invalidations_c{core}" for core in range(config.num_cores)
+        ]
+        self._mlc_wb_names = [
+            f"mlc_writebacks_c{core}" for core in range(config.num_cores)
         ]
         self._l1_evict_names = [
             f"{c.config.name}_evictions" if c is not None else "" for c in self.l1
@@ -302,22 +301,36 @@ class MemoryHierarchy:
     # None-check is all an unobserved access pays for it.
 
     # ------------------------------------------------------------------
-    # bus publications
+    # writebacks
     # ------------------------------------------------------------------
 
-    def _notify_mlc_wb(self, core: int, now: int) -> None:
+    def _mlc_writeback(self, core: int, now: int) -> None:
+        """Count one MLC writeback, then publish it to any subscriber."""
+        cv = self._counter_values
+        cv["mlc_writebacks"] += 1
+        self._event_streams["mlc_writebacks"].append(now)
+        cv[self._mlc_wb_names[core]] += 1
         subs = self._mlc_wb_subs
         if subs:
             event = MlcWritebackEvent(core, now)
             for fn in subs:
                 fn(event)
 
-    def _notify_llc_wb(self, addr: int, now: int) -> None:
+    def _llc_writeback(self, addr: int, now: int) -> None:
+        """Count one LLC writeback, then publish it to any subscriber."""
+        self._counter_values["llc_writebacks"] += 1
+        self._event_streams["llc_writebacks"].append(now)
         subs = self._llc_wb_subs
         if subs:
             event = LlcWritebackEvent(addr, now)
             for fn in subs:
                 fn(event)
+
+    @property
+    def watched(self) -> bool:
+        """True while a transaction observer or a writeback subscriber
+        could see this hierarchy's traffic."""
+        return bool(self._observers or self._mlc_wb_subs or self._llc_wb_subs)
 
     # ------------------------------------------------------------------
     # tenant attribution
@@ -417,7 +430,7 @@ class MemoryHierarchy:
                 hops.append(Hop("llc", "evict", 0))
                 hops.append(Hop("dram", "writeback", 0))
             self.dram.write(victim.addr, now)
-            self._notify_llc_wb(victim.addr, now)
+            self._llc_writeback(victim.addr, now)
         else:
             hops = self._active_hops
             if hops is not None:
@@ -450,7 +463,7 @@ class MemoryHierarchy:
             if resident is not None:
                 if victim.dirty:
                     resident.dirty = True
-                    self._notify_mlc_wb(core, now)
+                    self._mlc_writeback(core, now)
                 else:
                     self._counter_values["mlc_clean_drops"] += 1
                 self._retire_line(victim)
@@ -464,7 +477,7 @@ class MemoryHierarchy:
         if hops is not None:
             hops.append(Hop("mlc", "evict", 0))
             hops.append(Hop("llc", "writeback", 0))
-        self._notify_mlc_wb(core, now)
+        self._mlc_writeback(core, now)
         if victim.dirty:
             self._counter_values["mlc_writebacks_dirty"] += 1
         else:
@@ -492,7 +505,7 @@ class MemoryHierarchy:
                 hops = self._active_hops
                 if hops is not None:
                     hops.append(Hop("llc", "writeback", 0))
-                self._notify_mlc_wb(core, now)
+                self._mlc_writeback(core, now)
                 llc_victim = self.llc.fill_cpu(victim, now, core=core)
                 if llc_victim is not None:
                     self._llc_victim_to_dram(llc_victim, now)
@@ -734,7 +747,7 @@ class MemoryHierarchy:
                 if line.dirty:
                     if hops is not None:
                         hops.append(Hop("llc", "writeback", 0))
-                    self._notify_mlc_wb(core, now)
+                    self._mlc_writeback(core, now)
                 line.owner = -1
                 llc_victim = self.llc.fill_cpu(line, now, core=core)
                 if llc_victim is not None:

@@ -17,7 +17,6 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..obs.events import LlcWritebackEvent, MlcWritebackEvent
 from ..sim import units
 
 
@@ -180,42 +179,3 @@ class StatsBundle:
         self.counters.reset()
         self.events.reset()
 
-
-class HierarchyStatsSubscriber:
-    """Routes hierarchy writeback events into a :class:`StatsBundle`.
-
-    The hierarchy used to bump these counters inline before invoking its
-    callback lists; with the typed event bus the stats bundle is an
-    ordinary subscriber.  It must be installed *first* (the hierarchy
-    does this in its constructor) so that counters are already current
-    when downstream subscribers — the IDIO controller's control plane,
-    the IAT baseline, trace recorders — observe the same event.
-    """
-
-    __slots__ = ("stats", "_mlc_wb_names", "_counter_values", "_event_streams")
-
-    def __init__(self, stats: StatsBundle, num_cores: int) -> None:
-        self.stats = stats
-        # Per-core counter names pre-formatted once; these are on the
-        # writeback hot path, so the handlers also hit the bundle's
-        # underlying dicts directly (same inlined-bump pattern as the
-        # hierarchy's own counters; the refs survive reset()).
-        self._mlc_wb_names = [f"mlc_writebacks_c{core}" for core in range(num_cores)]
-        self._counter_values = stats._counter_values
-        self._event_streams = stats._event_streams
-
-    def install(self, bus) -> "HierarchyStatsSubscriber":
-        bus.subscribe(MlcWritebackEvent, self.on_mlc_writeback)
-        bus.subscribe(LlcWritebackEvent, self.on_llc_writeback)
-        return self
-
-    def on_mlc_writeback(self, event: MlcWritebackEvent) -> None:
-        now = event.now
-        cv = self._counter_values
-        cv["mlc_writebacks"] += 1
-        self._event_streams["mlc_writebacks"].append(now)
-        cv[self._mlc_wb_names[event.core]] += 1
-
-    def on_llc_writeback(self, event: LlcWritebackEvent) -> None:
-        self._counter_values["llc_writebacks"] += 1
-        self._event_streams["llc_writebacks"].append(event.now)

@@ -8,7 +8,9 @@ from repro.core.policies import idio
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig
 from repro.mem import DMA_WRITE, INVALIDATE, MemoryTransaction
+from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.mem.line import LINE_SIZE
 from repro.mem.transaction import PREFETCH_FILL, Hop
 from repro.obs import EventBus, TraceRecorder
 from repro.obs.events import LlcWritebackEvent, MlcWritebackEvent, PmdBatchEvent
@@ -54,14 +56,72 @@ class TestEventBus:
         assert not bus.has_subscribers(PmdBatchEvent)
 
 
+def _evicting_hierarchy():
+    """One core, a one-set 2-way MLC over a one-set 2-way LLC: a store to
+    each of ``WRITEBACK_STORES`` makes three MLC writebacks (each a
+    dirty victim into the LLC) and one LLC writeback to DRAM."""
+    return MemoryHierarchy(
+        HierarchyConfig(
+            num_cores=1,
+            l1_enabled=False,
+            mlc=CacheConfig("mlc", 2 * LINE_SIZE, 2, 1),
+            llc=CacheConfig("llc", 2 * LINE_SIZE, 2, 1),
+            ddio_ways=1,
+        )
+    )
+
+
+WRITEBACK_STORES = [i * LINE_SIZE for i in range(5)]
+
+
 class TestHierarchyPublishing:
     def test_stats_subscriber_counts_writebacks(self):
-        h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
-        h.bus.publish(MlcWritebackEvent(0, 5))
-        h.bus.publish(LlcWritebackEvent(0x40, 6))
-        assert h.stats.counters.get("mlc_writebacks") == 1
-        assert h.stats.counters.get("mlc_writebacks_c0") == 1
-        assert h.stats.counters.get("llc_writebacks") == 1
+        """The hierarchy counts real MLC and LLC evictions itself, with
+        nothing subscribed to the bus."""
+        h = _evicting_hierarchy()
+        for now, addr in enumerate(WRITEBACK_STORES):
+            cpu_access(h, 0, addr, True, now)
+        counters = h.stats.counters
+        assert counters.get("mlc_writebacks") == 3
+        assert counters.get("mlc_writebacks_c0") == 3
+        assert counters.get("llc_writebacks") == 1
+        assert h.stats.events.timestamps("mlc_writebacks") == [2, 3, 4]
+        assert h.stats.events.timestamps("llc_writebacks") == [4]
+
+    def test_no_writeback_event_built_without_a_subscriber(self, monkeypatch):
+        built = []
+        for event_type in (MlcWritebackEvent, LlcWritebackEvent):
+            init = event_type.__init__
+
+            def counted_init(event, *args, init=init):
+                built.append(event)
+                init(event, *args)
+
+            monkeypatch.setattr(event_type, "__init__", counted_init)
+        h = _evicting_hierarchy()
+        for now, addr in enumerate(WRITEBACK_STORES):
+            cpu_access(h, 0, addr, True, now)
+        assert built == []
+        h.bus.subscribe(MlcWritebackEvent, lambda e: None)
+        cpu_access(h, 0, 5 * LINE_SIZE, True, 5)
+        assert [type(e) for e in built] == [MlcWritebackEvent]
+
+    def test_subscribers_see_counters_already_bumped(self):
+        h = _evicting_hierarchy()
+        counters = h.stats.counters
+        seen = []
+        h.bus.subscribe(
+            MlcWritebackEvent,
+            lambda e: seen.append(
+                ("mlc", counters.get("mlc_writebacks"), counters.get("mlc_writebacks_c0"))
+            ),
+        )
+        h.bus.subscribe(
+            LlcWritebackEvent, lambda e: seen.append(("llc", counters.get("llc_writebacks")))
+        )
+        for now, addr in enumerate(WRITEBACK_STORES):
+            cpu_access(h, 0, addr, True, now)
+        assert seen == [("mlc", 1, 1), ("mlc", 2, 2), ("mlc", 3, 3), ("llc", 1)]
 
     def test_transactions_published_when_subscribed(self):
         """Completed transactions go to the hierarchy's observers, not

@@ -6,6 +6,8 @@ must then be gone at once, not left in reference cycles for the next
 generation-2 collection: a sweep worker would otherwise build the next
 cell beside the dead one.  Each case runs with the cyclic collector
 disabled, so a weakref that survives names a cycle on the run path.
+A cell that restores a sweep's warm-up checkpoint must free its server
+the same way: the checkpoint holds only bytes.
 """
 
 import gc
@@ -16,7 +18,7 @@ import pytest
 from repro.core.policies import policy_by_name
 from repro.harness import runner
 from repro.harness.experiment import Experiment
-from repro.harness.server import ServerConfig
+from repro.harness.server import ServerConfig, WarmCheckpoint
 from repro.sim import units
 from repro.tenants.scenarios import tenant_experiment, tenant_mix
 
@@ -65,17 +67,33 @@ def collector_disabled():
             gc.enable()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_run_releases_server_without_the_collector(case, collector_disabled, monkeypatch):
+def _watch_runs(monkeypatch):
+    """Weakrefs to each run's hierarchy and simulator, two per run."""
     refs = []
     run_experiment = runner.run_experiment
 
-    def run_and_watch(experiment):
-        result = run_experiment(experiment)
+    def run_and_watch(experiment, warm=None):
+        result = run_experiment(experiment, warm)
         refs.extend([weakref.ref(result.server.hierarchy), weakref.ref(result.server.sim)])
         return result
 
     monkeypatch.setattr(runner, "run_experiment", run_and_watch)
+    return refs
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_releases_server_without_the_collector(case, collector_disabled, monkeypatch):
+    refs = _watch_runs(monkeypatch)
     summary = runner.run_experiment_summary(CASES[case]())
     assert summary.completed > 0
     assert [ref() is None for ref in refs] == [True, True], "hierarchy/sim still alive"
+
+
+def test_restored_cell_releases_server_without_the_collector(collector_disabled, monkeypatch):
+    refs = _watch_runs(monkeypatch)
+    warm = WarmCheckpoint()
+    runner.run_experiment_summary(_tenant_cell(), warm)
+    assert warm.state is not None
+    summary = runner.run_experiment_summary(_tenant_cell(), warm)
+    assert summary.completed > 0
+    assert [ref() is None for ref in refs[2:]] == [True, True], "hierarchy/sim still alive"
