@@ -35,9 +35,9 @@ from .api import (
     FaultEvent,
     FaultPlan,
     FaultSpec,
+    Matrix,
     PolicyConfig,
     RackConfig,
-    RackSummary,
     ResultCache,
     ServerConfig,
     SimulatedRack,
@@ -62,7 +62,7 @@ from .api import (
     units,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
     "Experiment",
@@ -73,9 +73,9 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultSpec",
+    "Matrix",
     "PolicyConfig",
     "RackConfig",
-    "RackSummary",
     "ResultCache",
     "ServerConfig",
     "SimulatedRack",

@@ -13,14 +13,16 @@ The facade covers the three things external code does:
 * **build & run** — :func:`build_server`, :func:`run_experiment`,
   :func:`run_experiments`, :func:`run_policy_comparison`, configured via
   :class:`ServerConfig` / :class:`Experiment` / :class:`PolicyConfig`;
-* **resilient sweeps** — :func:`run_sweep` with per-experiment timeouts,
-  crash retry, and a partial-result :class:`SweepResult`;
+* **resilient sweeps** — :func:`run_sweep` over a :class:`Matrix` (named
+  axes, one experiment per cell) or a bare experiment list, with
+  per-experiment timeouts, crash retry, and a partial-result
+  :class:`SweepResult` keyed by the matrix's axes;
 * **fault injection** — :class:`FaultPlan` / :class:`FaultSpec` /
   :func:`standard_plan` schedules riding inside ``ServerConfig``, with
   injections observable as :class:`FaultEvent` counts;
 * **rack-scale sweeps** — :class:`RackConfig` / :class:`SimulatedRack` /
-  :func:`run_rack`, a ToR load balancer steering flows across N servers
-  and folding per-server summaries into a :class:`RackSummary`;
+  :func:`run_rack`, a ToR load balancer steering flows across N servers,
+  one ``server`` cell per server with a rack aggregate row;
 * **multi-tenant isolation** — :class:`TenantConfig` / :class:`TenantSet`
   riding on ``ServerConfig.tenants`` for per-tenant flow tagging and DMA
   attribution, the :func:`ioca` dynamic way-partitioning policy, and
@@ -49,14 +51,10 @@ from .harness.experiment import (
     run_experiment,
     run_policy_comparison,
 )
-from .harness.runner import (
-    SweepRecord,
-    SweepResult,
-    run_experiments,
-    run_sweep,
-)
+from .harness.matrix import Matrix, SweepRecord, SweepResult
+from .harness.runner import run_experiments, run_sweep
 from .harness.server import ServerConfig, SimulatedServer
-from .rack import RackConfig, RackSummary, SimulatedRack, run_rack
+from .rack import RackConfig, SimulatedRack, run_rack
 from .sim import Simulator, units
 from .tenants.config import TenantConfig, TenantSet
 from .tenants.sweep import run_tenants
@@ -84,9 +82,9 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultSpec",
+    "Matrix",
     "PolicyConfig",
     "RackConfig",
-    "RackSummary",
     "ResultCache",
     "ServerConfig",
     "SimulatedRack",

@@ -32,12 +32,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence
 
 from .core import policies
+from .faults import FAULT_LAYERS
 from .harness import extensions, figures
 from .harness.experiment import Experiment, run_experiment
-from .harness.runner import run_experiments, shutdown_pool
+from .harness.matrix import Matrix, SweepResult
+from .harness.runner import run_experiments, run_sweep, shutdown_pool
 from .harness.report import format_table, timeline_block
 from .harness.server import APP_FACTORIES, ServerConfig
 from .harness.traces import export_csv, to_csv_string
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     from . import __version__
     from .rack import RACK_TRAFFIC_KINDS
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idio-repro",
         description="IDIO (MICRO 2022) reproduction: experiments and figure harness",
     )
@@ -123,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmp_p.add_argument(
         "--policies",
+        type=_policy_names,
         default="ddio,idio",
         help="comma-separated policy names (default: ddio,idio)",
     )
@@ -156,29 +159,28 @@ def build_parser() -> argparse.ArgumentParser:
             _jobs_parent(),
             _cache_parent(),
             _scenario_parent(),
+            _sweep_parent(),
         ],
     )
     faults_p.add_argument(
         "--policies",
+        type=_policy_names,
         default="ddio,idio",
         help="comma-separated policy names (default: %(default)s)",
     )
     faults_p.add_argument(
         "--layers",
+        type=_comma_list(_fault_layer),
         default="nic,pcie,mem,cpu",
         help="comma-separated fault layers (from nic,pcie,mem,cpu,all; "
         "default: %(default)s)",
     )
     faults_p.add_argument(
         "--intensities",
+        type=_non_negative_floats,
         default="0,0.5,1",
         help="comma-separated probability scale factors; 0 is the "
         "fault-free baseline row (default: %(default)s)",
-    )
-    faults_p.add_argument(
-        "--checked",
-        action="store_true",
-        help="attach the invariant sanitizer to every faulted run",
     )
     faults_p.add_argument(
         "--quick", action="store_true", help="reduced-scale smoke matrix"
@@ -197,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="extra attempts for crashed experiments (default: %(default)s)",
     )
-    faults_p.add_argument(
-        "--out", help="write the sweep's failure manifest JSON to this file"
-    )
 
     check_p = sub.add_parser(
         "check",
@@ -212,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_p.add_argument(
         "--policies",
+        type=_policy_names,
         default="ddio,idio",
         help="comma-separated policies to run in checked mode "
         "(default: %(default)s)",
@@ -234,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
             _policy_parent("ddio"),
             _cache_parent(),
             _scenario_parent(),
+            _sweep_parent(),
         ],
     )
     rack_p.add_argument(
@@ -264,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rack_p.add_argument(
         "--rate",
-        type=float,
+        type=_positive_float,
         default=100.0,
         help="aggregate offered load across the rack in Gbps (default: %(default)s)",
     )
     rack_p.add_argument(
         "--duration-us",
-        type=float,
+        type=_positive_float,
         default=200.0,
         help="traffic duration per server (default: %(default)s)",
     )
@@ -278,33 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="rack master seed (default: %(default)s)"
     )
     rack_p.add_argument(
-        "--checked",
-        action="store_true",
-        help="attach the invariant sanitizer to every server",
-    )
-    rack_p.add_argument(
         "--trace-out",
         metavar="PATH",
         help="export per-server lanes as a Chrome-trace JSON",
-    )
-    rack_p.add_argument(
-        "--out", metavar="PATH", help="write the rack summary JSON to this file"
     )
 
     tenants_p = sub.add_parser(
         "tenants",
         help="run the multi-tenant isolation matrix "
         "(policy x tenant mix x aggressor intensity)",
-        parents=[_jobs_parent(), _cache_parent(), _scenario_parent()],
+        parents=[_jobs_parent(), _cache_parent(), _scenario_parent(), _sweep_parent()],
     )
     tenants_p.set_defaults(tenants=2)
     tenants_p.add_argument(
         "--policies",
+        type=_policy_names,
         default="ddio,idio,ioca",
         help="comma-separated policy names (default: %(default)s)",
     )
     tenants_p.add_argument(
         "--intensities",
+        type=_non_negative_floats,
         default="0.25,1,2",
         help="comma-separated aggressor intensities; the lowest is each "
         "policy's isolation baseline (default: %(default)s)",
@@ -317,23 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tenants_p.add_argument(
         "--duration-us",
-        type=float,
+        type=_positive_float,
         default=200.0,
         help="traffic duration per cell (default: %(default)s)",
-    )
-    tenants_p.add_argument(
-        "--checked",
-        action="store_true",
-        help="attach the invariant sanitizer (way-quota conservation) "
-        "to every cell",
     )
     tenants_p.add_argument(
         "--trace-out",
         metavar="PATH",
         help="export per-tenant degradation curves as a Chrome-trace JSON",
-    )
-    tenants_p.add_argument(
-        "--out", metavar="PATH", help="write the sweep summary JSON to this file"
     )
 
     cache_p = sub.add_parser(
@@ -400,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--out", default="idio-trace.json", help="output path (default: %(default)s)"
     )
-    trace_p.add_argument("--policy", default="idio", help="placement policy name")
+    trace_p.add_argument(
+        "--policy", type=_policy_name, default="idio", help="placement policy name"
+    )
     trace_p.add_argument(
         "--rate", type=float, default=100.0, help="burst rate in Gbps"
     )
@@ -416,17 +404,70 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value}"
-        )
-    return value
+class _UsageError(SystemExit):
+    """A bad command line, already reported on one line (exit status 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``prog: error: ...`` line."""
+
+    def error(self, message: str) -> NoReturn:
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError(2)
+
+
+def _number(convert: Callable[[str], Any], what: str, ok: Callable[[Any], bool]):
+    """argparse type: ``convert(text)``, which must satisfy ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _number(int, "a positive integer", lambda v: v > 0)
+_non_negative_int = _number(int, "a non-negative integer", lambda v: v >= 0)
+_positive_float = _number(float, "a positive number", lambda v: v > 0)
+_non_negative_float = _number(float, "a non-negative number", lambda v: v >= 0)
+
+
+def _one_of(what: str, names: Callable[[], Sequence[str]]) -> Callable[[str], str]:
+    """argparse type: one of ``names()``."""
+
+    def parse(text: str) -> str:
+        if text not in names():
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {text!r}; choose from {sorted(names())}"
+            )
+        return text
+
+    return parse
+
+
+_policy_name = _one_of("policy", policies.extended_policies)
+_fault_layer = _one_of("fault layer", lambda: FAULT_LAYERS + ("all",))
+
+
+def _comma_list(item: Callable[[str], Any]) -> Callable[[str], List[Any]]:
+    """argparse type: a non-empty comma-separated list of ``item`` values."""
+
+    def parse(text: str) -> List[Any]:
+        values = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("expected a comma-separated list, got none")
+        return values
+
+    return parse
+
+
+_policy_names = _comma_list(_policy_name)
+_non_negative_floats = _comma_list(_non_negative_float)
 
 
 def _jobs_parent() -> argparse.ArgumentParser:
@@ -445,7 +486,9 @@ def _jobs_parent() -> argparse.ArgumentParser:
 def _policy_parent(default: str) -> argparse.ArgumentParser:
     """Shared ``--policy`` vocabulary with a per-subcommand default."""
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--policy", default=default, help="placement policy name")
+    p.add_argument(
+        "--policy", type=_policy_name, default=default, help="placement policy name"
+    )
     return p
 
 
@@ -487,7 +530,7 @@ def _scenario_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
         "--tenants",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="co-located tenants per server (0 = single-tenant)",
@@ -500,25 +543,40 @@ def _scenario_parent() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--intensity",
-        type=float,
+        type=_non_negative_float,
         default=1.0,
         help="aggressor-load scale for the tenant mix (default: %(default)s)",
     )
     return p
 
 
-def _tenant_set(args: argparse.Namespace, seed: int):
-    """The :class:`TenantSet` requested by the scenario flags, or ``None``."""
-    if getattr(args, "tenants", 0) <= 0:
-        return None
+def _sweep_parent() -> argparse.ArgumentParser:
+    """Shared matrix-command flags (``faults``/``rack``/``tenants``)."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(
+        "--checked",
+        action="store_true",
+        help="attach the invariant sanitizer to every cell's server",
+    )
+    p.add_argument(
+        "--out",
+        metavar="PATH",
+        help="write the sweep JSON (faults: the failure manifest) to this file",
+    )
+    return p
+
+
+def _scenario(args: argparse.Namespace, nf_cores: int) -> Dict[str, Any]:
+    """The ``ServerConfig`` fields the scenario flags set: the requested
+    :class:`TenantSet` (or ``None``) and the NF core count it needs."""
+    if args.tenants <= 0:
+        return {"tenants": None, "num_nf_cores": nf_cores}
     from .tenants.scenarios import tenant_mix
 
-    return tenant_mix(
-        args.tenant_mix,
-        tenants=args.tenants,
-        intensity=args.intensity,
-        seed=seed,
+    tenants = tenant_mix(
+        args.tenant_mix, tenants=args.tenants, intensity=args.intensity, seed=args.seed
     )
+    return {"tenants": tenants, "num_nf_cores": tenants.total_nf_cores}
 
 
 def _workload_parent() -> argparse.ArgumentParser:
@@ -650,10 +708,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    names = [n.strip() for n in args.policies.split(",") if n.strip()]
-    if not names:
-        print("no policies given", file=sys.stderr)
-        return 2
+    names = args.policies
     summaries = run_experiments(
         [_experiment_from_args(args, name) for name in names], jobs=args.jobs
     )
@@ -708,10 +763,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .analysis.sanitizer import InvariantViolation
     from .harness.runner import run_experiment_summary
 
-    names = [n.strip() for n in args.policies.split(",") if n.strip()]
-    if not names:
-        print("no policies given", file=sys.stderr)
-        return 2
+    names = args.policies
     rate = 25.0 if args.quick else 100.0
     ring = 256 if args.quick else 1024
     failures = 0
@@ -808,6 +860,41 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finish_sweep(
+    args: argparse.Namespace,
+    result: SweepResult,
+    noun: str,
+    *notes: str,
+    label: Optional[str] = None,
+    out: Optional[Callable[[], Dict[str, Any]]] = None,
+) -> int:
+    """The epilogue every matrix command shares.
+
+    Prints the result's table, the ``{label} fingerprint`` line (when
+    the command folds one) and ``notes``; writes ``--trace-out`` lanes
+    and the ``--out`` JSON (``out()``, default ``result.to_json()``);
+    returns the sweep's exit code.
+    """
+    import json
+
+    from .obs.trace import TraceRecorder
+
+    print(result.render())
+    if label is not None:
+        print(f"{label} fingerprint: {result.fingerprint}")
+    for note in notes:
+        print(note)
+    if getattr(args, "trace_out", None):
+        events = TraceRecorder().add_lanes(result.lanes()).export(args.trace_out)
+        print(f"wrote {events} trace events to {args.trace_out}")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump((out or result.to_json)(), fh, indent=2)
+            fh.write("\n")
+        print(f"({noun} written to {args.out})")
+    return result.exit_code
+
+
 def cmd_faults(args: argparse.Namespace) -> int:
     """Run the degradation matrix: policy x fault layer x intensity.
 
@@ -819,44 +906,25 @@ def cmd_faults(args: argparse.Namespace) -> int:
     is reported in the failure manifest instead of killing the matrix,
     and the exit code reflects any losses.
     """
-    import json
-
-    from .faults import FAULT_LAYERS, FaultPlan, standard_plan
-    from .harness.runner import run_sweep
-
-    names = [n.strip() for n in args.policies.split(",") if n.strip()]
-    layers = [l.strip() for l in args.layers.split(",") if l.strip()]
-    try:
-        intensities = [float(x) for x in args.intensities.split(",") if x.strip()]
-    except ValueError:
-        print(f"invalid --intensities {args.intensities!r}", file=sys.stderr)
-        return 2
-    if not names or not layers or not intensities:
-        print("empty --policies / --layers / --intensities", file=sys.stderr)
-        return 2
-    known = set(FAULT_LAYERS) | {"all"}
-    unknown = [l for l in layers if l not in known]
-    if unknown:
-        print(f"unknown fault layers {unknown}; choose from {sorted(known)}",
-              file=sys.stderr)
-        return 2
+    from .faults import FaultPlan, standard_plan
 
     ring = 128 if args.quick else args.ring
     rate = min(args.rate, 50.0) if args.quick else args.rate
-    tenant_set = _tenant_set(args, args.seed)
+    scenario = _scenario(args, args.nf_cores)
 
-    def make_experiment(policy_name: str, label: str, plan: FaultPlan) -> Experiment:
+    def cell(policy_name: str, layer: str, intensity: float) -> Experiment:
+        if layer == "none":
+            label, plan = "baseline", FaultPlan()
+        else:
+            label = f"{layer}-{intensity:g}"
+            plan = standard_plan(layer, intensity, seed=args.seed)
         base = _experiment_from_args(args, policy_name)
         server = replace(
             base.server,
             ring_size=ring,
-            num_nf_cores=(
-                tenant_set.total_nf_cores if tenant_set is not None
-                else args.nf_cores
-            ),
             checked_mode=args.checked,
             fault_plan=plan,
-            tenants=tenant_set,
+            **scenario,
         )
         return replace(
             base,
@@ -866,91 +934,58 @@ def cmd_faults(args: argparse.Namespace) -> int:
             steady_rate_gbps_per_nf=rate,
         )
 
-    cells: List[tuple] = []  # (policy, layer label, intensity, Experiment)
-    for policy_name in names:
-        if any(i == 0 for i in intensities):
-            cells.append(
-                (policy_name, "none", 0.0,
-                 make_experiment(policy_name, "baseline", FaultPlan()))
-            )
-        for layer in layers:
-            for intensity in intensities:
-                if intensity == 0:
-                    continue
-                plan = standard_plan(layer, intensity, seed=args.seed)
-                cells.append(
-                    (policy_name, layer, intensity,
-                     make_experiment(policy_name, f"{layer}-{intensity:g}", plan))
+    def rows(result: SweepResult):
+        for c in result.cells:
+            s = c.summary
+            yield [c.policy, c.layer, f"{c.intensity:g}", c.status, *(
+                (None,) * 4 if s is None else (
+                    s.completed,
+                    s.rx_drops,
+                    s.p99_ns / 1000.0 if s.p99_ns else None,
+                    sum(s.fault_counts.values()),
                 )
+            )]
 
-    sweep = run_sweep(
-        [exp for (_, _, _, exp) in cells],
-        jobs=args.jobs,
-        timeout_s=args.timeout_s,
-        retries=args.retries,
+    baseline = [("none", 0.0)] if 0 in args.intensities else []
+    faulted = [(l, i) for l in args.layers for i in args.intensities if i != 0]
+    matrix = Matrix.build(
+        ("policy", "layer", "intensity"),
+        [(name, *cell_key) for name in args.policies for cell_key in baseline + faulted],
+        cell,
+        title=f"degradation matrix: {args.app} @ {rate:g} Gbps, ring {ring}",
+        columns=("policy", "layer", "intensity", "status", "completed", "drops",
+                 "p99 us", "faults"),
+        rows=rows,
     )
-
-    rows: List[List[object]] = []
-    for (policy_name, layer, intensity, _), summary, record in zip(
-        cells, sweep.summaries, sweep.records
-    ):
-        if summary is None:
-            rows.append([policy_name, layer, f"{intensity:g}", record.status,
-                         None, None, None, None])
-            continue
-        rows.append(
-            [
-                policy_name,
-                layer,
-                f"{intensity:g}",
-                record.status,
-                summary.completed,
-                summary.rx_drops,
-                (summary.p99_ns or 0) / 1000.0 if summary.p99_ns else None,
-                sum(summary.fault_counts.values()),
-            ]
-        )
-    print(
-        format_table(
-            ["policy", "layer", "intensity", "status", "completed", "drops",
-             "p99 us", "faults"],
-            rows,
-            title=f"degradation matrix: {args.app} @ {rate:g} Gbps, ring {ring}",
-        )
+    result = run_sweep(
+        matrix, jobs=args.jobs, timeout_s=args.timeout_s, retries=args.retries
     )
-    counts = ", ".join(f"{k}={v}" for k, v in sorted(sweep.counts().items()))
-    print(f"[{len(sweep.records)} cells: {counts}]")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(sweep.failure_manifest(), fh, indent=2)
-            fh.write("\n")
-        print(f"(failure manifest written to {args.out})")
-    return sweep.exit_code
+    counts = ", ".join(f"{k}={v}" for k, v in sorted(result.counts().items()))
+    return _finish_sweep(
+        args,
+        result,
+        "failure manifest",
+        f"[{len(result.records)} cells: {counts}]",
+        out=result.failure_manifest,
+    )
 
 
 def cmd_rack(args: argparse.Namespace) -> int:
     """Run one rack sweep and print the per-server + aggregate table.
 
-    With ``--trace-out`` a :class:`~repro.obs.trace.TraceRecorder`
-    subscribes to the rack bus before the sweep, so every server shows up
-    as its own Chrome-trace process with counter lanes per stream.
+    The first failed server's exception is re-raised.  With
+    ``--trace-out`` every server shows up as its own Chrome-trace
+    process with counter lanes per stream.
     """
-    import json
-
-    from .obs.trace import TraceRecorder
     from .rack import RackConfig, SimulatedRack
 
-    tenant_set = _tenant_set(args, args.seed)
     config = RackConfig(
         name="cli-rack",
         num_servers=args.servers,
         server=ServerConfig(
             policy=policies.policy_by_name(args.policy),
             checked_mode=args.checked,
-            num_nf_cores=(
-                tenant_set.total_nf_cores if tenant_set is not None else 2
-            ),
-            tenants=tenant_set,
+            **_scenario(args, nf_cores=2),
         ),
         total_flows=args.flows,
         steering=args.steering,
@@ -959,24 +994,17 @@ def cmd_rack(args: argparse.Namespace) -> int:
         duration_us=args.duration_us,
         seed=args.seed,
     )
-    rack = SimulatedRack(config)
-    recorder = TraceRecorder().attach(rack.bus) if args.trace_out else None
-    summary = rack.run(jobs=args.jobs)
-    print(summary.render())
-    print(f"rack fingerprint: {summary.fingerprint}")
-    print(
-        f"[{summary.events_fired} events in {summary.wall_seconds:.2f}s "
-        "sim wall time]"
+    result = SimulatedRack(config).run(jobs=args.jobs)
+    summaries = [cell.summary for cell in result.cells]
+    events = sum(s.events_fired for s in summaries)
+    wall = sum(s.wall_seconds for s in summaries)
+    return _finish_sweep(
+        args,
+        result,
+        "rack summary",
+        f"[{events} events in {wall:.2f}s sim wall time]",
+        label="rack",
     )
-    if recorder is not None:
-        events = recorder.export(args.trace_out)
-        print(f"wrote {events} trace events to {args.trace_out}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(summary.to_json(), fh, indent=2)
-            fh.write("\n")
-        print(f"(rack summary written to {args.out})")
-    return 0
 
 
 def cmd_tenants(args: argparse.Namespace) -> int:
@@ -985,65 +1013,25 @@ def cmd_tenants(args: argparse.Namespace) -> int:
     Cells (policy x aggressor intensity over one scenario pack) fan out
     through the resilient sweep runner, so they shard over the warm pool
     (``--jobs``) and memoize in the result cache; the footer scores each
-    policy's worst victim-p99 degradation.  With ``--trace-out`` a
-    :class:`~repro.obs.trace.TraceRecorder` captures the per-tenant
-    degradation curves as a Chrome trace.
+    policy's worst victim-p99 degradation.  With ``--trace-out`` the
+    per-tenant degradation curves are written as a Chrome trace.
     """
-    import json
-
-    from .obs.bus import EventBus
-    from .obs.trace import TraceRecorder
     from .tenants.sweep import run_tenants
 
-    names = [n.strip() for n in args.policies.split(",") if n.strip()]
-    if not names:
-        print("no policies given", file=sys.stderr)
-        return 2
     if args.tenants < 1:
         print("--tenants must be at least 1", file=sys.stderr)
         return 2
-    try:
-        configs = [policies.policy_by_name(name) for name in names]
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
-        intensities = [float(x) for x in args.intensities.split(",") if x.strip()]
-    except ValueError:
-        print(f"invalid --intensities {args.intensities!r}", file=sys.stderr)
-        return 2
-    if not intensities:
-        print("empty --intensities", file=sys.stderr)
-        return 2
-
-    bus = None
-    recorder = None
-    if args.trace_out:
-        bus = EventBus()
-        recorder = TraceRecorder().attach(bus)
-    summary = run_tenants(
-        configs,
+    result = run_tenants(
+        [policies.policy_by_name(name) for name in args.policies],
         mix=args.tenant_mix,
         tenants=args.tenants,
-        intensities=intensities,
+        intensities=args.intensities,
         seed=args.seed,
         duration_us=args.duration_us,
         jobs=args.jobs,
         checked=args.checked,
-        bus=bus,
     )
-    print(summary.render())
-    print(f"sweep fingerprint: {summary.fingerprint}")
-    if recorder is not None:
-        events = recorder.export(args.trace_out)
-        recorder.detach()
-        print(f"wrote {events} trace events to {args.trace_out}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(summary.to_json(), fh, indent=2)
-            fh.write("\n")
-        print(f"(sweep summary written to {args.out})")
-    return summary.exit_code
+    return _finish_sweep(args, result, "sweep summary", label="sweep")
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -1153,7 +1141,10 @@ def _install_cache(args: argparse.Namespace):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError:
+        return 2
     handlers = {
         "list": cmd_list,
         "run": cmd_run,

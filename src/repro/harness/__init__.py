@@ -8,9 +8,8 @@ from .experiment import (
     run_experiment,
     run_policy_comparison,
 )
+from .matrix import Matrix, SweepRecord, SweepResult
 from .runner import (
-    SweepRecord,
-    SweepResult,
     run_experiment_summary,
     run_experiments,
     run_named_experiments,
@@ -23,6 +22,7 @@ __all__ = [
     "Experiment",
     "ExperimentResult",
     "ExperimentSummary",
+    "Matrix",
     "ServerConfig",
     "SimulatedServer",
     "SweepRecord",

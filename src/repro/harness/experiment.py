@@ -422,8 +422,15 @@ class ExperimentResult:
         After this, only the summary-level fields remain usable; call
         :meth:`summary` first if the derived data is still needed.
         """
-        if self.server is not None:
-            self.server.sim.discard_pending()
+        server = self.server
+        if server is not None:
+            server.sim.discard_pending()
+            # An attached recorder or sanitizer and the hierarchy it
+            # observes refer to each other; detaching breaks that cycle
+            # so the server is freed at once, not at the next collection.
+            for observer in (server.trace_recorder, server.sanitizer):
+                if observer is not None:
+                    observer.detach()
         self.server = None
 
 

@@ -46,12 +46,11 @@ import pickle
 import random
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, cast
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union, cast
 
-from ..analysis.determinism import fingerprint_digest
 from ..cache import resolve_cache
 from .experiment import Experiment, ExperimentSummary, run_experiment
+from .matrix import Matrix, SweepRecord, SweepResult
 from .server import WarmCheckpoint
 
 
@@ -289,101 +288,8 @@ def pool_session(jobs: Optional[int] = None) -> Iterator[Optional[WarmPool]]:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SweepRecord:
-    """The fate of one experiment inside a sweep."""
-
-    name: str
-    #: "ok", "retried" (succeeded after >= 1 crash), "cached" (served
-    #: from the result cache, no simulation), "timeout", "failed".
-    status: str
-    attempts: int
-    error: Optional[str] = None
-    wall_seconds: float = 0.0
-    #: ``fingerprint_digest`` of the summary: the digest the result cache
-    #: verified on a hit or stored with a fresh result, else ``None`` until
-    #: :meth:`SweepResult.fingerprint` computes it.
-    fingerprint: Optional[str] = None
-    #: The exception the last attempt raised ("failed" records only);
-    #: :func:`run_experiments` re-raises it.
-    exception: Optional[BaseException] = field(default=None, repr=False, compare=False)
-
-    @property
-    def succeeded(self) -> bool:
-        return self.status in ("ok", "retried", "cached")
-
-
-@dataclass
-class SweepResult:
-    """Partial-result report of one sweep: every experiment is accounted
-    for, whether it produced a summary or not.
-
-    ``summaries[i]`` is ``None`` exactly when ``records[i]`` reports a
-    timeout or failure, so positional pairing with the input experiments
-    is preserved even through losses.
-    """
-
-    summaries: List[Optional[ExperimentSummary]] = field(default_factory=list)
-    records: List[SweepRecord] = field(default_factory=list)
-
-    def counts(self) -> Dict[str, int]:
-        """``{status: count}`` over every record (absent statuses omitted)."""
-        out: Dict[str, int] = {}
-        for rec in self.records:
-            out[rec.status] = out.get(rec.status, 0) + 1
-        return out
-
-    def fingerprint(self, index: int) -> str:
-        """``fingerprint_digest`` of ``summaries[index]``, hashed at most once."""
-        record = self.records[index]
-        if record.fingerprint is None:
-            summary = self.summaries[index]
-            if summary is None:
-                raise ValueError(f"{record.name!r} has no summary ({record.status})")
-            record.fingerprint = fingerprint_digest(summary)
-        return record.fingerprint
-
-    def raise_first_failure(self) -> None:
-        """Re-raise the first failed experiment's exception, in input order."""
-        for record in self.records:
-            if record.exception is not None:
-                raise record.exception
-
-    @property
-    def num_failed(self) -> int:
-        return sum(1 for rec in self.records if not rec.succeeded)
-
-    @property
-    def exit_code(self) -> int:
-        """0 = all succeeded; 1 = partial failure; 2 = nothing succeeded."""
-        if self.num_failed == 0:
-            return 0
-        if self.num_failed == len(self.records):
-            return 2
-        return 1
-
-    def failure_manifest(self) -> Dict[str, Any]:
-        """A JSON-able report of the sweep's losses (for CI artifacts)."""
-        return {
-            "total": len(self.records),
-            "counts": self.counts(),
-            "exit_code": self.exit_code,
-            "failures": [
-                {
-                    "name": rec.name,
-                    "status": rec.status,
-                    "attempts": rec.attempts,
-                    "error": rec.error,
-                    "wall_seconds": round(rec.wall_seconds, 3),
-                }
-                for rec in self.records
-                if not rec.succeeded
-            ],
-        }
-
-
 def run_sweep(
-    experiments: Iterable[Experiment],
+    experiments: Union[Matrix, Iterable[Experiment]],
     jobs: Optional[int] = 1,
     timeout_s: Optional[float] = None,
     retries: int = 1,
@@ -392,6 +298,9 @@ def run_sweep(
 ) -> SweepResult:
     """Run a sweep that survives crashed, hung, and failing experiments.
 
+    ``experiments`` is a :class:`~repro.harness.matrix.Matrix` or a bare
+    experiment list (a one-axis matrix keyed by name); the returned
+    :class:`~repro.harness.matrix.SweepResult` reads through it.
     Every experiment resolves to a :class:`SweepRecord`: crashes are
     retried up to ``retries`` extra attempts with linear backoff, a run
     that exceeds ``timeout_s`` wall seconds is reported as ``timeout``,
@@ -406,7 +315,7 @@ def run_sweep(
     reported with status ``"cached"`` (``attempts=0``), and keep their
     place in input order; clean first-try results are stored.  Either
     way the record keeps the summary's fingerprint digest, so the result
-    is hashed once (:meth:`SweepResult.fingerprint`).
+    is hashed once (:meth:`SweepResult.digest`).
     ``cache=None`` uses the process-default cache if one is installed
     (:func:`repro.cache.set_default_cache`); ``cache=False`` disables
     caching for this call.  Experiments whose fault plan carries
@@ -418,7 +327,8 @@ def run_sweep(
     slot — so the session pool is terminated and discarded; the next
     parallel call warms a fresh one.
     """
-    batch = list(experiments)
+    matrix = experiments if isinstance(experiments, Matrix) else Matrix.of(experiments)
+    batch = matrix.experiments
     if jobs is None:
         jobs = default_jobs()
     resolved = resolve_cache(cache)
@@ -427,6 +337,7 @@ def run_sweep(
     result = SweepResult(
         summaries=[None] * len(batch),
         records=[SweepRecord(name=exp.name, status="cached", attempts=0) for exp in batch],
+        matrix=matrix,
     )
     misses: List[int] = []
     for index, exp in enumerate(batch):
@@ -497,7 +408,7 @@ def run_sweep(
                     and record.status == "ok"
                     and resolved.digest_for(exp) is not None
                 ):
-                    resolved.put(exp, summary, result.fingerprint(index))
+                    resolved.put(exp, summary, result.digest(index))
             break
         record.wall_seconds = time.perf_counter() - start
     if timed_out and pool is not None:

@@ -6,28 +6,29 @@ hierarchy used to expose (``mlc_wb_listeners``/``llc_wb_listeners``);
 every interested party — the statistics bundle, the IDIO controller's
 control plane, the IAT baseline, the optional trace recorder — is now a
 subscriber to typed events published by the hierarchy and the software
-stack.  Sweeps (the rack and tenant tiers) publish
-:class:`~repro.obs.events.LaneSeries` on a sweep-level bus; the same
-:class:`~repro.obs.trace.TraceRecorder` renders those as one
+stack.  A swept result's lanes (the rack and tenant tiers'
+:class:`~repro.obs.events.LaneSeries` and
+:class:`~repro.obs.events.LaneMark`) go to the same
+:class:`~repro.obs.trace.TraceRecorder`, which renders them as one
 Chrome-trace process per server or tenant.
 """
 
 from .bus import EventBus
 from .events import (
+    LaneMark,
     LaneSeries,
     LlcWritebackEvent,
     MlcWritebackEvent,
     PmdBatchEvent,
-    ServerCompletedEvent,
 )
 from .trace import TraceRecorder
 
 __all__ = [
     "EventBus",
+    "LaneMark",
     "LaneSeries",
     "LlcWritebackEvent",
     "MlcWritebackEvent",
     "PmdBatchEvent",
-    "ServerCompletedEvent",
     "TraceRecorder",
 ]

@@ -45,14 +45,15 @@ class LaneSeries:
     """One counter lane of a sweep-level trace process.
 
     Sweeps run their experiments in worker processes, so per-hop tracing
-    cannot ride home in a summary; instead the sweep publishes binned
-    samples per (process, lane) on its own bus once the runs finish.  The
-    rack publishes a ``server-N`` process per server with one lane per
-    summary stream (``(time_us, MTPS)``); the tenants sweep publishes a
-    ``tenant-N`` process per tenant with one ``policy:pXX_us`` lane per
-    percentile (``(intensity x 1000, us)``).  A
-    :class:`~repro.obs.trace.TraceRecorder` attached to the bus renders
-    each as a Chrome-trace counter lane.
+    cannot ride home in a summary; instead a swept result's
+    :meth:`~repro.harness.matrix.SweepResult.lanes` builds binned samples
+    per (process, lane) from the summaries.  The rack yields a
+    ``server-N`` process per server with one lane per summary stream
+    (``(time_us, MTPS)``); the tenants sweep yields a ``tenant-N``
+    process per tenant with one ``policy:pXX_us`` lane per percentile
+    (``(intensity x 1000, us)``).
+    :meth:`~repro.obs.trace.TraceRecorder.add_lanes` renders each as a
+    Chrome-trace counter lane.
     """
 
     process: str
@@ -78,14 +79,12 @@ class TenantDmaEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class ServerCompletedEvent:
-    """A rack server's experiment finished (one per server per sweep)."""
+class LaneMark:
+    """One instant on a sweep-level trace lane, at time 0 (a rack
+    server's completion, with its counts and digest as ``args``)."""
 
-    server: int
-    flows: int
-    completed: int
-    drops: int
-    fingerprint: str
-    #: Whether the lane was served from the result cache (no simulation).
-    cached: bool = False
-
+    process: str
+    lane: str
+    name: str
+    category: str
+    args: dict

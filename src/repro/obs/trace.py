@@ -15,10 +15,10 @@ sources:
   yields the per-component split (L1/MLC/LLC/DRAM share of the mean
   access) that the harness surfaces.  Observing is what makes the
   hierarchy record hops; it does not change which transactions run.
-* **a sweep** — ``attach(bus)`` on a sweep-level bus records
+* **a sweep** — ``add_lanes(result.lanes())`` records a swept result's
   :class:`~repro.obs.events.LaneSeries` counter samples (one ``server-N``
-  process per rack server, one ``tenant-N`` process per tenant) and rack
-  :class:`~repro.obs.events.ServerCompletedEvent` instants.
+  process per rack server, one ``tenant-N`` process per tenant) and its
+  :class:`~repro.obs.events.LaneMark` instants (rack server completions).
 
 ``export()`` writes the trace; ``chrome://tracing`` and Perfetto
 (``ui.perfetto.dev``) both load it.
@@ -27,7 +27,7 @@ sources:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..faults.events import FaultEvent
 from ..mem.transaction import (
@@ -38,13 +38,11 @@ from ..mem.transaction import (
     MemoryTransaction,
 )
 from ..sim import units
-from .bus import EventBus
 from .events import (
-    LaneSeries,
+    LaneMark,
     LlcWritebackEvent,
     MlcWritebackEvent,
     PmdBatchEvent,
-    ServerCompletedEvent,
 )
 
 #: The per-hop server process (always pid 0) and its lanes in tid order:
@@ -91,8 +89,7 @@ class TraceRecorder:
         #: Process name -> pid, and (pid, lane name) -> tid.
         self._pids: Dict[str, int] = {}
         self._tids: Dict[Tuple[int, str], int] = {}
-        self._hierarchy = None
-        self._bus: Optional[EventBus] = None
+        self._hierarchy: Optional[Any] = None
 
     # -- the (process, lane) table --------------------------------------
 
@@ -114,46 +111,35 @@ class TraceRecorder:
 
     # -- wiring ---------------------------------------------------------
 
-    def attach(self, source) -> "TraceRecorder":
-        """Subscribe to a sweep-level :class:`EventBus`, or observe a
-        hierarchy and subscribe to its bus."""
-        if self._bus is not None:
+    def attach(self, hierarchy) -> "TraceRecorder":
+        """Observe a hierarchy and subscribe to its bus."""
+        if self._hierarchy is not None:
             raise RuntimeError("recorder is already attached")
-        if isinstance(source, EventBus):
-            source.subscribe(LaneSeries, self.on_lane_series)
-            source.subscribe(ServerCompletedEvent, self.on_server_completed)
-            self._bus = source
-            return self
-        source.observe(self.on_transaction)
-        bus = source.bus
+        hierarchy.observe(self.on_transaction)
+        bus = hierarchy.bus
         bus.subscribe(MlcWritebackEvent, self.on_mlc_writeback)
         bus.subscribe(LlcWritebackEvent, self.on_llc_writeback)
         bus.subscribe(PmdBatchEvent, self.on_pmd_batch)
         bus.subscribe(FaultEvent, self.on_fault)
         for name in SERVER_LANES:
             self._lane(SERVER_PROCESS, name)
-        self._hierarchy = source
-        self._bus = bus
+        self._hierarchy = hierarchy
         return self
 
     def detach(self) -> None:
-        """Unsubscribe, and stop observing the hierarchy if attached to one."""
-        bus = self._bus
-        if bus is None:
+        """Unsubscribe and stop observing the hierarchy."""
+        hierarchy = self._hierarchy
+        if hierarchy is None:
             return
-        if self._hierarchy is not None:
-            self._hierarchy.unobserve(self.on_transaction)
+        hierarchy.unobserve(self.on_transaction)
         for event_type, handler in (
             (MlcWritebackEvent, self.on_mlc_writeback),
             (LlcWritebackEvent, self.on_llc_writeback),
             (PmdBatchEvent, self.on_pmd_batch),
             (FaultEvent, self.on_fault),
-            (LaneSeries, self.on_lane_series),
-            (ServerCompletedEvent, self.on_server_completed),
         ):
-            bus.unsubscribe(event_type, handler)
+            hierarchy.bus.unsubscribe(event_type, handler)
         self._hierarchy = None
-        self._bus = None
 
     # -- subscribers ----------------------------------------------------
 
@@ -210,40 +196,41 @@ class TraceRecorder:
             args={"layer": event.layer, "detail": event.detail},
         )
 
-    def on_lane_series(self, event: LaneSeries) -> None:
-        pid, tid = self._lane(event.process, event.lane)
-        for ts, value in event.points:
-            self._emit(
-                {
-                    "name": event.lane,
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {event.unit: value},
-                }
-            )
-
-    def on_server_completed(self, event: ServerCompletedEvent) -> None:
-        pid, tid = self._lane(f"server-{event.server}", "completion")
-        self.category_counts["rack"] = self.category_counts.get("rack", 0) + 1
-        self._emit(
-            {
-                "name": f"server-{event.server} done",
-                "cat": "rack",
-                "ph": "i",
-                "s": "p",
-                "ts": 0.0,
-                "pid": pid,
-                "tid": tid,
-                "args": {
-                    "flows": event.flows,
-                    "completed": event.completed,
-                    "drops": event.drops,
-                    "fingerprint": event.fingerprint,
-                },
-            }
-        )
+    def add_lanes(self, lanes: Iterable[Any]) -> "TraceRecorder":
+        """Record a swept result's lanes: each
+        :class:`~repro.obs.events.LaneSeries` as counter samples, each
+        :class:`LaneMark` as a process instant."""
+        for lane in lanes:
+            pid, tid = self._lane(lane.process, lane.lane)
+            if isinstance(lane, LaneMark):
+                self.category_counts[lane.category] = (
+                    self.category_counts.get(lane.category, 0) + 1
+                )
+                self._emit(
+                    {
+                        "name": lane.name,
+                        "cat": lane.category,
+                        "ph": "i",
+                        "s": "p",
+                        "ts": 0.0,
+                        "pid": pid,
+                        "tid": tid,
+                        "args": lane.args,
+                    }
+                )
+                continue
+            for ts, value in lane.points:
+                self._emit(
+                    {
+                        "name": lane.lane,
+                        "ph": "C",
+                        "ts": ts,
+                        "pid": pid,
+                        "tid": tid,
+                        "args": {lane.unit: value},
+                    }
+                )
+        return self
 
     def _instant(
         self,

@@ -5,9 +5,10 @@
 inbound memory path, a :class:`SimulatedRack` models a top-of-rack
 switch steering a (possibly million-entry) flow population across a
 fleet of identical servers and sharding the per-server experiments over
-the warm process pool.  The fold — :class:`RackSummary` — reports
-per-server and aggregate p50/p95/p99 latencies plus a deterministic
-rack fingerprint that is identical for serial and pool-sharded sweeps.
+the warm process pool.  A rack sweep is a one-axis
+:class:`~repro.harness.matrix.Matrix`: its result reports per-server and
+:func:`aggregate` p50/p95/p99 latencies plus a deterministic rack
+fingerprint that is identical for serial and pool-sharded sweeps.
 
 Determinism contract: every stochastic per-server choice in this
 package draws from a seeded per-server RNG stream (:func:`server_rng`);
@@ -15,17 +16,15 @@ simlint rule SIM009 rejects shared module-level randomness here.
 """
 
 from .config import RACK_TRAFFIC_KINDS, RackConfig
-from .rack import LANE_STREAMS, SimulatedRack, run_rack, server_rng
-from .summary import PERCENTILES, RackSummary, ServerLane
+from .rack import LANE_STREAMS, PERCENTILES, SimulatedRack, aggregate, run_rack, server_rng
 
 __all__ = [
     "LANE_STREAMS",
     "PERCENTILES",
     "RACK_TRAFFIC_KINDS",
     "RackConfig",
-    "RackSummary",
-    "ServerLane",
     "SimulatedRack",
+    "aggregate",
     "run_rack",
     "server_rng",
 ]

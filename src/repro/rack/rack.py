@@ -6,10 +6,12 @@ whole flow population and steers each flow to one server
 (:class:`~repro.net.flow.FlowSteering`), with the aggregate offered load
 split across servers by their flow share.  Each server is an unmodified
 :class:`~repro.harness.server.ServerConfig` stack wrapped in one
-:class:`~repro.harness.experiment.Experiment`; the sweep shards those
-per-server experiments across the warm process pool
-(:func:`~repro.harness.runner.run_sweep`) and folds the summaries
-into a :class:`~repro.rack.summary.RackSummary`.
+:class:`~repro.harness.experiment.Experiment`, one cell of a one-axis
+(``server``) :class:`~repro.harness.matrix.Matrix`.  The sweep shards
+those experiments across the warm process pool
+(:func:`~repro.harness.runner.run_sweep`); the result's table carries
+one row per server plus the rack's :func:`aggregate` row, and its
+fingerprint folds the steering configuration with the per-server digests.
 
 Determinism: every per-server stochastic choice draws from a seeded
 *per-server* RNG stream derived from the rack seed (:func:`server_rng`)
@@ -21,19 +23,25 @@ produce byte-identical rack fingerprints.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, cast
+from typing import Any, Dict, Iterator, List, Sequence
 
+from ..harness import metrics
 from ..harness.experiment import Experiment, ExperimentSummary
+from ..harness.matrix import Cell, Matrix, SweepResult
 from ..harness.runner import run_sweep
 from ..net.flow import FlowSteering, _mix64, make_flows
-from ..obs.bus import EventBus
-from ..obs.events import LaneSeries, ServerCompletedEvent
+from ..obs.events import LaneMark, LaneSeries
 from ..sim import units
 from .config import RackConfig
-from .summary import RackSummary
 
 #: Streams rendered as per-server lanes on the rack trace.
 LANE_STREAMS = ("pcie_writes", "mlc_writebacks", "llc_writebacks", "dram_writes")
+
+#: The latency percentiles every server and the aggregate report.
+PERCENTILES = (50, 95, 99)
+
+RACK_COLUMNS = ("server", "flows", "offered", "completed", "drops",
+                "p50 us", "p95 us", "p99 us", "digest")
 
 
 def server_rng(seed: int, server: int) -> random.Random:
@@ -64,8 +72,6 @@ class SimulatedRack:
         )
         #: Flows steered to each server (index = server).
         self.flow_counts = self.steering.assignment_counts(self.flows)
-        #: Rack-level observability bus (per-server lanes ride on it).
-        self.bus = EventBus()
 
     # ------------------------------------------------------------------
     # experiment construction
@@ -108,109 +114,129 @@ class SimulatedRack:
             diurnal_period=units.microseconds(config.diurnal_period_us),
         )
 
-    def experiments(self) -> List[Experiment]:
-        """One experiment per server, in server order."""
-        return [
-            self.server_experiment(i) for i in range(self.config.num_servers)
-        ]
+    def matrix(self) -> Matrix:
+        """The rack as a sweep: one ``server`` axis, one cell per server."""
+        config = self.config
 
-    # ------------------------------------------------------------------
-    # sweep
-    # ------------------------------------------------------------------
+        def server_json(cell: Cell) -> Dict[str, Any]:
+            return {
+                "name": cell.summary.experiment.name,
+                "flows": self.flow_counts[cell.server],
+                **_counts([cell.summary]),
+            }
 
-    def run(self, jobs: int = 1, cache=None) -> RackSummary:
-        """Run every server (sharded over the warm pool when ``jobs > 1``)
-        and fold the per-server summaries into a :class:`RackSummary`.
+        def rows(result: SweepResult) -> Iterator[List[object]]:
+            for label, counts, digest in [
+                *((f"s{c.server:02d}", server_json(c), c.digest) for c in result.cells),
+                ("rack", {"flows": config.total_flows, **aggregate(result)}, result.fingerprint),
+            ]:
+                yield [label, counts["flows"], counts["offered"], counts["completed"],
+                       counts["drops"], *counts["percentiles_us"].values(), digest[:12]]
+
+        def fold(result: SweepResult) -> tuple:
+            # Every part is process-stable (the steering digest avoids
+            # ``hash()``; summary digests exclude wall-clock diagnostics),
+            # so serial and pool-sharded sweeps fold identically.
+            return (
+                config.steering,
+                self.steering.digest(),
+                config.total_flows,
+                tuple(self.flow_counts),
+                tuple(cell.digest for cell in result.cells),
+            )
+
+        def info(result: SweepResult) -> Dict[str, Any]:
+            return {
+                "name": config.name,
+                "policy": config.server.policy.name,
+                "num_servers": config.num_servers,
+                "steering": config.steering,
+                "total_flows": config.total_flows,
+                "aggregate": aggregate(result),
+            }
+
+        def lanes(result: SweepResult) -> Iterator[object]:
+            for cell in result.cells:
+                process = f"server-{cell.server}"
+                for stream in LANE_STREAMS:
+                    points = tuple(cell.summary.timeline(stream, bin_us=10.0))
+                    yield LaneSeries(process, stream, points, unit="mtps")
+                server = server_json(cell)
+                yield LaneMark(
+                    process,
+                    "completion",
+                    f"{process} done",
+                    category="rack",
+                    args={"flows": server["flows"], "completed": server["completed"],
+                          "drops": server["drops"], "fingerprint": cell.digest},
+                )
+
+        return Matrix.build(
+            ("server",),
+            [(server,) for server in range(config.num_servers)],
+            self.server_experiment,
+            title=(
+                f"{config.name}: {config.num_servers} servers "
+                f"({config.server.policy.name}, {config.steering} steering, "
+                f"{config.total_flows} flows)"
+            ),
+            columns=RACK_COLUMNS,
+            rows=rows,
+            fold=fold,
+            info=info,
+            cell_info=server_json,
+            lanes=lanes,
+        )
+
+    def run(self, jobs: int = 1, cache=None) -> SweepResult:
+        """Run every server (sharded over the warm pool when ``jobs > 1``).
 
         With a result cache (explicit ``cache=`` or the installed
         process default; ``cache=False`` disables), the sweep is
         *incremental*: each per-server experiment is keyed independently,
         so re-running an N-server rack after changing one server's share
         recomputes only the shards whose configs moved — the rest are
-        served from the cache and their lanes are marked ``cached``.  The
+        served from the cache and their cells are marked ``cached``.  The
         rack fingerprint is unaffected: cached digests are byte-identical
         to cold recomputes.  The first failed server's exception is
         re-raised, as :func:`~repro.harness.runner.run_experiments` does.
         """
-        sweep = run_sweep(self.experiments(), jobs=jobs, retries=0, cache=cache)
-        sweep.raise_first_failure()
-        summaries = cast(List[ExperimentSummary], sweep.summaries)
-        digests = [sweep.fingerprint(i) for i in range(len(summaries))]
-        return self.fold(summaries, digests)
-
-    def fold(
-        self, summaries: Sequence[ExperimentSummary], digests: Sequence[str]
-    ) -> RackSummary:
-        """Fold per-server summaries (server order) and publish lanes.
-
-        ``digests`` are the summaries' fingerprint digests, as the sweep's
-        records carry them, so a result is hashed once.  A lane is marked
-        ``cached`` when its summary was served from the result cache (the
-        sweep runner's ``"cached"`` status).
-        """
-        rack_summary = RackSummary.from_summaries(
-            self.config,
-            self.flow_counts,
-            summaries,
-            digests,
-            self.steering.digest(),
-        )
-        for lane, summary in zip(rack_summary.lanes, summaries):
-            lane.cached = summary.status == "cached"
-        self._publish_lanes(summaries, rack_summary)
-        return rack_summary
-
-    def _publish_lanes(
-        self,
-        summaries: Sequence[ExperimentSummary],
-        rack_summary: RackSummary,
-    ) -> None:
-        """Publish per-server lane events on the rack bus.
-
-        Lane *series* (binned throughput timelines per stream) are only
-        materialized when someone subscribed — they are the expensive
-        part; completion events are always published.
-        """
-        want_series = self.bus.has_subscribers(LaneSeries)
-        for lane, summary in zip(rack_summary.lanes, summaries):
-            if want_series:
-                for stream in LANE_STREAMS:
-                    self.bus.publish(
-                        LaneSeries(
-                            process=f"server-{lane.server}",
-                            lane=stream,
-                            points=tuple(summary.timeline(stream, bin_us=10.0)),
-                            unit="mtps",
-                        )
-                    )
-            self.bus.publish(
-                ServerCompletedEvent(
-                    server=lane.server,
-                    flows=lane.flows,
-                    completed=lane.completed,
-                    drops=lane.drops,
-                    fingerprint=lane.digest,
-                    cached=lane.cached,
-                )
-            )
+        result = run_sweep(self.matrix(), jobs=jobs, retries=0, cache=cache)
+        result.raise_first_failure()
+        return result
 
 
-def run_rack(
-    config: RackConfig,
-    jobs: int = 1,
-    rack: Optional[SimulatedRack] = None,
-    cache=None,
-) -> RackSummary:
-    """Build (or reuse) a rack and run one sweep; the one-call entry point."""
-    if rack is None:
-        rack = SimulatedRack(config)
-    return rack.run(jobs=jobs, cache=cache)
+def _counts(summaries: Sequence[ExperimentSummary]) -> Dict[str, Any]:
+    """Packet totals, and latency percentiles pooled over every completed
+    packet (``None`` when none completed)."""
+    latencies = [latency for s in summaries for latency in s.latencies_ns]
+    return {
+        "offered": sum(s.offered_packets for s in summaries),
+        "rx": sum(s.rx_packets for s in summaries),
+        "drops": sum(s.rx_drops for s in summaries),
+        "completed": sum(s.completed for s in summaries),
+        "percentiles_us": {
+            f"p{p}": metrics.percentile(latencies, p) / 1000.0 if latencies else None
+            for p in PERCENTILES
+        },
+    }
+
+
+def aggregate(result: SweepResult) -> Dict[str, Any]:
+    """The rack row: fleet totals and percentiles over every server."""
+    return _counts([cell.summary for cell in result.cells])
+
+
+def run_rack(config: RackConfig, jobs: int = 1, cache=None) -> SweepResult:
+    """Build a rack and run one sweep; the one-call entry point."""
+    return SimulatedRack(config).run(jobs=jobs, cache=cache)
 
 
 __all__ = [
     "LANE_STREAMS",
+    "PERCENTILES",
     "SimulatedRack",
-    "fingerprint_digest",
+    "aggregate",
     "run_rack",
     "server_rng",
 ]

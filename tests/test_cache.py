@@ -349,9 +349,9 @@ class TestRackIncremental:
     def test_second_run_reuses_every_shard(self, tmp_path):
         cache = ResultCache(tmp_path)
         cold = SimulatedRack(self.rack_config()).run(cache=cache)
-        assert [lane.cached for lane in cold.lanes] == [False, False]
+        assert [cell.cached for cell in cold.cells] == [False, False]
         warm = SimulatedRack(self.rack_config()).run(cache=cache)
-        assert [lane.cached for lane in warm.lanes] == [True, True]
+        assert [cell.cached for cell in warm.cells] == [True, True]
         assert warm.fingerprint == cold.fingerprint
 
     def test_config_change_recomputes_every_shard(self, tmp_path):
@@ -360,7 +360,7 @@ class TestRackIncremental:
         changed = SimulatedRack(
             self.rack_config(offered_gbps=30.0)
         ).run(cache=cache)
-        assert [lane.cached for lane in changed.lanes] == [False, False]
+        assert [cell.cached for cell in changed.cells] == [False, False]
 
 
 class TestVerifyGc:

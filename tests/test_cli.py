@@ -50,6 +50,37 @@ class TestParser:
             build_parser().parse_args([])
 
 
+class TestBadSweepInput:
+    """A bad flag value fails in parsing: one stderr line, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--policy", "bogus"],
+        ["rack", "--policy", "bogus"],
+        ["compare", "--policies", "ddio,bogus"],
+        ["faults", "--policies", "bogus"],
+        ["tenants", "--policies", "bogus"],
+        ["faults", "--intensities=0,-1"],
+        ["tenants", "--intensities=-1"],
+        ["rack", "--rate", "-5"],
+        ["rack", "--tenants", "-1"],
+    ], ids=" ".join)
+    def test_rejected_in_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        flag = argv[1].split("=")[0]
+        assert lines[0].startswith(f"idio-repro {argv[0]}: error: argument {flag}")
+
+    def test_parsed_lists(self):
+        args = build_parser().parse_args(
+            ["tenants", "--policies", "ddio, ioca", "--intensities", "0.5,2"]
+        )
+        assert args.policies == ["ddio", "ioca"]
+        assert args.intensities == [0.5, 2.0]
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

@@ -30,9 +30,9 @@ class TestSharedFlags:
 
     def test_faults_defaults(self):
         args = build_parser().parse_args(["faults"])
-        assert args.policies == "ddio,idio"
-        assert args.layers == "nic,pcie,mem,cpu"
-        assert args.intensities == "0,0.5,1"
+        assert args.policies == ["ddio", "idio"]
+        assert args.layers == ["nic", "pcie", "mem", "cpu"]
+        assert args.intensities == [0.0, 0.5, 1.0]
         assert args.retries == 1
 
 

@@ -55,7 +55,13 @@ class TestRackCommand:
         assert main(RACK_SMALL + ["--out", str(out)]) == 0
         blob = json.loads(out.read_text())
         assert blob["num_servers"] == 2
-        assert len(blob["servers"]) == 2
+        assert blob["axes"] == ["server"]
+        assert [cell["server"] for cell in blob["cells"]] == [0, 1]
+        assert set(blob["cells"][0]) == {
+            "server", "status", "cached", "digest", "name", "flows",
+            "offered", "rx", "drops", "completed", "percentiles_us",
+        }
+        assert sum(c["completed"] for c in blob["cells"]) == blob["aggregate"]["completed"]
 
     def test_trace_out_writes_chrome_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.json"

@@ -5,8 +5,8 @@ of a summary, timestamp streams included, so it is one of the larger
 per-result costs of a sweep.  ``run_sweep`` keeps the digest on the
 result's :class:`~repro.harness.runner.SweepRecord`: on a cache hit it is
 the digest the cache just verified, on a fresh result the one computed for
-the cache entry (or on first use).  The tenant and rack folds read it from
-there.  Every ``fingerprint_digest`` call goes through
+the cache entry (or on first use).  The tenant and rack fingerprint folds
+read it from there.  Every ``fingerprint_digest`` call goes through
 ``ExperimentSummary.fingerprint``, so the tests count calls of that method.
 All sweeps here run serially, so every call happens in this process.
 """
@@ -59,12 +59,15 @@ class TestTenantCells:
             fingerprint_calls.clear()
         sweep = run_tenants(cache=cache, **TENANT_KWARGS)
         assert [cell.cached for cell in sweep.cells] == [cached, cached]
+        sweep.render()
+        sweep.to_json()
         assert sorted(fingerprint_calls) == sorted(
             f"tenants-noisy-neighbor-ddio-i{i:g}" for i in TENANT_KWARGS["intensities"]
         )
 
     def test_uncached_sweep_hashes_each_cell_once(self, fingerprint_calls):
         sweep = run_tenants(cache=False, **TENANT_KWARGS)
+        assert sweep.fingerprint == sweep.to_json()["fingerprint"]
         assert len(sweep.cells) == len(fingerprint_calls) == 2
 
 
@@ -76,7 +79,9 @@ class TestRackShards:
             SimulatedRack(RACK_CONFIG).run(cache=cache)
             fingerprint_calls.clear()
         rack = SimulatedRack(RACK_CONFIG).run(cache=cache)
-        assert [lane.cached for lane in rack.lanes] == [mode == "cached"] * 2
+        assert [cell.cached for cell in rack.cells] == [mode == "cached"] * 2
+        rack.render()  # the table shows each digest and the rack fold
+        rack.to_json()
         assert len(fingerprint_calls) == RACK_CONFIG.num_servers
 
 
@@ -101,8 +106,8 @@ class TestSweepRecordFingerprint:
     def test_uncached_digest_is_computed_on_first_use(self, fingerprint_calls):
         result = run_sweep([_tiny()], cache=False)
         assert result.records[0].fingerprint is None and fingerprint_calls == []
-        digest = result.fingerprint(0)
-        assert result.fingerprint(0) == digest == result.records[0].fingerprint
+        digest = result.digest(0)
+        assert result.digest(0) == digest == result.records[0].fingerprint
         assert len(fingerprint_calls) == 1
 
     def test_put_trusts_a_given_digest(self, tmp_path, fingerprint_calls):

@@ -1,4 +1,4 @@
-"""Rack tier tests: config validation, sweep determinism, and the fold.
+"""Rack tier tests: config validation, sweep determinism, and the matrix.
 
 The acceptance bar for the rack tier is the fingerprint identity: a
 serial sweep and a warm-pool-sharded sweep of the same seeded rack must
@@ -9,15 +9,17 @@ percentiles present in the summary.
 import pytest
 
 from repro.core.policies import idio
+from repro.harness.experiment import ExperimentSummary
+from repro.harness.matrix import SweepResult
 from repro.harness.runner import shutdown_pool
 from repro.harness.server import ServerConfig
-from repro.obs.events import LaneSeries, ServerCompletedEvent
+from repro.obs.events import LaneMark, LaneSeries
 from repro.obs.trace import TraceRecorder
 from repro.rack import (
     RACK_TRAFFIC_KINDS,
     RackConfig,
-    RackSummary,
     SimulatedRack,
+    aggregate,
     run_rack,
     server_rng,
 )
@@ -77,7 +79,7 @@ class TestSimulatedRack:
 
     def test_experiments_one_per_server(self):
         rack = SimulatedRack(small_config())
-        exps = rack.experiments()
+        exps = rack.matrix().experiments
         assert len(exps) == 4
         assert [e.name for e in exps] == [f"rack-s{i:02d}" for i in range(4)]
         # Per-server traffic seeds come from distinct seeded streams.
@@ -87,7 +89,7 @@ class TestSimulatedRack:
     def test_rate_split_follows_flow_share(self):
         config = small_config()
         rack = SimulatedRack(config)
-        exps = rack.experiments()
+        exps = rack.matrix().experiments
         per_nf_total = sum(
             e.steady_rate_gbps_per_nf * config.server.num_nf_cores for e in exps
         )
@@ -105,12 +107,13 @@ class TestSimulatedRack:
 
     def test_with_checked_servers(self):
         rack = SimulatedRack(small_config(server=ServerConfig(checked_mode=True)))
-        assert all(exp.server.checked_mode for exp in rack.experiments())
+        assert all(exp.server.checked_mode for exp in rack.matrix().experiments)
 
-    def test_fold_rejects_count_mismatch(self):
-        rack = SimulatedRack(small_config())
-        with pytest.raises(ValueError):
-            rack.fold([], [])
+    def test_matrix_has_one_cell_per_server(self):
+        matrix = SimulatedRack(small_config()).matrix()
+        assert matrix.axes == ("server",)
+        assert matrix.keys == [(i,) for i in range(4)]
+        assert len(matrix.experiments) == len(matrix.keys)
 
 
 class TestRackSweep:
@@ -123,33 +126,34 @@ class TestRackSweep:
         finally:
             shutdown_pool()
         assert serial.fingerprint == sharded.fingerprint
-        assert [l.digest for l in serial.lanes] == [
-            l.digest for l in sharded.lanes
+        assert [c.digest for c in serial.cells] == [
+            c.digest for c in sharded.cells
         ]
 
     def test_summary_shape(self):
-        summary = run_rack(small_config())
-        assert isinstance(summary, RackSummary)
-        assert len(summary.lanes) == 4
-        assert summary.completed == sum(l.completed for l in summary.lanes)
-        assert summary.offered_packets == sum(l.offered for l in summary.lanes)
+        result = run_rack(small_config())
+        assert isinstance(result, SweepResult)
+        assert [c.server for c in result.cells] == [0, 1, 2, 3]
+        rack = aggregate(result)
+        assert rack["completed"] == sum(c.summary.completed for c in result.cells)
+        assert rack["offered"] == sum(c.summary.offered_packets for c in result.cells)
         # Percentiles present per server and in aggregate.
-        for lane in summary.lanes:
-            assert lane.p50_us is not None
-            assert lane.p95_us is not None
-            assert lane.p99_us is not None
-        assert summary.p50_us is not None
-        assert summary.p50_us <= summary.p95_us <= summary.p99_us
-        assert len(summary.fingerprint) == 64
+        for cell in result.cells:
+            percentiles = cell.to_json()["percentiles_us"]
+            assert None not in percentiles.values()
+        p = rack["percentiles_us"]
+        assert p["p50"] is not None
+        assert p["p50"] <= p["p95"] <= p["p99"]
+        assert len(result.fingerprint) == 64
 
     def test_render_and_json(self):
-        summary = run_rack(small_config(num_servers=2, total_flows=256))
-        text = summary.render()
+        result = run_rack(small_config(num_servers=2, total_flows=256))
+        text = result.render()
         assert "s00" in text and "s01" in text and "rack" in text
-        blob = summary.to_json()
+        blob = result.to_json()
         assert blob["num_servers"] == 2
-        assert len(blob["servers"]) == 2
-        assert blob["fingerprint"] == summary.fingerprint
+        assert [cell["server"] for cell in blob["cells"]] == [0, 1]
+        assert blob["fingerprint"] == result.fingerprint
         assert "p99" in blob["aggregate"]["percentiles_us"]
 
     def test_seed_changes_fingerprint(self):
@@ -158,47 +162,52 @@ class TestRackSweep:
         assert a.fingerprint != b.fingerprint
 
     def test_diurnal_profile_runs(self):
-        summary = run_rack(
+        result = run_rack(
             small_config(num_servers=2, total_flows=256, traffic="diurnal")
         )
-        assert summary.completed > 0
+        assert aggregate(result)["completed"] > 0
 
     def test_checked_mode_rack(self):
         config = small_config(
             num_servers=2, total_flows=256, server=ServerConfig(checked_mode=True)
         )
         rack = SimulatedRack(config)
-        summary = rack.run()
-        assert summary.completed > 0
+        assert aggregate(rack.run())["completed"] > 0
 
 
 class TestRackLanes:
-    def test_completion_events_always_published(self):
-        rack = SimulatedRack(small_config(num_servers=2, total_flows=256))
-        completed = []
-        rack.bus.subscribe(ServerCompletedEvent, completed.append)
-        summary = rack.run()
-        assert [e.server for e in completed] == [0, 1]
-        assert [e.fingerprint for e in completed] == [
-            l.digest for l in summary.lanes
+    def test_completion_marks_carry_server_digests(self):
+        result = SimulatedRack(small_config(num_servers=2, total_flows=256)).run()
+        marks = [lane for lane in result.lanes() if isinstance(lane, LaneMark)]
+        assert [m.process for m in marks] == ["server-0", "server-1"]
+        assert [m.args["fingerprint"] for m in marks] == [
+            c.digest for c in result.cells
         ]
 
-    def test_lane_series_only_when_subscribed(self):
-        config = small_config(num_servers=2, total_flows=256)
-        rack = SimulatedRack(config)
-        series = []
-        rack.bus.subscribe(LaneSeries, series.append)
-        rack.run()
-        assert series, "no lane series published despite a subscriber"
+    def test_lane_series_only_when_asked(self, monkeypatch):
+        timelines = []
+        original = ExperimentSummary.timeline
+
+        def counting(self, *args, **kwargs):
+            timelines.append(self.experiment.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentSummary, "timeline", counting)
+        result = SimulatedRack(small_config(num_servers=2, total_flows=256)).run()
+        result.render()
+        result.to_json()
+        assert timelines == []
+        series = [lane for lane in result.lanes() if isinstance(lane, LaneSeries)]
+        assert series, "no lane series built on request"
+        assert len(timelines) == len(series)
         assert {s.process for s in series} == {"server-0", "server-1"}
         for s in series:
             assert s.unit == "mtps"
             assert all(len(point) == 2 for point in s.points)
 
     def test_trace_recorder_renders_per_server_processes(self, tmp_path):
-        rack = SimulatedRack(small_config(num_servers=2, total_flows=256))
-        recorder = TraceRecorder().attach(rack.bus)
-        rack.run()
+        result = SimulatedRack(small_config(num_servers=2, total_flows=256)).run()
+        recorder = TraceRecorder().add_lanes(result.lanes())
         out = tmp_path / "rack-trace.json"
         count = recorder.export(str(out))
         assert count > 0
@@ -222,5 +231,3 @@ class TestRackLanes:
         }
         done = [e for e in events if e["ph"] == "i"]
         assert [e["pid"] for e in done] == [1, 2]
-        recorder.detach()
-        assert not rack.bus.has_subscribers(LaneSeries)

@@ -7,11 +7,13 @@ generation-2 collection: a sweep worker would otherwise build the next
 cell beside the dead one.  Each case runs with the cyclic collector
 disabled, so a weakref that survives names a cycle on the run path.
 A cell that restores a sweep's warm-up checkpoint must free its server
-the same way: the checkpoint holds only bytes.
+the same way: the checkpoint holds only bytes.  So must a checked or
+traced run, whose sanitizer or recorder observes the hierarchy.
 """
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -48,11 +50,19 @@ def _tenant_cell() -> Experiment:
     return tenant_experiment(mix, policy_by_name("ioca"), "release-tenants", duration_us=30.0)
 
 
+def _observed(**observers) -> Experiment:
+    """A burst whose server carries a trace recorder or a sanitizer."""
+    experiment = _antagonist_burst("idio")
+    return replace(experiment, server=replace(experiment.server, **observers))
+
+
 CASES = {
     **{p: (lambda p=p: _antagonist_burst(p))
        for p in ("ddio", "idio", "iat", "ioca", "cachedirector")},
     "l2fwd-poisson": _l2fwd_poisson,
     "tenant-cell": _tenant_cell,
+    "checked": lambda: _observed(checked_mode=True),
+    "traced": lambda: _observed(trace_enabled=True),
 }
 
 

@@ -26,7 +26,7 @@ from repro.tenants.scenarios import (
     tenant_mix,
     tenant_server,
 )
-from repro.tenants.sweep import run_tenants
+from repro.tenants.sweep import run_tenants, tenant_stats
 
 
 def _mix(tenants=2, intensity=1.0, seed=1234):
@@ -207,8 +207,8 @@ class TestAttributionDeterminism:
         # The fingerprint covers tenant_stats (via each cell's summary
         # digest), so attribution itself is what just matched.
         for cell in serial.cells:
-            assert set(cell.tenant_stats) == {0, 1}
-            assert cell.stat(0, "completed") > 0
+            assert set(tenant_stats(cell)) == {0, 1}
+            assert tenant_stats(cell)[0]["completed"] > 0
 
     def test_tenant_stats_fold_into_the_summary_fingerprint(self):
         exp = tenant_experiment(_mix(), repro.ddio(), "fp", duration_us=60.0)
@@ -246,6 +246,32 @@ class TestTenantCacheKeying:
         assert not cold.cells[0].cached
         assert warm.cells[0].cached
         assert warm.fingerprint == cold.fingerprint
+
+
+class TestTenantJson:
+    def test_out_has_the_common_matrix_shape(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "tenants.json"
+        assert main([
+            "tenants", "--policies", "ddio", "--tenants", "2",
+            "--intensities", "0.5,2", "--duration-us", "30", "--out", str(out),
+        ]) == 0
+        stdout = capsys.readouterr().out
+        blob = json.loads(out.read_text())
+        assert blob["axes"] == ["policy", "intensity"]
+        assert blob["mix"] == "noisy-neighbor" and blob["num_tenants"] == 2
+        assert blob["policies"] == ["ddio"] and blob["intensities"] == [0.5, 2.0]
+        assert f"sweep fingerprint: {blob['fingerprint']}" in stdout
+        assert blob["exit_code"] == 0
+        assert set(blob["victim_degradation"]["ddio"]) == {"0.5", "2"}
+        assert [(c["policy"], c["intensity"]) for c in blob["cells"]] == [
+            ("ddio", 0.5), ("ddio", 2.0)
+        ]
+        for cell in blob["cells"]:
+            assert set(cell) == {"policy", "intensity", "status", "cached", "digest", "tenants"}
+            assert set(cell["tenants"]) == {"t0", "t1"}
+            assert "p99_us" in cell["tenants"]["t0"]
 
 
 class TestTenantTrace:

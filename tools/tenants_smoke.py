@@ -19,13 +19,13 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.policies import ddio, idio, ioca  # noqa: E402
-from repro.tenants.sweep import run_tenants  # noqa: E402
+from repro.tenants.sweep import run_tenants, victim_p99  # noqa: E402
 
 INTENSITIES = (0.25, 2.0)
 
 
 def main() -> int:
-    summary = run_tenants(
+    result = run_tenants(
         policies=[ddio(), idio(), ioca()],
         mix="noisy-neighbor",
         tenants=2,
@@ -34,14 +34,14 @@ def main() -> int:
         jobs=2,
         checked=True,
     )
-    print(summary.render())
-    print(f"sweep fingerprint: {summary.fingerprint}")
-    if summary.exit_code != 0:
-        print(f"tenants-smoke: FAIL (sweep exit code {summary.exit_code})")
-        return summary.exit_code
+    print(result.render())
+    print(f"sweep fingerprint: {result.fingerprint}")
+    if result.exit_code != 0:
+        print(f"tenants-smoke: FAIL (sweep exit code {result.exit_code})")
+        return result.exit_code
     top = max(INTENSITIES)
-    ddio_p99 = summary.victim_p99("ddio", top)
-    ioca_p99 = summary.victim_p99("ioca", top)
+    ddio_p99 = victim_p99(result, "ddio", top)
+    ioca_p99 = victim_p99(result, "ioca", top)
     if not (0 < ioca_p99 < ddio_p99):
         print(
             "tenants-smoke: FAIL (partitioning did not improve the victim: "
