@@ -593,15 +593,15 @@ def _workload_parent() -> argparse.ArgumentParser:
         choices=sorted(APP_FACTORIES),
         help="network function to run on the NF cores",
     )
-    p.add_argument("--ring", type=int, default=1024, help="RX ring size")
-    p.add_argument("--packet-bytes", type=int, default=1514)
+    p.add_argument("--ring", type=_positive_int, default=1024, help="RX ring size")
+    p.add_argument("--packet-bytes", type=_positive_int, default=1514)
     p.add_argument(
         "--traffic", choices=("bursty", "steady"), default="bursty"
     )
-    p.add_argument("--rate", type=float, default=25.0, help="Gbps (burst or per-NF)")
+    p.add_argument("--rate", type=_positive_float, default=25.0, help="Gbps (burst or per-NF)")
     p.add_argument("--bursts", type=int, default=1, help="number of bursts")
     p.add_argument(
-        "--duration-us", type=float, default=1500.0, help="steady-traffic duration"
+        "--duration-us", type=_positive_float, default=1500.0, help="steady-traffic duration"
     )
     p.add_argument("--antagonist", action="store_true", help="add the LLCAntagonist")
     p.add_argument(
@@ -609,7 +609,7 @@ def _workload_parent() -> argparse.ArgumentParser:
         choices=("run_to_completion", "copy", "reallocate"),
         default="run_to_completion",
     )
-    p.add_argument("--nf-cores", type=int, default=2)
+    p.add_argument("--nf-cores", type=_positive_int, default=2)
     p.add_argument(
         "--seed",
         type=int,

@@ -63,6 +63,8 @@ class TestBadSweepInput:
         ["tenants", "--intensities=-1"],
         ["rack", "--rate", "-5"],
         ["rack", "--tenants", "-1"],
+        ["run", "--rate", "-5"],
+        ["compare", "--ring", "0"],
     ], ids=" ".join)
     def test_rejected_in_one_line(self, argv, capsys):
         assert main(argv) == 2
