@@ -708,11 +708,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    names = args.policies
     summaries = run_experiments(
-        [_experiment_from_args(args, name) for name in names], jobs=args.jobs
+        [_experiment_from_args(args, name) for name in args.policies], jobs=args.jobs
     )
-    results = dict(zip(names, summaries))
+    results = dict(zip(args.policies, summaries))
     print(
         format_table(
             ["policy", "completed", "drops", "MLC WB", "LLC WB", "DRAM wr",

@@ -301,6 +301,7 @@ def run_sweep(
     ``experiments`` is a :class:`~repro.harness.matrix.Matrix` or a bare
     experiment list (a one-axis matrix keyed by name); the returned
     :class:`~repro.harness.matrix.SweepResult` reads through it.
+
     Every experiment resolves to a :class:`SweepRecord`: crashes are
     retried up to ``retries`` extra attempts with linear backoff, a run
     that exceeds ``timeout_s`` wall seconds is reported as ``timeout``,

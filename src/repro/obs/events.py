@@ -4,6 +4,8 @@ Completed :class:`~repro.mem.transaction.MemoryTransaction` objects are
 not a bus topic: they go to the hierarchy's observers
 (:meth:`~repro.mem.hierarchy.MemoryHierarchy.observe`).  The events here
 cover everything else the memory path and the software stack announce.
+:class:`LaneSeries` and :class:`LaneMark` are not published: a swept
+result yields them for a trace recorder.
 """
 
 from __future__ import annotations
