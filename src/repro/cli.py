@@ -404,16 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _UsageError(SystemExit):
-    """A bad command line, already reported on one line (exit status 2)."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``prog: error: ...`` line."""
+    """Reports a usage error as one ``prog: error: ...`` line, exit status 2."""
 
     def error(self, message: str) -> NoReturn:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(2)
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _number(convert: Callable[[str], Any], what: str, ok: Callable[[Any], bool]):
@@ -762,7 +757,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .analysis.sanitizer import InvariantViolation
     from .harness.runner import run_experiment_summary
 
-    names = args.policies
     rate = 25.0 if args.quick else 100.0
     ring = 256 if args.quick else 1024
     failures = 0
@@ -814,7 +808,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
 
     observed = None  # the first policy's checked-run digest
-    for name in names:
+    for name in args.policies:
         try:
             result = run_experiment(make_experiment(name, checked=True))
             sanitizer = result.server.sanitizer
@@ -825,10 +819,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             failures += 1
             continue
         print(f"ok   sanitizer[{name}]: {sanitizer.summary_line()}")
-        if name == names[0]:
+        if name == args.policies[0]:
             observed = fingerprint_digest(result.summary())
 
-    reference = make_experiment(names[0], checked=False)
+    reference = make_experiment(args.policies[0], checked=False)
     digests = [
         fingerprint_digest(run_experiment_summary(reference)) for _ in range(2)
     ]
@@ -1142,7 +1136,9 @@ def _install_cache(args: argparse.Namespace):
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError:
+    except SystemExit as exc:  # --help and --version exit 0
+        if exc.code != 2:
+            raise
         return 2
     handlers = {
         "list": cmd_list,

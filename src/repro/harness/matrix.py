@@ -224,15 +224,12 @@ class SweepResult:
                 raise record.exception
 
     @property
-    def num_failed(self) -> int:
-        return sum(1 for rec in self.records if not rec.succeeded)
-
-    @property
     def exit_code(self) -> int:
         """0 = all succeeded; 1 = partial failure; 2 = nothing succeeded."""
-        if self.num_failed == 0:
+        failed = sum(1 for rec in self.records if not rec.succeeded)
+        if failed == 0:
             return 0
-        if self.num_failed == len(self.records):
+        if failed == len(self.records):
             return 2
         return 1
 

@@ -62,16 +62,15 @@ class SimulatedRack:
 
     def __init__(self, config: RackConfig) -> None:
         self.config = config
-        #: The ToR's tracked flow population (deterministic 5-tuples).
-        self.flows = make_flows(config.total_flows)
         self.steering = FlowSteering(
             config.num_servers,
             mode=config.steering,
             table_bits=config.table_bits,
             seed=config.seed,
         )
-        #: Flows steered to each server (index = server).
-        self.flow_counts = self.steering.assignment_counts(self.flows)
+        #: Flows of the ToR's tracked population (deterministic 5-tuples)
+        #: steered to each server (index = server).
+        self.flow_counts = self.steering.assignment_counts(make_flows(config.total_flows))
 
     # ------------------------------------------------------------------
     # experiment construction

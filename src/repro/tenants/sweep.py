@@ -189,8 +189,15 @@ def run_tenants(
     (``cache``, following :func:`repro.harness.runner.run_sweep`
     semantics).  A failed cell is reported in the result's
     ``exit_code``; ``lanes()`` yields the per-tenant degradation curves.
+    Each cell's summary comes back without its event streams (about
+    2 MB a noisy cell): the views read ``tenant_stats``, and the cell's
+    digest, taken first, covers the streams.
     """
-    return run_sweep(tenant_matrix(policies, **matrix), jobs=jobs, cache=cache)
+    result = run_sweep(tenant_matrix(policies, **matrix), jobs=jobs, cache=cache)
+    for cell in result.cells:
+        if cell.digest:
+            cell.summary.event_streams = {}
+    return result
 
 
 __all__ = [
