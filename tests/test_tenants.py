@@ -248,6 +248,21 @@ class TestTenantCacheKeying:
         assert warm.fingerprint == cold.fingerprint
 
 
+class TestTenantResult:
+    def test_sheds_event_streams_after_taking_digests(self):
+        from repro.analysis.determinism import fingerprint_digest
+        from repro.harness.runner import run_experiment_summary
+
+        result = run_tenants(
+            [repro.ddio()], intensities=(1.0,), duration_us=30.0, seed=3, cache=False
+        )
+        cell = result.cells[0]
+        assert cell.summary.event_streams == {}
+        assert tenant_stats(cell)[0]["completed"] > 0
+        rerun = run_experiment_summary(result.matrix.experiments[0])
+        assert rerun.event_streams and cell.digest == fingerprint_digest(rerun)
+
+
 class TestTenantJson:
     def test_out_has_the_common_matrix_shape(self, tmp_path, capsys):
         from repro.cli import main
