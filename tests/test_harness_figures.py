@@ -3,21 +3,30 @@
 Each harness function runs here at tiny scale (small rings, short
 windows, few sweep points) — these guard the orchestration code paths so
 the full-scale benchmarks never fail on plumbing.  Shape assertions live
-in benchmarks/; here we only check structure.
+in benchmarks/; here we check structure, and pin each figure's printed
+text and row dicts by SHA-256 prefix (seeded runs are deterministic, so
+a refactor of the figure harness must reproduce both byte for byte).
 """
 
-import pytest
+import hashlib
+import json
 
 from repro.harness import extensions, figures
 from repro.harness.figures import FigureReport
 
 
-def check_report(report, expected_figure):
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def check_report(report, expected_figure, text_sha, rows_sha):
     assert isinstance(report, FigureReport)
     assert report.figure == expected_figure
     assert report.rows, "no rows produced"
     assert report.text, "no printable report"
     assert report.results, "no results attached"
+    assert _sha(report.text) == text_sha
+    assert _sha(json.dumps(report.rows, sort_keys=True)) == rows_sha
 
 
 class TestFigureHarness:
@@ -29,18 +38,18 @@ class TestFigureHarness:
             include_1way=False,
             max_duration_us=400.0,
         )
-        check_report(report, "fig4")
+        check_report(report, "fig4", "a941f7418e4513d6", "58a4af67a9c4aefb")
         assert {r["ring"] for r in report.rows} == {64}
 
     def test_fig5(self):
         report = figures.fig5(ring_size=64, num_bursts=2, burst_period_ms=0.5)
-        check_report(report, "fig5")
+        check_report(report, "fig5", "c6c2dff53952a72e", "f71533f8d1e5f813")
 
     def test_fig9(self):
         report = figures.fig9(
             burst_rates=(100.0,), ring_size=64, policy_names=("ddio", "idio")
         )
-        check_report(report, "fig9")
+        check_report(report, "fig9", "98786e38c0648123", "29471263df21efbc")
         assert {r["policy"] for r in report.rows} == {"ddio", "idio"}
 
     def test_fig10(self):
@@ -50,12 +59,12 @@ class TestFigureHarness:
             include_static=False,
             include_corun=False,
         )
-        check_report(report, "fig10")
+        check_report(report, "fig10", "b001d8f712793ff5", "5e086aabefdffe8b")
         assert all("mlc_writebacks" in r for r in report.rows)
 
     def test_fig11(self):
         report = figures.fig11(ring_size=64, include_payload_drop=True)
-        check_report(report, "fig11")
+        check_report(report, "fig11", "85b778f0b8a961bf", "d572ae7880e56f73")
         assert {r["config"] for r in report.rows} == {
             "ddio", "idio", "idio-payload-drop",
         }
@@ -64,24 +73,24 @@ class TestFigureHarness:
         report = figures.fig12(
             burst_rates=(25.0,), ring_size=64, include_corun=False
         )
-        check_report(report, "fig12")
+        check_report(report, "fig12", "78039fa75ea45118", "4b6c6481ed54260d")
         row = report.rows[0]
         assert row["ddio_p99_us"] > 0 and row["idio_p99_us"] > 0
 
     def test_fig13(self):
         report = figures.fig13(ring_size=64, duration_us=300.0)
-        check_report(report, "fig13")
+        check_report(report, "fig13", "7cfd1035ef18d1af", "d79c0618b74d5eaf")
 
     def test_fig14(self):
         report = figures.fig14(thresholds_mtps=(50.0,), ring_size=64)
-        check_report(report, "fig14")
+        check_report(report, "fig14", "74955160c45473bb", "f2f93eec70b9de25")
         assert len(report.rows) == 1
 
 
 class TestExtensionHarness:
     def test_ext_baselines(self):
         report = extensions.ext_baselines(burst_rates=(50.0,), ring_size=64)
-        check_report(report, "ext-baselines")
+        check_report(report, "ext-baselines", "3617d85f054e3573", "5c8adb8239fea153")
         assert {r["policy"] for r in report.rows} == {
             "ddio", "iat", "idio", "idio-regulated",
         }
@@ -90,7 +99,7 @@ class TestExtensionHarness:
         report = extensions.ext_recycling_modes(
             ring_size=64, policy_names=("ddio",)
         )
-        check_report(report, "ext-recycling")
+        check_report(report, "ext-recycling", "0b54819a20783e15", "fff95061a6f2b630")
         assert {r["mode"] for r in report.rows} == {
             "run_to_completion", "copy", "reallocate",
         }
@@ -99,15 +108,15 @@ class TestExtensionHarness:
         report = extensions.ext_burst_threshold(
             thresholds_gbps=(10.0,), ring_size=64
         )
-        check_report(report, "ext-burstthr")
+        check_report(report, "ext-burstthr", "cbe24f74d26c5a9a", "78e2d1f788ed35ce")
 
     def test_ext_ring_sweep(self):
         report = extensions.ext_ring_sweep(ring_sizes=(64,))
-        check_report(report, "ext-ring")
+        check_report(report, "ext-ring", "4be1d38ca9825ae9", "20b38cefb5319c78")
 
     def test_ext_inclusive(self):
         report = extensions.ext_inclusive_counterfactual(ring_size=64)
-        check_report(report, "ext-inclusive")
+        check_report(report, "ext-inclusive", "154bacd275f20d54", "4bfca2f23d7d3d86")
         assert {r["hierarchy"] for r in report.rows} == {
             "inclusive", "non-inclusive",
         }
@@ -116,4 +125,16 @@ class TestExtensionHarness:
         report = extensions.ext_saturation(
             rates_gbps=(10.0,), ring_size=64, duration_us=300.0
         )
-        check_report(report, "ext-saturation")
+        check_report(report, "ext-saturation", "09a1e0f934782575", "a0c0bddd464d37b9")
+
+    def test_ext_cachedirector(self):
+        report = extensions.ext_cachedirector(ring_size=64)
+        check_report(report, "ext-cachedirector", "2f1419701c437ab2", "8502c6eb8a3c9d37")
+
+    def test_ext_mixed(self):
+        report = extensions.ext_mixed_deployment(ring_size=64)
+        check_report(report, "ext-mixed", "8fe6671d59e5b960", "2af872897b938eed")
+
+    def test_ext_traffic(self):
+        report = extensions.ext_traffic_realism(ring_size=64, duration_us=200.0)
+        check_report(report, "ext-traffic", "70c12b0ad0b06311", "011efdef9fe97b8d")
