@@ -62,7 +62,7 @@ from .api import (
     units,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "Experiment",

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence
 
 from .core import policies
 from .faults import FAULT_LAYERS
-from .harness import extensions, figures
+from .harness import claims
 from .harness.experiment import Experiment, run_experiment
 from .harness.matrix import Matrix, SweepResult
 from .harness.runner import run_experiments, run_sweep, shutdown_pool
@@ -46,25 +46,7 @@ from .harness.traces import export_csv, to_csv_string
 from .sim import units
 
 #: Figure/extension entry points exposed by ``idio-repro figure``.
-FIGURE_COMMANDS: Dict[str, Callable[[], object]] = {
-    "fig4": figures.fig4,
-    "fig5": figures.fig5,
-    "fig9": figures.fig9,
-    "fig10": figures.fig10,
-    "fig11": figures.fig11,
-    "fig12": figures.fig12,
-    "fig13": figures.fig13,
-    "fig14": figures.fig14,
-    "ext-baselines": extensions.ext_baselines,
-    "ext-recycling": extensions.ext_recycling_modes,
-    "ext-burstthr": extensions.ext_burst_threshold,
-    "ext-ring": extensions.ext_ring_sweep,
-    "ext-inclusive": extensions.ext_inclusive_counterfactual,
-    "ext-saturation": extensions.ext_saturation,
-    "ext-cachedirector": extensions.ext_cachedirector,
-    "ext-mixed": extensions.ext_mixed_deployment,
-    "ext-traffic": extensions.ext_traffic_realism,
-}
+FIGURE_COMMANDS = claims.FIGURES
 
 #: Reduced-scale keyword arguments for ``figure --quick`` smoke runs.
 FIGURE_QUICK_ARGS: Dict[str, Dict[str, object]] = {
@@ -187,14 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults_p.add_argument(
         "--timeout-s",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="S",
         help="per-experiment wall-clock budget (pooled runs enforce it)",
     )
     faults_p.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative_int,
         default=1,
         metavar="N",
         help="extra attempts for crashed experiments (default: %(default)s)",
@@ -722,22 +704,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     kwargs = FIGURE_QUICK_ARGS.get(args.name, {}) if args.quick else {}
     kwargs = {**kwargs, "jobs": args.jobs}
-    report = FIGURE_COMMANDS[args.name](**kwargs)
-    print(report.text)
-    print(_eps_footer(report.results.values()))
+    result = FIGURE_COMMANDS[args.name](**kwargs)
+    text = result.render()
+    print(text)
+    print(_eps_footer(result.summaries))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(report.text + "\n")
+            fh.write(text + "\n")
         print(f"(report written to {args.out})")
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .harness.validation import run_validation
-
-    card = run_validation(quick=args.quick, jobs=args.jobs)
-    print(card.render())
-    return 0 if card.all_passed else 1
+    verdicts = claims.validate(quick=args.quick, jobs=args.jobs)
+    print(claims.scorecard(verdicts))
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -930,14 +911,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
     def rows(result: SweepResult):
         for c in result.cells:
             s = c.summary
-            yield [c.policy, c.layer, f"{c.intensity:g}", c.status, *(
-                (None,) * 4 if s is None else (
-                    s.completed,
-                    s.rx_drops,
-                    s.p99_ns / 1000.0 if s.p99_ns else None,
-                    sum(s.fault_counts.values()),
-                )
-            )]
+            yield {"policy": c.policy, "layer": c.layer, "intensity": f"{c.intensity:g}",
+                   "status": c.status, **({} if s is None else {
+                       "completed": s.completed,
+                       "drops": s.rx_drops,
+                       "p99_us": s.p99_ns / 1000.0 if s.p99_ns else None,
+                       "faults": sum(s.fault_counts.values()),
+                   })}
 
     baseline = [("none", 0.0)] if 0 in args.intensities else []
     faulted = [(l, i) for l in args.layers for i in args.intensities if i != 0]
@@ -947,7 +927,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         cell,
         title=f"degradation matrix: {args.app} @ {rate:g} Gbps, ring {ring}",
         columns=("policy", "layer", "intensity", "status", "completed", "drops",
-                 "p99 us", "faults"),
+                 ("p99 us", "p99_us"), "faults"),
         rows=rows,
     )
     result = run_sweep(
@@ -1011,9 +991,6 @@ def cmd_tenants(args: argparse.Namespace) -> int:
     """
     from .tenants.sweep import run_tenants
 
-    if args.tenants < 1:
-        print("--tenants must be at least 1", file=sys.stderr)
-        return 2
     result = run_tenants(
         [policies.policy_by_name(name) for name in args.policies],
         mix=args.tenant_mix,
@@ -1133,9 +1110,23 @@ def _install_cache(args: argparse.Namespace):
     return cache, lambda: cache_mod.set_default_cache(previous)
 
 
+def _check_tenants(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject a ``--tenants`` count the chosen mix cannot build as a usage
+    error (``tenants`` always builds a mix; other commands when N > 0)."""
+    if args.command == "tenants" or getattr(args, "tenants", 0) > 0:
+        from .tenants.scenarios import tenant_mix
+
+        try:
+            tenant_mix(args.tenant_mix, tenants=args.tenants)
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog} {args.command}: error: argument --tenants: {exc}\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        _check_tenants(parser, args)
     except SystemExit as exc:  # --help and --version exit 0
         if exc.code != 2:
             raise

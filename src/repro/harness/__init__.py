@@ -1,6 +1,6 @@
 """Experiment harness: server builder, runner, metrics, figure reproductions."""
 
-from . import extensions, figures, metrics, report, runner, traces, validation
+from . import extensions, figures, metrics, report, runner, traces
 from .experiment import (
     Experiment,
     ExperimentResult,
@@ -12,7 +12,6 @@ from .matrix import Matrix, SweepRecord, SweepResult
 from .runner import (
     run_experiment_summary,
     run_experiments,
-    run_named_experiments,
     run_sweep,
 )
 from .server import APP_FACTORIES, ServerConfig, SimulatedServer
@@ -34,10 +33,8 @@ __all__ = [
     "run_experiment",
     "run_experiment_summary",
     "run_experiments",
-    "run_named_experiments",
     "run_policy_comparison",
     "run_sweep",
     "runner",
     "traces",
-    "validation",
 ]

@@ -2,12 +2,16 @@
 
 A :class:`Matrix` is one sweep: named axes, one
 :class:`~repro.harness.experiment.Experiment` per cell (built from the
-cell's axis values), a table (title, columns, rows, footer), and the
-payload its fingerprint folds.  :func:`~repro.harness.runner.run_sweep`
-runs a matrix and returns a :class:`SweepResult` with one :class:`Cell`
-per experiment, in input order.  The result has one ``render``, one
-``to_json``, one ``lanes`` view and one digest fold, so the ``faults``,
-``rack`` and ``tenants`` commands differ only in their matrices.  A bare
+cell's axis values), a table (title, header lines, columns, rows,
+footer), and the payload its fingerprint folds.
+:func:`~repro.harness.runner.run_sweep` runs a matrix and returns a
+:class:`SweepResult` with one :class:`Cell` per experiment, in input
+order.  The result has one ``render``, one ``rows`` view, one
+``to_json``, one ``lanes`` view and one digest fold, so every paper
+figure and the ``faults``, ``rack`` and ``tenants`` commands differ only
+in their matrices.  A row is a dict; each column names its header and
+the row key it shows once, so the printed table and the rows that
+claims read (:mod:`repro.harness.claims`) come from one spec.  A bare
 experiment list is a one-axis matrix keyed by ``name``.
 """
 
@@ -16,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.determinism import fingerprint_digest
 from .experiment import Experiment, ExperimentSummary
@@ -32,11 +36,14 @@ class Matrix:
     keys: List[tuple]
     experiments: List[Experiment]
     title: str = ""
-    #: Table headers; ``rows`` yields one table row (a list) at a time,
-    #: one or more per cell.
-    columns: Sequence[str] = ()
-    rows: Optional[Callable[["SweepResult"], Iterable[Sequence[object]]]] = None
-    #: Lines printed under the table.
+    #: ``(header, key)`` per table column (a bare ``key`` is its own
+    #: header); ``rows`` yields one row dict at a time, one or more per
+    #: cell (without ``rows``: each cell's axis values and status).  Rows
+    #: with no columns print no table.
+    columns: Sequence[Union[str, Tuple[str, str]]] = ()
+    rows: Optional[Callable[["SweepResult"], Iterable[Dict[str, Any]]]] = None
+    #: Lines printed above and under the table.
+    header: Optional[Callable[["SweepResult"], Iterable[str]]] = None
     footer: Optional[Callable[["SweepResult"], Iterable[str]]] = None
     #: The payload the sweep fingerprint hashes (default: every cell's
     #: axis values and digest).
@@ -48,6 +55,11 @@ class Matrix:
     #: Trace lanes (:class:`~repro.obs.events.LaneSeries` and
     #: :class:`~repro.obs.events.LaneMark`), built only on request.
     lanes: Optional[Callable[["SweepResult"], Iterable[Any]]] = None
+
+    def __post_init__(self) -> None:
+        shadowed = [axis for axis in self.axes if hasattr(Cell, axis)]
+        if shadowed:
+            raise ValueError(f"axes {shadowed} would be shadowed by Cell attributes")
 
     @classmethod
     def build(
@@ -168,6 +180,20 @@ class SweepResult:
     def cells(self) -> List[Cell]:
         return [Cell(self, index) for index in range(len(self.records))]
 
+    def cell(self, **values: Any) -> Cell:
+        """The one cell whose axis values include ``values``."""
+        found = [c for c in self.cells if all(getattr(c, k) == v for k, v in values.items())]
+        if len(found) != 1:
+            raise KeyError(f"{len(found)} cells match {values}")
+        return found[0]
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """The matrix's row dicts (the table's rows, before formatting)."""
+        if self.matrix.rows is not None:
+            return list(self.matrix.rows(self))
+        axes = self.matrix.axes
+        return [{**dict(zip(axes, c.key)), "status": c.status} for c in self.cells]
+
     def digest(self, index: int) -> str:
         """``fingerprint_digest`` of ``summaries[index]``, hashed at most once."""
         record = self.records[index]
@@ -187,13 +213,24 @@ class SweepResult:
         return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
     def render(self) -> str:
-        """The matrix's table, then its footer lines."""
+        """The matrix's header lines, its table, then its footer lines."""
         matrix = self.matrix
-        if matrix.rows is None:  # each cell's axis values and status
-            table = format_table([*matrix.axes, "status"], [[*c.key, c.status] for c in self.cells])
-        else:
-            table = format_table(matrix.columns, matrix.rows(self), title=matrix.title or None)
-        return "\n".join([table, *(matrix.footer(self) if matrix.footer else ())])
+        columns = [
+            (col, col) if isinstance(col, str) else col
+            for col in (matrix.columns if matrix.rows else (*matrix.axes, "status"))
+        ]
+        table = [
+            format_table(
+                [header for header, _ in columns],
+                [[row.get(key) for _, key in columns] for row in self.rows()],
+                title=matrix.title or None,
+            )
+        ] if columns else []
+        return "\n".join([
+            *(matrix.header(self) if matrix.header else ()),
+            *table,
+            *(matrix.footer(self) if matrix.footer else ()),
+        ])
 
     def to_json(self) -> Dict[str, Any]:
         """A JSON-able dict (the CLI ``--out`` artifact of a matrix)."""

@@ -431,16 +431,3 @@ def run_experiments(
     result.raise_first_failure()
     return cast(List[ExperimentSummary], result.summaries)
 
-
-def run_named_experiments(
-    named: Sequence[Tuple[str, Experiment]], jobs: int = 1, cache=None
-) -> Dict[str, ExperimentSummary]:
-    """Run ``(key, experiment)`` pairs and return ``{key: summary}``.
-
-    The figure harness builds its result dictionaries this way: declare
-    the whole sweep up front, fan it out, then index summaries by key.
-    Insertion order of the dict follows the input order.  ``cache``
-    follows :func:`run_experiments`.
-    """
-    summaries = run_experiments([exp for _, exp in named], jobs=jobs, cache=cache)
-    return {key: summary for (key, _), summary in zip(named, summaries)}

@@ -23,7 +23,7 @@ produce byte-identical rack fingerprints.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterator, List, Sequence
+from typing import Any, Dict, Iterator, Sequence
 
 from ..harness import metrics
 from ..harness.experiment import Experiment, ExperimentSummary
@@ -41,7 +41,7 @@ LANE_STREAMS = ("pcie_writes", "mlc_writebacks", "llc_writebacks", "dram_writes"
 PERCENTILES = (50, 95, 99)
 
 RACK_COLUMNS = ("server", "flows", "offered", "completed", "drops",
-                "p50 us", "p95 us", "p99 us", "digest")
+                ("p50 us", "p50"), ("p95 us", "p95"), ("p99 us", "p99"), "digest")
 
 
 def server_rng(seed: int, server: int) -> random.Random:
@@ -124,13 +124,14 @@ class SimulatedRack:
                 **_counts([cell.summary]),
             }
 
-        def rows(result: SweepResult) -> Iterator[List[object]]:
+        def rows(result: SweepResult) -> Iterator[Dict[str, Any]]:
             for label, counts, digest in [
                 *((f"s{c.server:02d}", server_json(c), c.digest) for c in result.cells),
                 ("rack", {"flows": config.total_flows, **aggregate(result)}, result.fingerprint),
             ]:
-                yield [label, counts["flows"], counts["offered"], counts["completed"],
-                       counts["drops"], *counts["percentiles_us"].values(), digest[:12]]
+                yield {"server": label, "flows": counts["flows"], "offered": counts["offered"],
+                       "completed": counts["completed"], "drops": counts["drops"],
+                       **counts["percentiles_us"], "digest": digest[:12]}
 
         def fold(result: SweepResult) -> tuple:
             # Every part is process-stable (the steering digest avoids

@@ -23,7 +23,7 @@ see the package docstring).  Import :func:`run_tenants` from here or via
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Sequence
+from typing import Any, Dict, Iterator, Sequence
 
 from ..core.policies import PolicyConfig
 from ..harness.matrix import Cell, Matrix, SweepResult
@@ -38,8 +38,9 @@ TENANT_LANE_STREAMS = ("p50_us", "p95_us", "p99_us")
 #: timestamp domain, since Chrome traces want monotonic numeric stamps.
 INTENSITY_SCALE = 1000.0
 
-TENANT_COLUMNS = ("policy", "intensity", "tenant", "completed", "dma",
-                  "io ways", "p50 us", "p95 us", "p99 us", "status")
+TENANT_COLUMNS = ("policy", "intensity", "tenant", "completed", ("dma", "dma_writes"),
+                  ("io ways", "io_ways"), ("p50 us", "p50_us"), ("p95 us", "p95_us"),
+                  ("p99 us", "p99_us"), "status")
 
 
 def tenant_stats(cell: Cell) -> Dict[int, Dict[str, float]]:
@@ -107,15 +108,15 @@ def tenant_matrix(
             checked=checked,
         )
 
-    def rows(result: SweepResult) -> Iterator[List[object]]:
+    def rows(result: SweepResult) -> Iterator[Dict[str, object]]:
         for c in result.cells:
             for tenant, stats in sorted(tenant_stats(c).items()):
-                yield [
-                    c.policy, f"{c.intensity:g}", f"t{tenant}",
-                    int(stats["completed"]), int(stats["dma_writes"]),
-                    int(stats["io_ways"]), round(stats["p50_us"], 2),
-                    round(stats["p95_us"], 2), round(stats["p99_us"], 2), c.status,
-                ]
+                yield {
+                    "policy": c.policy, "intensity": f"{c.intensity:g}", "tenant": f"t{tenant}",
+                    **{key: int(stats[key]) for key in ("completed", "dma_writes", "io_ways")},
+                    **{key: round(stats[key], 2) for key in ("p50_us", "p95_us", "p99_us")},
+                    "status": c.status,
+                }
 
     def footer(result: SweepResult) -> Iterator[str]:
         for policy in names:

@@ -65,6 +65,12 @@ class TestBadSweepInput:
         ["rack", "--tenants", "-1"],
         ["run", "--rate", "-5"],
         ["compare", "--ring", "0"],
+        ["tenants", "--tenants", "1"],
+        ["tenants", "--tenants", "0"],
+        ["rack", "--tenants", "1"],
+        ["faults", "--retries", "-1"],
+        ["faults", "--timeout-s", "0"],
+        ["faults", "--timeout-s", "-5"],
     ], ids=" ".join)
     def test_rejected_in_one_line(self, argv, capsys):
         assert main(argv) == 2

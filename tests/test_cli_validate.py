@@ -1,25 +1,18 @@
-"""CLI validate command (with a stubbed scorecard — full runs take minutes)."""
+"""CLI validate command (with stubbed verdicts — full runs take tens of seconds)."""
 
-import pytest
-
-import repro.harness.validation as validation_mod
 from repro.cli import main
-from repro.harness.validation import Scorecard
+from repro.harness import claims
 
 
-def make_card(all_pass: bool) -> Scorecard:
-    card = Scorecard()
-    card.add("fig9", "claim A", "x", "y", True)
-    card.add("fig10", "claim B", "x", "y", all_pass)
-    return card
+def make_verdicts(all_pass: bool):
+    first, second = claims.suite("validate")[:2]
+    return [claims.Verdict(first, True, "y"), claims.Verdict(second, all_pass, "y")]
 
 
 class TestValidateCommand:
     def test_exit_zero_when_all_pass(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            validation_mod,
-            "run_validation",
-            lambda quick=False, jobs=1: make_card(True),
+            claims, "validate", lambda quick=False, jobs=1: make_verdicts(True)
         )
         assert main(["validate", "--quick"]) == 0
         out = capsys.readouterr().out
@@ -27,9 +20,7 @@ class TestValidateCommand:
 
     def test_exit_nonzero_on_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            validation_mod,
-            "run_validation",
-            lambda quick=False, jobs=1: make_card(False),
+            claims, "validate", lambda quick=False, jobs=1: make_verdicts(False)
         )
         assert main(["validate"]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -40,9 +31,9 @@ class TestValidateCommand:
         def fake(quick=False, jobs=1):
             seen["quick"] = quick
             seen["jobs"] = jobs
-            return make_card(True)
+            return make_verdicts(True)
 
-        monkeypatch.setattr(validation_mod, "run_validation", fake)
+        monkeypatch.setattr(claims, "validate", fake)
         main(["validate", "--quick"])
         assert seen["quick"] is True
         main(["validate"])
@@ -53,8 +44,8 @@ class TestValidateCommand:
 
         def fake(quick=False, jobs=1):
             seen["jobs"] = jobs
-            return make_card(True)
+            return make_verdicts(True)
 
-        monkeypatch.setattr(validation_mod, "run_validation", fake)
+        monkeypatch.setattr(claims, "validate", fake)
         main(["validate", "--quick", "--jobs", "4"])
         assert seen["jobs"] == 4

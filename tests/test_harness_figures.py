@@ -12,7 +12,7 @@ import hashlib
 import json
 
 from repro.harness import extensions, figures
-from repro.harness.figures import FigureReport
+from repro.harness.matrix import SweepResult
 
 
 def _sha(text):
@@ -20,13 +20,11 @@ def _sha(text):
 
 
 def check_report(report, expected_figure, text_sha, rows_sha):
-    assert isinstance(report, FigureReport)
-    assert report.figure == expected_figure
-    assert report.rows, "no rows produced"
-    assert report.text, "no printable report"
-    assert report.results, "no results attached"
-    assert _sha(report.text) == text_sha
-    assert _sha(json.dumps(report.rows, sort_keys=True)) == rows_sha
+    assert isinstance(report, SweepResult), expected_figure
+    assert report.rows(), "no rows produced"
+    assert all(cell.summary is not None for cell in report.cells)
+    assert _sha(report.render()) == text_sha
+    assert _sha(json.dumps(report.rows(), sort_keys=True)) == rows_sha
 
 
 class TestFigureHarness:
@@ -39,7 +37,7 @@ class TestFigureHarness:
             max_duration_us=400.0,
         )
         check_report(report, "fig4", "a941f7418e4513d6", "58a4af67a9c4aefb")
-        assert {r["ring"] for r in report.rows} == {64}
+        assert {r["ring"] for r in report.rows()} == {64}
 
     def test_fig5(self):
         report = figures.fig5(ring_size=64, num_bursts=2, burst_period_ms=0.5)
@@ -50,7 +48,7 @@ class TestFigureHarness:
             burst_rates=(100.0,), ring_size=64, policy_names=("ddio", "idio")
         )
         check_report(report, "fig9", "98786e38c0648123", "29471263df21efbc")
-        assert {r["policy"] for r in report.rows} == {"ddio", "idio"}
+        assert {r["policy"] for r in report.rows()} == {"ddio", "idio"}
 
     def test_fig10(self):
         report = figures.fig10(
@@ -60,12 +58,12 @@ class TestFigureHarness:
             include_corun=False,
         )
         check_report(report, "fig10", "b001d8f712793ff5", "5e086aabefdffe8b")
-        assert all("mlc_writebacks" in r for r in report.rows)
+        assert all("mlc_writebacks" in r for r in report.rows())
 
     def test_fig11(self):
         report = figures.fig11(ring_size=64, include_payload_drop=True)
         check_report(report, "fig11", "85b778f0b8a961bf", "d572ae7880e56f73")
-        assert {r["config"] for r in report.rows} == {
+        assert {r["config"] for r in report.rows()} == {
             "ddio", "idio", "idio-payload-drop",
         }
 
@@ -74,7 +72,7 @@ class TestFigureHarness:
             burst_rates=(25.0,), ring_size=64, include_corun=False
         )
         check_report(report, "fig12", "78039fa75ea45118", "4b6c6481ed54260d")
-        row = report.rows[0]
+        row = report.rows()[0]
         assert row["ddio_p99_us"] > 0 and row["idio_p99_us"] > 0
 
     def test_fig13(self):
@@ -84,14 +82,14 @@ class TestFigureHarness:
     def test_fig14(self):
         report = figures.fig14(thresholds_mtps=(50.0,), ring_size=64)
         check_report(report, "fig14", "74955160c45473bb", "f2f93eec70b9de25")
-        assert len(report.rows) == 1
+        assert len(report.rows()) == 1
 
 
 class TestExtensionHarness:
     def test_ext_baselines(self):
         report = extensions.ext_baselines(burst_rates=(50.0,), ring_size=64)
         check_report(report, "ext-baselines", "3617d85f054e3573", "5c8adb8239fea153")
-        assert {r["policy"] for r in report.rows} == {
+        assert {r["policy"] for r in report.rows()} == {
             "ddio", "iat", "idio", "idio-regulated",
         }
 
@@ -100,7 +98,7 @@ class TestExtensionHarness:
             ring_size=64, policy_names=("ddio",)
         )
         check_report(report, "ext-recycling", "0b54819a20783e15", "fff95061a6f2b630")
-        assert {r["mode"] for r in report.rows} == {
+        assert {r["mode"] for r in report.rows()} == {
             "run_to_completion", "copy", "reallocate",
         }
 
@@ -117,7 +115,7 @@ class TestExtensionHarness:
     def test_ext_inclusive(self):
         report = extensions.ext_inclusive_counterfactual(ring_size=64)
         check_report(report, "ext-inclusive", "154bacd275f20d54", "4bfca2f23d7d3d86")
-        assert {r["hierarchy"] for r in report.rows} == {
+        assert {r["hierarchy"] for r in report.rows()} == {
             "inclusive", "non-inclusive",
         }
 

@@ -24,11 +24,12 @@ from repro.harness.experiment import (
     run_experiment,
     run_policy_comparison,
 )
+from repro.harness.matrix import Matrix
 from repro.harness.runner import (
     InjectedCrash,
     run_experiment_summary,
     run_experiments,
-    run_named_experiments,
+    run_sweep,
     shutdown_pool,
 )
 from repro.harness.server import ServerConfig
@@ -154,13 +155,16 @@ class TestRunExperiments:
         assert len(summaries) == 2
 
     def test_named_experiments_keyed_and_ordered(self):
-        named = [
-            ("first", small_experiment(name="n1")),
-            ("second", small_experiment(name="n2", policy=idio())),
-        ]
-        results = run_named_experiments(named, jobs=1)
-        assert list(results) == ["first", "second"]
-        assert results["second"].policy_name == "idio"
+        matrix = Matrix.build(
+            ("label",),
+            [("first",), ("second",)],
+            lambda label: small_experiment(
+                name=label, policy=idio() if label == "second" else None
+            ),
+        )
+        result = run_sweep(matrix, jobs=1)
+        assert [cell.key for cell in result.cells] == [("first",), ("second",)]
+        assert result.cell(label="second").summary.policy_name == "idio"
 
     def test_policy_comparison_returns_summaries(self):
         results = run_policy_comparison(

@@ -14,6 +14,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSpec, standard_plan
 from repro.harness.experiment import Experiment
+from repro.harness.matrix import Matrix
 from repro.harness.runner import (
     InjectedCrash,
     SweepRecord,
@@ -170,3 +171,44 @@ class TestSweepResult:
     def test_empty_input_returns_empty_result(self):
         sweep = run_sweep([], jobs=4)
         assert sweep.records == [] and sweep.summaries == []
+
+
+class TestMatrixViews:
+    def sweep(self, **view):
+        return run_sweep(
+            Matrix.build(("label", "rate"), [("a", 1), ("b", 2)],
+                         lambda label, rate: sweep_experiment(f"{label}{rate}"), **view)
+        )
+
+    def test_rows_default_to_axis_values_and_status(self):
+        result = self.sweep()
+        assert result.rows() == [{"label": "a", "rate": 1, "status": "ok"},
+                                 {"label": "b", "rate": 2, "status": "ok"}]
+        assert result.cell(label="b").rate == 2
+
+    def test_cell_lookup_needs_exactly_one_match(self):
+        result = self.sweep()
+        with pytest.raises(KeyError):
+            result.cell(label="c")
+
+    def test_columns_name_header_and_key_once(self):
+        result = self.sweep(
+            columns=("label", ("packets", "rx")),
+            rows=lambda r: ({"label": c.label, "rx": c.summary.rx_packets} for c in r.cells),
+            header=lambda r: ["above"],
+            footer=lambda r: ["below"],
+        )
+        lines = result.render().splitlines()
+        assert lines[0] == "above" and lines[-1] == "below"
+        assert lines[2].split() == ["|", "label", "|", "packets", "|"]
+
+    def test_rows_without_columns_print_no_table(self):
+        result = self.sweep(rows=lambda r: [{"x": 1}], header=lambda r: ["only"])
+        assert result.render() == "only"
+        assert result.rows() == [{"x": 1}]
+
+    @pytest.mark.parametrize("axis", ["key", "status", "summary", "digest"])
+    def test_axis_shadowed_by_a_cell_attribute_is_rejected(self, axis):
+        with pytest.raises(ValueError, match=axis):
+            Matrix.build((axis,), [("a",)], lambda a: sweep_experiment(a))
+

@@ -65,6 +65,6 @@ class TestMixedClassBehavior:
 
     def test_extension_report(self):
         report = ext_mixed_deployment(ring_size=64)
-        rows = {r["policy"]: r for r in report.rows}
+        rows = {r["policy"]: r for r in report.rows()}
         assert rows["ddio"]["direct_dram_wr"] == 0
         assert rows["idio"]["direct_dram_wr"] > 0
