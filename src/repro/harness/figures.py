@@ -152,7 +152,7 @@ def _figure(
     """
 
     def cell_rows(result: SweepResult) -> Iterator[Dict[str, Any]]:
-        fields = [col if isinstance(col, str) else col[1] for col in view["columns"]]
+        fields = [key for _, key in result.matrix.table_columns]
         for c in result.cells:
             axis_values = dict(zip(axes, c.key))
             yield {**axis_values,

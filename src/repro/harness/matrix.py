@@ -56,6 +56,12 @@ class Matrix:
     #: :class:`~repro.obs.events.LaneMark`), built only on request.
     lanes: Optional[Callable[["SweepResult"], Iterable[Any]]] = None
 
+    @property
+    def table_columns(self) -> List[Tuple[str, str]]:
+        """``(header, key)`` per printed column."""
+        columns = self.columns if self.rows else (*self.axes, "status")
+        return [(col, col) if isinstance(col, str) else col for col in columns]
+
     def __post_init__(self) -> None:
         shadowed = [axis for axis in self.axes if hasattr(Cell, axis)]
         if shadowed:
@@ -215,10 +221,7 @@ class SweepResult:
     def render(self) -> str:
         """The matrix's header lines, its table, then its footer lines."""
         matrix = self.matrix
-        columns = [
-            (col, col) if isinstance(col, str) else col
-            for col in (matrix.columns if matrix.rows else (*matrix.axes, "status"))
-        ]
+        columns = matrix.table_columns
         table = [
             format_table(
                 [header for header, _ in columns],
