@@ -51,13 +51,16 @@ class TestFigureHarness:
         assert {r["policy"] for r in report.rows()} == {"ddio", "idio"}
 
     def test_fig10(self):
+        # Two rates and a co-run: each ratio row must pair with its own
+        # DDIO baseline cell.
         report = figures.fig10(
-            burst_rates=(100.0,),
+            burst_rates=(100.0, 25.0),
             ring_size=64,
             include_static=False,
-            include_corun=False,
+            include_corun=True,
+            corun_rates=(25.0,),
         )
-        check_report(report, "fig10", "b001d8f712793ff5", "5e086aabefdffe8b")
+        check_report(report, "fig10", "529f9eec9dd314c3", "7421603de05e56eb")
         assert all("mlc_writebacks" in r for r in report.rows())
 
     def test_fig11(self):
@@ -69,9 +72,9 @@ class TestFigureHarness:
 
     def test_fig12(self):
         report = figures.fig12(
-            burst_rates=(25.0,), ring_size=64, include_corun=False
+            burst_rates=(100.0, 25.0), ring_size=64, include_corun=False
         )
-        check_report(report, "fig12", "78039fa75ea45118", "4b6c6481ed54260d")
+        check_report(report, "fig12", "b5375823fc4c50d8", "668c5238b1d0cd15")
         row = report.rows()[0]
         assert row["ddio_p99_us"] > 0 and row["idio_p99_us"] > 0
 
