@@ -10,9 +10,10 @@ decides the placement:
 * status[destCore] == MLC -> LLC placement plus a prefetch hint;
 * otherwise -> plain DDIO LLC placement.
 
-The control plane samples each core's MLC writeback count every 1 us,
-compares it against the running average (``mlcWBAvg`` over 8192 samples)
-plus ``mlcTHR``, and walks the per-core FSM of Fig. 8.
+The control plane samples each core's MLC writeback count every 1 us
+(the growth of the hierarchy's ``mlc_writebacks_c<core>`` counter),
+compares it against the running average (``mlcWBAvg`` over 8192
+samples) plus ``mlcTHR``, and walks the per-core FSM of Fig. 8.
 
 A ``static`` mode pins every FSM's status register to MLC — this is the
 "Static" configuration of Fig. 9/10.
@@ -23,7 +24,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..mem.hierarchy import MemoryHierarchy
-from ..obs.events import MlcWritebackEvent
 from ..pcie.tlp import IdioTag
 from ..sim import PeriodicTask, Simulator
 from .config import IDIOConfig
@@ -53,7 +53,11 @@ class IDIOController:
 
         n = hierarchy.config.num_cores
         self.fsm: List[StatusFSM] = [StatusFSM() for _ in range(n)]
-        self.mlc_wb: List[int] = [0] * n  # per-interval counter (Alg. 1)
+        self._mlc_wb_names = [f"mlc_writebacks_c{core}" for core in range(n)]
+        #: Each core's ``mlcWB`` counter at the last tick; Alg. 1 samples
+        #: its growth per interval.  ``SimulatedServer.start`` resets the
+        #: counters after warm-up, before the first tick.
+        self._mlc_wb_seen = [0] * n
         self.mlc_wb_acc: List[int] = [0] * n  # accumulator over the window
         self.mlc_wb_avg: List[float] = [0.0] * n  # per-interval average
         self._samples_in_window = 0
@@ -88,7 +92,6 @@ class IDIOController:
             "llc": 0,
         }
 
-        hierarchy.bus.subscribe(MlcWritebackEvent, self._on_mlc_writeback)
         self._control_task = PeriodicTask(
             sim, self.config.control_interval, self._control_tick, "idio-control"
         )
@@ -131,17 +134,16 @@ class IDIOController:
     # control plane (Alg. 1 lines 13-24)
     # ------------------------------------------------------------------
 
-    def _on_mlc_writeback(self, event: MlcWritebackEvent) -> None:
-        if event.core < len(self.mlc_wb):
-            self.mlc_wb[event.core] += 1
-
     def _control_tick(self) -> None:
         threshold = self.config.mlc_threshold_per_interval
+        counters = self.hierarchy.stats.counters
+        seen = self._mlc_wb_seen
         for core, fsm in enumerate(self.fsm):
-            pressure_high = self.mlc_wb[core] > (self.mlc_wb_avg[core] + threshold)
-            fsm.on_pressure(pressure_high)
-            self.mlc_wb_acc[core] += self.mlc_wb[core]
-            self.mlc_wb[core] = 0
+            count = counters.get(self._mlc_wb_names[core])
+            mlc_wb = count - seen[core]
+            seen[core] = count
+            fsm.on_pressure(mlc_wb > self.mlc_wb_avg[core] + threshold)
+            self.mlc_wb_acc[core] += mlc_wb
         self._samples_in_window += 1
         if self._samples_in_window >= self.config.average_window_samples:
             window = self.config.average_window_samples
@@ -154,4 +156,3 @@ class IDIOController:
 
     def stop(self) -> None:
         self._control_task.stop()
-        self.hierarchy.bus.unsubscribe(MlcWritebackEvent, self._on_mlc_writeback)

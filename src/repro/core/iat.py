@@ -4,8 +4,8 @@ The paper contrasts IDIO against "dynamic DDIO policies" that only
 re-size the LLC's DDIO way partition based on runtime monitoring — its
 shortcoming **S1** is precisely that such policies "do not take advantage
 of the large MLC".  To make that comparison runnable we implement a
-faithful-in-spirit baseline: a controller that watches the LLC-writeback
-rate (the DMA-leak signal) each interval and widens the DDIO partition
+faithful-in-spirit baseline: a controller that reads the LLC-writeback
+count (the DMA-leak signal) each interval and widens the DDIO partition
 under leak pressure, shrinking it back when the leak subsides so
 application data regains LLC capacity.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import List
 
 from ..mem.hierarchy import MemoryHierarchy
-from ..obs.events import LlcWritebackEvent
 from ..sim import PeriodicTask, Simulator, units
 
 
@@ -52,9 +51,10 @@ class IATController:
         self.max_ways = max_ways
         self.grow_threshold = grow_threshold
         self.shrink_threshold = shrink_threshold
-        self._llc_wb_in_interval = 0
+        #: The hierarchy's ``llc_writebacks`` counter at the last tick
+        #: (``SimulatedServer.start`` resets it before the first).
+        self._llc_wb_seen = 0
         self.resizes: List[int] = []
-        hierarchy.bus.subscribe(LlcWritebackEvent, self._on_llc_writeback)
         hierarchy.llc.set_ddio_ways(min_ways)
         self._task = PeriodicTask(sim, interval, self._tick, "iat-control")
 
@@ -62,12 +62,10 @@ class IATController:
     def current_ways(self) -> int:
         return self.hierarchy.llc.ddio_ways
 
-    def _on_llc_writeback(self, event: LlcWritebackEvent) -> None:
-        self._llc_wb_in_interval += 1
-
     def _tick(self) -> None:
-        wb = self._llc_wb_in_interval
-        self._llc_wb_in_interval = 0
+        count = self.hierarchy.stats.counters.get("llc_writebacks")
+        wb = count - self._llc_wb_seen
+        self._llc_wb_seen = count
         current = self.current_ways
         if wb > self.grow_threshold and current < self.max_ways:
             self.hierarchy.llc.set_ddio_ways(current + 1)
@@ -78,4 +76,3 @@ class IATController:
 
     def stop(self) -> None:
         self._task.stop()
-        self.hierarchy.bus.unsubscribe(LlcWritebackEvent, self._on_llc_writeback)

@@ -10,10 +10,10 @@ port of any artifact:
 * every tenant owns a private slice of the DDIO partition
   (:meth:`~repro.mem.llc.NonInclusiveLLC.set_tenant_io_ways`), so DMA
   write-allocates can only evict the owner's lines;
-* each epoch it samples per-tenant DMA rates off the event bus
-  (:class:`~repro.obs.events.TenantDmaEvent`) and reapportions the
-  ways above each tenant's quota floor toward the tenants actually
-  moving inbound data, weighted by priority class.
+* each epoch it reads the growth of the hierarchy's per-tenant
+  ``tenant_dma_writes_t<id>`` counters and reapportions the ways above
+  each tenant's quota floor toward the tenants actually moving inbound
+  data, weighted by priority class.
 
 Apportionment is deterministic (largest remainder, tenant-id
 tie-break), so runs fingerprint identically across processes.
@@ -21,10 +21,9 @@ tie-break), so runs fingerprint identically across processes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..mem.hierarchy import MemoryHierarchy
-from ..obs.events import TenantDmaEvent
 from ..sim import PeriodicTask, Simulator, units
 from ..tenants.config import TenantSet
 
@@ -55,18 +54,15 @@ class IOCAController:
         self.hierarchy = hierarchy
         self.tenants = tenants
         self._floors = floors
-        self._counts: Dict[int, int] = {t.tenant_id: 0 for t in tenants}
+        self._dma_names = [f"tenant_dma_writes_t{t.tenant_id}" for t in tenants]
+        #: Each tenant's DMA-write counter at the last epoch
+        #: (``SimulatedServer.start`` resets them before the first).
+        self._dma_seen = [0] * len(self._dma_names)
         #: way-count vector applied at each reallocation epoch.
         self.reallocations: List[Tuple[int, ...]] = []
         # Initial allocation: quota-proportional over the full budget.
         self._apply(self._apportion([float(f) for f in floors]))
-        hierarchy.bus.subscribe(TenantDmaEvent, self._on_tenant_dma)
         self._task = PeriodicTask(sim, interval, self._tick, "ioca-control")
-
-    # -- sampling -------------------------------------------------------
-
-    def _on_tenant_dma(self, event: TenantDmaEvent) -> None:
-        self._counts[event.tenant] = self._counts.get(event.tenant, 0) + 1
 
     # -- apportionment --------------------------------------------------
 
@@ -104,11 +100,14 @@ class IOCAController:
         self.reallocations.append(tuple(counts))
 
     def _tick(self) -> None:
+        counters = self.hierarchy.stats.counters
+        seen = self._dma_seen
         weights = []
-        for tenant in self.tenants:
-            count = self._counts.get(tenant.tenant_id, 0)
-            self._counts[tenant.tenant_id] = 0
-            weights.append(PRIORITY_WEIGHTS[tenant.priority] * (count + 1.0))
+        for i, tenant in enumerate(self.tenants):
+            count = counters.get(self._dma_names[i])
+            writes = count - seen[i]
+            seen[i] = count
+            weights.append(PRIORITY_WEIGHTS[tenant.priority] * (writes + 1.0))
         counts = self._apportion(weights)
         if not self.reallocations or tuple(counts) != self.reallocations[-1]:
             self._apply(counts)
@@ -117,4 +116,3 @@ class IOCAController:
 
     def stop(self) -> None:
         self._task.stop()
-        self.hierarchy.bus.unsubscribe(TenantDmaEvent, self._on_tenant_dma)

@@ -214,7 +214,7 @@ def ioca() -> PolicyConfig:
     """IOCA-style dynamic per-tenant I/O way partitioning (related work).
 
     Installs an :class:`~repro.core.ioca.IOCAController` that samples
-    per-tenant DMA rates off the event bus and reapportions the DDIO
+    the hierarchy's per-tenant DMA counters and reapportions the DDIO
     partition between tenants at epoch boundaries.  Requires a tenanted
     ``ServerConfig``; without tenants it degrades to plain DDIO.
     """

@@ -225,9 +225,10 @@ class WarmCheckpoint:
     server with a reusable warm-up stores its warmed caches and
     directory here; a later server with the same key restores them.
     At most one snapshot is held.  A server warms cold when anything
-    could tell the difference: an observer (trace or checked mode), a
-    fault plan, or a writeback subscriber (the IDIO and IAT controllers
-    count warm-up writebacks).
+    could tell the difference: an observer (trace or checked mode) or a
+    fault plan.  The controllers read counters that
+    :meth:`SimulatedServer.start` resets after warm-up, so IDIO and IAT
+    cells restore like DDIO and IOCA cells.
     """
 
     __slots__ = ("key", "state")

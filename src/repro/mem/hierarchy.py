@@ -25,13 +25,13 @@ callers' loops do not change, and no observer ever holds a scratch
 object.
 
 The hierarchy counts every MLC and LLC writeback inline, as it counts
-its other transitions.  It then publishes
+its other transitions; the IDIO, IAT and IOCA controllers read those
+counters at each tick (``mlcWB`` in Alg. 1).  It also publishes
 :class:`~repro.obs.events.MlcWritebackEvent` /
 :class:`~repro.obs.events.LlcWritebackEvent` on a typed pub/sub bus
 (:class:`repro.obs.bus.EventBus`), building the event only when someone
-subscribes: the IDIO controller's control plane, the IAT baseline
-(``mlcWB`` in Alg. 1) or a trace recorder.  A subscriber always sees the
-counters already bumped.
+subscribes, which only a trace recorder does.  A subscriber always sees
+the counters already bumped.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.bus import EventBus
-from ..obs.events import LlcWritebackEvent, MlcWritebackEvent, TenantDmaEvent
+from ..obs.events import LlcWritebackEvent, MlcWritebackEvent
 from ..sim import units
 from .cache import CacheConfig, SetAssociativeCache
 from .dram import DRAM
@@ -153,7 +153,7 @@ class MemoryHierarchy:
     ) -> None:
         self.config = config
         self.stats = stats or StatsBundle()
-        #: The observability bus (writeback and tenant-DMA events).
+        #: The observability bus (writeback events).
         self.bus = bus or EventBus()
         # Hot-path counter/event-log access: the handlers below perform
         # one unlogged increment (or one increment + one timestamp
@@ -171,7 +171,6 @@ class MemoryHierarchy:
         # constructed when somebody listens.
         self._mlc_wb_subs = self.bus.live(MlcWritebackEvent)
         self._llc_wb_subs = self.bus.live(LlcWritebackEvent)
-        self._tenant_dma_subs = self.bus.live(TenantDmaEvent)
         #: Per-tenant DMA attribution ranges ``(start, end, tenant)``.
         #: Empty (the default) keeps the DMA-write hot path tenant-free:
         #: one falsy check and no per-write work.
@@ -328,9 +327,10 @@ class MemoryHierarchy:
 
     @property
     def watched(self) -> bool:
-        """True while a transaction observer or a writeback subscriber
-        could see this hierarchy's traffic."""
-        return bool(self._observers or self._mlc_wb_subs or self._llc_wb_subs)
+        """True while a transaction observer could see this hierarchy's
+        traffic (the one writeback subscriber, the trace recorder, also
+        observes transactions)."""
+        return bool(self._observers)
 
     # ------------------------------------------------------------------
     # tenant attribution
@@ -342,11 +342,10 @@ class MemoryHierarchy:
         ``ranges`` is ``(start, end, tenant)`` triples (half-open byte
         ranges) covering each tenant's descriptor/buffer regions.  Every
         inbound DMA write landing in a range is attributed to its tenant:
-        the ``tenant_dma_writes_t<id>`` counter is bumped, a
-        :class:`~repro.obs.events.TenantDmaEvent` is published when
-        anyone subscribes, and the write-allocate is confined to the
-        tenant's I/O ways when a partition is installed.  Ranges must be
-        non-empty, disjoint, and tenant ids non-negative.
+        the ``tenant_dma_writes_t<id>`` counter is bumped, and the
+        write-allocate is confined to the tenant's I/O ways when a
+        partition is installed.  Ranges must be non-empty, disjoint, and
+        tenant ids non-negative.
         """
         cleaned: List[Tuple[int, int, int]] = []
         for start, end, tenant in ranges:
@@ -658,11 +657,6 @@ class MemoryHierarchy:
                 if start <= addr < end:
                     tenant = t
                     cv[self._tenant_dma_names[t]] += 1
-                    subs = self._tenant_dma_subs
-                    if subs:
-                        event = TenantDmaEvent(t, now)
-                        for fn in subs:
-                            fn(event)
                     break
 
         # Invalidate any private (MLC/L1) copies — steps P1-1/P2-1 of Fig. 1.

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 class MlcWritebackEvent:
     """A dirty-or-clean MLC victim moved to the LLC (``mlcWB`` in Alg. 1).
 
-    This is the signal the IDIO controller's control plane samples every
-    interval, and the per-core pressure statistic of Figs. 5/9/11.
+    The IDIO control plane samples the matching ``mlc_writebacks_c<core>``
+    counter every interval; the event is the trace recorder's view.
     """
 
     core: int
@@ -64,20 +64,6 @@ class LaneSeries:
     points: tuple
     #: Name of the counter value (``"mtps"``, ``"us"``).
     unit: str
-
-
-@dataclass(frozen=True, slots=True)
-class TenantDmaEvent:
-    """An inbound DMA write attributed to a tenant's buffer range.
-
-    Published by the memory hierarchy (only when someone subscribes —
-    the hot path stays allocation-free otherwise) so a partitioning
-    controller such as :class:`~repro.core.ioca.IOCAController` can
-    sample per-tenant I/O rates without touching the data plane.
-    """
-
-    tenant: int
-    now: int
 
 
 @dataclass(frozen=True, slots=True)

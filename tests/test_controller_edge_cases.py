@@ -7,9 +7,10 @@ from repro.core.controller import IDIOController
 from repro.core.policies import idio
 from repro.harness.server import ServerConfig, SimulatedServer
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.obs.events import MlcWritebackEvent
+from repro.mem.line import LINE_SIZE
 from repro.pcie.tlp import IdioTag
 from repro.sim import Simulator, units
+from tests.memtxn import cpu_access
 from tests.traffic import offer_bursts
 
 
@@ -44,17 +45,32 @@ class TestControllerEdgeCases:
         assert ctl.decisions["mlc_prefetch"] == 1
 
     def test_multiple_controllers_not_required_but_coexist(self):
-        """Two controllers on one hierarchy both observe writebacks
-        (regression guard for the event bus fan-out)."""
+        """Two controllers on one hierarchy both see one writeback: each
+        reads the shared counter without consuming it."""
         sim = Simulator()
         h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
         a = IDIOController(sim, h)
         b = IDIOController(sim, h)
-        h.bus.publish(MlcWritebackEvent(0, 0))  # delivered to both
-        assert a.mlc_wb[0] == 1 and b.mlc_wb[0] == 1
+        # One more line than the MLC holds evicts exactly one victim.
+        for i in range(h.mlc[0].config.size_bytes // LINE_SIZE + 1):
+            cpu_access(h, 0, i * LINE_SIZE, False, 0)
+        sim.run(until=units.microseconds(1) + 1)
+        assert a.mlc_wb_acc[0] == 1 and b.mlc_wb_acc[0] == 1
 
 
 class TestServerLifecycle:
+    def test_first_interval_excludes_warm_up_writebacks(self):
+        """The antagonist's warm-up writes 28k MLC writebacks on its core
+        before ``start`` resets the stats; the first control interval
+        must sample only what the run itself wrote back."""
+        server = SimulatedServer(ServerConfig(ring_size=64, antagonist=True,
+                                              policy=idio()))
+        server.start()
+        server.run(server.steering.config.control_interval)
+        assert server.steering.mlc_wb_acc[2] == server.stats.counters.get(
+            "mlc_writebacks_c2"
+        )
+
     def test_stop_halts_all_periodic_agents(self):
         server = SimulatedServer(ServerConfig(policy=idio(), ring_size=32,
                                               antagonist=True))

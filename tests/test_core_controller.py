@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import IDIOConfig
 from repro.core.controller import IDIOController
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.obs.events import MlcWritebackEvent
 from repro.pcie.tlp import IdioTag
 from repro.sim import Simulator, units
 
@@ -87,10 +86,9 @@ class TestControlPlane:
         sim, h, ctl = make_controller(mlc_thr=50.0)
         ctl.steer(IdioTag(dest_core=0, is_burst=True), 0x1000, 0)
         assert ctl.fsm[0].steers_to_mlc
-        # Inject 100 MLC writebacks per 1 us interval for 3 intervals.
+        # Count 100 MLC writebacks per 1 us interval for 3 intervals.
         def pressure():
-            for _ in range(100):
-                h.bus.publish(MlcWritebackEvent(0, sim.now))
+            h.stats.bump("mlc_writebacks_c0", sim.now, 100)
         for i in range(3):
             sim.schedule_at(units.microseconds(i) + 1, pressure)
         sim.run(until=units.microseconds(3) + 2)
@@ -104,16 +102,17 @@ class TestControlPlane:
 
     def test_mlc_wb_counter_resets_each_interval(self):
         sim, h, ctl = make_controller()
-        h.bus.publish(MlcWritebackEvent(0, 0))
+        h.stats.bump("mlc_writebacks_c0", 0)
         sim.run(until=units.microseconds(1) + 1)
-        assert ctl.mlc_wb[0] == 0
         assert ctl.mlc_wb_acc[0] == 1
+        sim.run(until=units.microseconds(2) + 1)
+        assert ctl.mlc_wb_acc[0] == 1  # a quiet interval samples 0
 
     def test_average_window_rolls_over(self):
         sim, h, ctl = make_controller()
         ctl.config.average_window_samples = 4  # shrink for the test
         def tick_wb():
-            h.bus.publish(MlcWritebackEvent(0, sim.now))
+            h.stats.bump("mlc_writebacks_c0", sim.now)
         for i in range(4):
             sim.schedule_at(units.microseconds(i) + 1, tick_wb)
         sim.run(until=units.microseconds(4) + 2)

@@ -7,7 +7,6 @@ from repro.core.policies import IatResizing, ddio, iat, policy_by_name
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.obs.events import LlcWritebackEvent
 from repro.sim import Simulator, units
 
 
@@ -26,8 +25,7 @@ class TestControlLoop:
         sim, h, ctl = make_controller(min_ways=2, max_ways=6, grow_threshold=10)
 
         def leak():
-            for _ in range(20):
-                h.bus.publish(LlcWritebackEvent(0, sim.now))
+            h.stats.bump("llc_writebacks", sim.now, 20)
 
         for i in range(3):
             sim.schedule_at(units.microseconds(10 * i) + 1, leak)
@@ -40,8 +38,7 @@ class TestControlLoop:
         )
 
         def leak():
-            for _ in range(10):
-                h.bus.publish(LlcWritebackEvent(0, sim.now))
+            h.stats.bump("llc_writebacks", sim.now, 10)
 
         for i in range(5):
             sim.schedule_at(units.microseconds(10 * i) + 1, leak)
@@ -50,9 +47,7 @@ class TestControlLoop:
 
     def test_shrinks_when_quiet(self):
         sim, h, ctl = make_controller(min_ways=2, max_ways=6, grow_threshold=10)
-        sim.schedule_at(
-            1, lambda: [h.bus.publish(LlcWritebackEvent(0, sim.now)) for _ in range(20)]
-        )
+        sim.schedule_at(1, lambda: h.stats.bump("llc_writebacks", sim.now, 20))
         sim.run(until=units.microseconds(11))
         assert ctl.current_ways == 3
         sim.run(until=units.microseconds(60))  # quiet intervals

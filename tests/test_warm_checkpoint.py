@@ -7,7 +7,9 @@ misses an input, or a restore that misses a structure, would silently
 change results, so these tests compare a restored hierarchy with a
 cold-warmed one structure by structure, check that every key input
 forces a cold warm-up, that watched or faulted servers never reuse, and
-that the checkpoint never outlives its sweep.
+that the checkpoint never outlives its sweep.  The IDIO and IAT
+controllers read counters that ``start`` resets after warm-up, so their
+cells restore too, and fingerprint like their cold-warmed twins.
 """
 
 import pickle
@@ -16,12 +18,12 @@ import weakref
 import pytest
 
 from repro.analysis.determinism import fingerprint_digest
-from repro.core.policies import ddio, iat, idio, policy_by_name
+from repro.core.policies import ddio, iat, policy_by_name
 from repro.faults import standard_plan
 from repro.harness import runner
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig, SimulatedServer, WarmCheckpoint
-from repro.tenants.scenarios import tenant_mix, tenant_server
+from repro.tenants.scenarios import tenant_experiment, tenant_mix, tenant_server
 from repro.tenants.sweep import run_tenants
 from tests.test_golden_fingerprints import CORUN_DIGESTS
 
@@ -94,18 +96,37 @@ def test_restored_hierarchy_equals_cold_warmed(case, cold_warmups):
     assert restored.stats.counters.snapshot() == cold.stats.counters.snapshot() == {}
 
 
-def test_restored_corun_matches_its_golden(cold_warmups):
-    experiment = Experiment(
+def _corun(policy) -> Experiment:
+    return Experiment(
         name="golden",
-        server=ServerConfig(ring_size=64, antagonist=True),
+        server=ServerConfig(ring_size=64, antagonist=True, policy=policy),
         burst_rate_gbps=100.0,
         traffic="bursty",
     )
+
+
+@pytest.mark.parametrize("name", ["ddio", "idio"])
+def test_restored_corun_matches_its_golden(name, cold_warmups):
+    warm = WarmCheckpoint()
+    run_experiment(_corun(ddio()), warm)
+    restored = run_experiment(_corun(policy_by_name(name)), warm)
+    assert len(cold_warmups) == 1
+    assert fingerprint_digest(restored.summary()) == CORUN_DIGESTS[name]
+
+
+def test_restored_iat_storm_fingerprints_like_cold(cold_warmups):
+    experiment = tenant_experiment(
+        tenant_mix("antagonist-storm", tenants=2, intensity=1.0),
+        iat(),
+        name="iat-storm",
+        duration_us=30.0,
+    )
+    cold = run_experiment(experiment)
     warm = WarmCheckpoint()
     run_experiment(experiment, warm)
     restored = run_experiment(experiment, warm)
-    assert len(cold_warmups) == 1
-    assert fingerprint_digest(restored.summary()) == CORUN_DIGESTS["ddio"]
+    assert len(cold_warmups) == 2  # the bare run and the checkpoint's first
+    assert fingerprint_digest(restored.summary()) == fingerprint_digest(cold.summary())
 
 
 #: A small co-run server, and one change to each warm-up key input.
@@ -137,8 +158,6 @@ def test_inputs_warm_up_does_not_read_share_a_checkpoint(cold_warmups):
 
 
 WATCHED = {
-    "idio": lambda: ServerConfig(**KEY_BASE, policy=idio()),
-    "iat": lambda: ServerConfig(**KEY_BASE, policy=iat()),
     "trace": lambda: ServerConfig(**KEY_BASE, trace_enabled=True),
     "checked": lambda: ServerConfig(**KEY_BASE, checked_mode=True),
     "faults": lambda: ServerConfig(**KEY_BASE, fault_plan=standard_plan("all", seed=5)),
