@@ -62,7 +62,7 @@ from .api import (
     units,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "Experiment",

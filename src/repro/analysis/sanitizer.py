@@ -294,17 +294,15 @@ class InvariantSanitizer:
                             "MLC and in the LLC data array at once "
                             "(non-inclusive hierarchy)",
                         )
-            l1 = h.l1[core]
-            if l1 is not None:
-                for line in l1.lines():
-                    # L1 ⊆ MLC by design (the hierarchy back-invalidates
-                    # L1 on MLC eviction).
-                    if line.addr not in mlc:
-                        raise InvariantViolation(
-                            "l1-inclusion",
-                            f"line {line.addr:#x} in core {core}'s L1 has no "
-                            "MLC copy (L1 must be inclusive in MLC)",
-                        )
+            for line in h.l1[core].lines():
+                # L1 ⊆ MLC by design (the hierarchy back-invalidates L1 on
+                # MLC eviction).
+                if line.addr not in mlc:
+                    raise InvariantViolation(
+                        "l1-inclusion",
+                        f"line {line.addr:#x} in core {core}'s L1 has no "
+                        "MLC copy (L1 must be inclusive in MLC)",
+                    )
             # Snoop-filter coverage: every MLC-resident line must be
             # tracked by the directory, else coherence (DMA invalidation,
             # c2c) silently misses the copy.
@@ -331,9 +329,7 @@ class InvariantSanitizer:
         caches = [("llc", h.llc.data)]
         for core in range(h.config.num_cores):
             caches.append((f"mlc[{core}]", h.mlc[core]))
-            l1 = h.l1[core]
-            if l1 is not None:
-                caches.append((f"l1[{core}]", l1))
+            caches.append((f"l1[{core}]", h.l1[core]))
         for name, cache in caches:
             self._check_one_cache(name, cache)
 

@@ -372,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", type=_policy_name, default="idio", help="placement policy name"
     )
     trace_p.add_argument(
-        "--rate", type=float, default=100.0, help="burst rate in Gbps"
+        "--rate", type=_positive_float, default=100.0, help="burst rate in Gbps"
     )
-    trace_p.add_argument("--ring", type=int, default=1024, help="RX ring size")
+    trace_p.add_argument("--ring", type=_positive_int, default=1024, help="RX ring size")
     trace_p.add_argument(
         "--max-events",
         type=_positive_int,

@@ -6,6 +6,12 @@ from dataclasses import dataclass
 
 from ..sim import units
 
+#: Control-plane sampling interval for mlcWB (Alg. 1: 1 us).
+CONTROL_INTERVAL = units.microseconds(1)
+#: Number of consecutive 1 us samples accumulated into mlcWBAvg
+#: (Alg. 1: 8192, i.e. the average window is 8192 us).
+AVERAGE_WINDOW_SAMPLES = 8192
+
 
 @dataclass
 class IDIOConfig:
@@ -15,45 +21,22 @@ class IDIOConfig:
     sweeps in its sensitivity analysis (Fig. 14).
     """
 
-    #: Control-plane sampling interval for mlcWB (Alg. 1: 1 us).
-    control_interval: int = units.microseconds(1)
-    #: Number of consecutive 1 us samples accumulated into mlcWBAvg
-    #: (Alg. 1: 8192, i.e. the average window is 8192 us).
-    average_window_samples: int = 8192
     #: mlcTHR, MLC-writeback pressure threshold.  The paper quotes it as
     #: 50 million transactions/second; at a 1 us sampling interval that is
     #: 50 transactions per sample.
     mlc_threshold_mtps: float = 50.0
     #: rxBurstTHR for the NIC-side classifier (paper: 10 Gbps).
     rx_burst_threshold_gbps: float = 10.0
-    #: MLC prefetcher queue depth (§V-C: 32 requests).
-    prefetch_queue_depth: int = 32
-    #: Prefetcher service time per line (LLC->MLC move issue rate).  At
-    #: ~6 ns/line the prefetcher sustains ~166 lines/us — enough to cover
-    #: a 25 Gbps burst (~50 lines/us) but below the 100 Gbps DMA rate,
-    #: bounding how fast steering can flood an MLC.
-    prefetch_service_time: int = units.nanoseconds(6)
     #: Use the CPU-pointer-following prefetcher (§VII future work): hints
-    #: more than ``prefetch_max_ahead`` ring slots ahead of the consumer
+    #: more than ``PREFETCH_MAX_AHEAD`` ring slots ahead of the consumer
     #: are held back instead of flooding the MLC.
     prefetch_regulated: bool = False
-    prefetch_max_ahead: int = 64
-    #: Maximum cores the controller tracks (the TLP encoding allows 63).
-    num_cores: int = 63
 
     @property
     def mlc_threshold_per_interval(self) -> float:
         """mlcTHR expressed in writebacks per control interval (Alg. 1)."""
-        return self.mlc_threshold_mtps * 1e6 * (self.control_interval / units.SECOND)
+        return self.mlc_threshold_mtps * 1e6 * (CONTROL_INTERVAL / units.SECOND)
 
     def validate(self) -> None:
-        if self.control_interval <= 0:
-            raise ValueError("control_interval must be positive")
-        if self.average_window_samples <= 0:
-            raise ValueError("average_window_samples must be positive")
         if self.mlc_threshold_mtps < 0:
             raise ValueError("mlc_threshold_mtps must be non-negative")
-        if self.prefetch_queue_depth <= 0:
-            raise ValueError("prefetch_queue_depth must be positive")
-        if not 0 < self.num_cores <= 63:
-            raise ValueError("num_cores must be in 1..63 (6-bit TLP encoding)")

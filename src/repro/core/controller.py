@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from ..mem.hierarchy import MemoryHierarchy
 from ..pcie.tlp import IdioTag
 from ..sim import PeriodicTask, Simulator
-from .config import IDIOConfig
+from .config import AVERAGE_WINDOW_SAMPLES, CONTROL_INTERVAL, IDIOConfig
 from .fsm import StatusFSM
 from .prefetcher import MLCPrefetcher, RegulatedMLCPrefetcher
 
@@ -61,29 +61,12 @@ class IDIOController:
         self.mlc_wb_acc: List[int] = [0] * n  # accumulator over the window
         self.mlc_wb_avg: List[float] = [0.0] * n  # per-interval average
         self._samples_in_window = 0
-        if self.config.prefetch_regulated:
-            self.prefetchers: List[MLCPrefetcher] = [
-                RegulatedMLCPrefetcher(
-                    sim,
-                    hierarchy,
-                    core,
-                    queue_depth=self.config.prefetch_queue_depth,
-                    service_time=self.config.prefetch_service_time,
-                    max_ahead_packets=self.config.prefetch_max_ahead,
-                )
-                for core in range(n)
-            ]
-        else:
-            self.prefetchers = [
-                MLCPrefetcher(
-                    sim,
-                    hierarchy,
-                    core,
-                    queue_depth=self.config.prefetch_queue_depth,
-                    service_time=self.config.prefetch_service_time,
-                )
-                for core in range(n)
-            ]
+        prefetcher = (
+            RegulatedMLCPrefetcher if self.config.prefetch_regulated else MLCPrefetcher
+        )
+        self.prefetchers: List[MLCPrefetcher] = [
+            prefetcher(sim, hierarchy, core) for core in range(n)
+        ]
         #: Data-plane decision counters (diagnostics / EXPERIMENTS.md).
         self.decisions: Dict[str, int] = {
             "header_prefetch": 0,
@@ -93,7 +76,7 @@ class IDIOController:
         }
 
         self._control_task = PeriodicTask(
-            sim, self.config.control_interval, self._control_tick, "idio-control"
+            sim, CONTROL_INTERVAL, self._control_tick, "idio-control"
         )
 
     # ------------------------------------------------------------------
@@ -145,10 +128,9 @@ class IDIOController:
             fsm.on_pressure(mlc_wb > self.mlc_wb_avg[core] + threshold)
             self.mlc_wb_acc[core] += mlc_wb
         self._samples_in_window += 1
-        if self._samples_in_window >= self.config.average_window_samples:
-            window = self.config.average_window_samples
+        if self._samples_in_window >= AVERAGE_WINDOW_SAMPLES:
             for core in range(len(self.fsm)):
-                self.mlc_wb_avg[core] = self.mlc_wb_acc[core] / window
+                self.mlc_wb_avg[core] = self.mlc_wb_acc[core] / AVERAGE_WINDOW_SAMPLES
                 self.mlc_wb_acc[core] = 0
             self._samples_in_window = 0
 

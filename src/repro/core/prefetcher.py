@@ -15,7 +15,17 @@ from typing import Deque
 
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.transaction import PREFETCH_FILL, MemoryTransaction
-from ..sim import Simulator
+from ..sim import Simulator, units
+
+#: MLC prefetcher queue depth (§V-C: 32 requests).
+PREFETCH_QUEUE_DEPTH = 32
+#: Prefetcher service time per line (LLC->MLC move issue rate).  At
+#: ~6 ns/line the prefetcher sustains ~166 lines/us — enough to cover a
+#: 25 Gbps burst (~50 lines/us) but below the 100 Gbps DMA rate, bounding
+#: how fast steering can flood an MLC.
+PREFETCH_SERVICE_TIME = units.nanoseconds(6)
+#: Ring slots the regulated prefetcher may run ahead of the consumer.
+PREFETCH_MAX_AHEAD = 64
 
 
 class MLCPrefetcher:
@@ -26,8 +36,8 @@ class MLCPrefetcher:
         sim: Simulator,
         hierarchy: MemoryHierarchy,
         core: int,
-        queue_depth: int = 32,
-        service_time: int = 4000,  # 4 ns in picosecond ticks
+        queue_depth: int = PREFETCH_QUEUE_DEPTH,
+        service_time: int = PREFETCH_SERVICE_TIME,
     ) -> None:
         if queue_depth <= 0:
             raise ValueError("queue_depth must be positive")
@@ -99,9 +109,9 @@ class RegulatedMLCPrefetcher(MLCPrefetcher):
         sim: Simulator,
         hierarchy: MemoryHierarchy,
         core: int,
-        queue_depth: int = 32,
-        service_time: int = 4000,
-        max_ahead_packets: int = 64,
+        queue_depth: int = PREFETCH_QUEUE_DEPTH,
+        service_time: int = PREFETCH_SERVICE_TIME,
+        max_ahead_packets: int = PREFETCH_MAX_AHEAD,
     ) -> None:
         super().__init__(sim, hierarchy, core, queue_depth, service_time)
         self.max_ahead_packets = max_ahead_packets

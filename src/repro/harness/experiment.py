@@ -69,6 +69,14 @@ class Experiment:
     drain_allowance: int = units.milliseconds(8)
 
     def __post_init__(self) -> None:
+        if self.packets_per_burst is not None and self.packets_per_burst < 1:
+            raise ValueError(
+                f"packets_per_burst must be at least 1, got {self.packets_per_burst}"
+            )
+        if self.drain_allowance < 0:
+            raise ValueError(
+                f"drain_allowance must be non-negative, got {self.drain_allowance}"
+            )
         # Build (and so validate) the traffic now, not inside the run.
         self.traffic_profile(self.traffic_seed)
 
@@ -80,10 +88,11 @@ class Experiment:
         default to one ring fill each (the paper's burst length)."""
         rate = self.steady_rate_gbps_per_nf
         peak = self.diurnal_peak_gbps_per_nf
+        burst = self.packets_per_burst
         return make_profile(
             self.traffic,
             burst_rate_gbps=self.burst_rate_gbps,
-            packets_per_burst=self.packets_per_burst or self.server.ring_size,
+            packets_per_burst=self.server.ring_size if burst is None else burst,
             burst_period=self.burst_period,
             num_bursts=self.num_bursts,
             rate_gbps=rate,

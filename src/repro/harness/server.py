@@ -50,11 +50,12 @@ from ..net.flow import make_flow, make_tenant_flow
 from ..net.packet import MTU_FRAME_BYTES, Packet
 from ..net.traffic import TrafficGenerator, TrafficProfile
 from ..nic.classifier import ClassifierConfig
-from ..nic.descriptor import DESCRIPTOR_BYTES
+from ..nic.descriptor import BUFFER_STRIDE, DESCRIPTOR_BYTES
 from ..nic.dma import DMAEngine
-from ..nic.nic import NIC, NicConfig
+from ..nic.nic import NIC
 from ..obs.trace import TraceRecorder
 from ..pcie.root_complex import RootComplex
+from ..pcie.tlp import MAX_DEST_CORE
 from ..sim import Simulator, units
 from ..tenants.config import TenantSet, tenant_rng
 
@@ -96,7 +97,6 @@ class ServerConfig:
     ddio_ways: int = 2
     llc_inclusive: bool = False
     nf_mlc_bytes: int = 1024 * 1024
-    l1_enabled: bool = True
     #: CAT-style restriction of each NF core's LLC fills ("_1way" configs
     #: in Fig. 4).  ``None`` = no restriction.
     nf_cat_ways: Optional[int] = None
@@ -109,7 +109,6 @@ class ServerConfig:
     #: NIC ports, each with its own PCIe link (the paper's testbed runs
     #: two 100 GbE ports).  NF core i is served by port (i mod num_nics).
     num_nics: int = 1
-    nic: NicConfig = field(default_factory=NicConfig)
     #: Attach a :class:`~repro.obs.trace.TraceRecorder` to the hierarchy
     #: (it observes every transaction, hops recorded — off by default;
     #: tracing costs both time and memory, so it is strictly opt-in).
@@ -163,6 +162,17 @@ class ServerConfig:
         if self.recycle_mode not in RECYCLE_MODES:
             raise ValueError(
                 f"unknown recycle mode {self.recycle_mode!r}; choose from {RECYCLE_MODES}"
+            )
+        steering = self.policy.steering
+        if (
+            steering is not None
+            and steering.needs_classifier
+            and self.num_nf_cores > MAX_DEST_CORE + 1
+        ):
+            raise ValueError(
+                f"num_nf_cores must be at most {MAX_DEST_CORE + 1} under "
+                f"{self.policy.name} (its TLP tags carry a 6-bit destination "
+                f"core), got {self.num_nf_cores}"
             )
         if self.apps is not None and len(self.apps) != self.num_nf_cores:
             raise ValueError(
@@ -267,8 +277,7 @@ class WarmCheckpoint:
 
 def _warm_caches(hierarchy: MemoryHierarchy) -> List[SetAssociativeCache]:
     """Every cache array warm-up can fill: L1s, MLCs, then the LLC."""
-    l1s = [cache for cache in hierarchy.l1 if cache is not None]
-    return l1s + hierarchy.mlc + [hierarchy.llc.data]
+    return hierarchy.l1 + hierarchy.mlc + [hierarchy.llc.data]
 
 
 def _warm_key(server: SimulatedServer) -> str:
@@ -276,7 +285,6 @@ def _warm_key(server: SimulatedServer) -> str:
     llc = server.hierarchy.llc
     inputs = (
         [cache.config for cache in _warm_caches(server.hierarchy)],
-        [cache is not None for cache in server.hierarchy.l1],
         llc.inclusive,
         llc.slices,
         sorted(llc._core_masks.items()),
@@ -329,7 +337,6 @@ class SimulatedServer:
         num_antagonists = config.num_cores - config.num_nf_cores
         hier_config = HierarchyConfig(
             num_cores=config.num_cores,
-            l1_enabled=config.l1_enabled,
             # Antagonist cores are LLC-sensitive: they get the small MLC.
             mlc_sizes=[config.nf_mlc_bytes] * config.num_nf_cores
             + [ANTAGONIST_MLC_BYTES] * num_antagonists,
@@ -372,21 +379,18 @@ class SimulatedServer:
         has 2x100 GbE); NF core i is served by NIC (i mod num_nics)."""
         config = self.config
         steering = config.policy.steering
-        nic_config = replace(
-            config.nic,
-            ring_size=config.ring_size,
-            classifier_enabled=steering is not None and steering.needs_classifier,
-            classifier=ClassifierConfig(
+        classifier = None
+        if steering is not None and steering.needs_classifier:
+            classifier = ClassifierConfig(
                 rx_burst_threshold_gbps=config.policy.idio.rx_burst_threshold_gbps,
-                num_cores=max(config.num_cores, 1),
-            ),
-        )
+                num_cores=config.num_cores,
+            )
         self.nics: List[NIC] = []
         self.dmas: List[DMAEngine] = []
         for _ in range(config.num_nics):
-            dma = DMAEngine(self.sim, self.root_complex, pcie_gbps=config.nic.pcie_gbps)
+            dma = DMAEngine(self.sim, self.root_complex)
             self.dmas.append(dma)
-            self.nics.append(NIC(self.sim, dma, nic_config))
+            self.nics.append(NIC(self.sim, dma, config.ring_size, classifier))
 
     def _build_faults(self) -> None:
         """Per-layer fault injectors (``fault_plan``) wired into the ports,
@@ -424,7 +428,7 @@ class SimulatedServer:
         #: ``(start, end, tenant)`` DMA attribution ranges (tenanted only).
         self.tenant_ranges: List[Tuple[int, int, int]] = []
         tenant_slots: Dict[int, int] = {}
-        stride = config.nic.buffer_stride
+        stride = BUFFER_STRIDE
         desc_bytes = config.ring_size * DESCRIPTOR_BYTES
         for i in range(config.num_nf_cores):
             port = self.nics[i % len(self.nics)]
@@ -470,17 +474,12 @@ class SimulatedServer:
                 self.page_table.map_range(tx_desc_base, desc_bytes)
                 port.add_tx_queue(i, tx_desc_base)
             if config.tenants is not None:
-                tconf = config.tenants.tenants[core_tenant]
-                base_slot = tenant_slots.get(core_tenant, 0)
-                flows = [
-                    make_tenant_flow(core_tenant, base_slot + k)
-                    for k in range(tconf.flows_per_core)
-                ]
-                tenant_slots[core_tenant] = base_slot + tconf.flows_per_core
+                slot = tenant_slots.get(core_tenant, 0)
+                flow = make_tenant_flow(core_tenant, slot)
+                tenant_slots[core_tenant] = slot + 1
             else:
-                flows = [make_flow(i)]
-            for flow in flows:
-                port.flow_director.install_rule(flow, i)
+                flow = make_flow(i)
+            port.flow_director.install_rule(flow, i)
             maintenance = MaintenanceUnit(
                 i, self.hierarchy, page_table=self.page_table, scope="all"
             )
@@ -511,10 +510,9 @@ class SimulatedServer:
                 driver.faults = self.fault_injectors.cpu
             self.apps.append(app)
             self.drivers.append(driver)
-            for flow in flows:
-                self.generators.append(
-                    TrafficGenerator(self.sim, flow, port.receive, app.app_class)
-                )
+            self.generators.append(
+                TrafficGenerator(self.sim, flow, port.receive, app.app_class)
+            )
 
         if self.tenant_ranges:
             self.hierarchy.set_tenant_ranges(self.tenant_ranges)

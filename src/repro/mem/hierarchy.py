@@ -87,7 +87,6 @@ class HierarchyConfig:
     """Full hierarchy geometry.  Defaults reproduce Table I (scaled LLC)."""
 
     num_cores: int = 2
-    l1_enabled: bool = True
     l1: Optional[CacheConfig] = None
     #: Per-core MLC configs; entries may be ``None`` to take the default.
     #: (The LLCAntagonist core uses a 256 KB MLC per §VI.)
@@ -181,11 +180,9 @@ class MemoryHierarchy:
         self._observers: List[TxnHandler] = []
         self._active_hops: Optional[List[Hop]] = None
 
-        #: Per-core private caches: the L1D (``None`` when disabled) and
-        #: the MLC.
-        self.l1: List[Optional[SetAssociativeCache]] = [
-            SetAssociativeCache(config.resolved_l1()) if config.l1_enabled else None
-            for _ in range(config.num_cores)
+        #: Per-core private caches: the L1D and the MLC.
+        self.l1: List[SetAssociativeCache] = [
+            SetAssociativeCache(config.resolved_l1()) for _ in range(config.num_cores)
         ]
         self.mlc: List[SetAssociativeCache] = [
             SetAssociativeCache(config.resolved_mlc(core))
@@ -206,7 +203,7 @@ class MemoryHierarchy:
         # package replaces these objects after construction, so one
         # attribute load per access replaces a method call per hop.
         self._llc_data = self.llc.data
-        self._l1_lat = [c.config.latency if c is not None else 0 for c in self.l1]
+        self._l1_lat = [c.config.latency for c in self.l1]
         self._mlc_lat = [c.config.latency for c in self.mlc]
         self._llc_lat = self.llc.config.latency
         # Monolithic LLC: access latency is a constant; only the NUCA
@@ -221,9 +218,7 @@ class MemoryHierarchy:
         self._mlc_wb_names = [
             f"mlc_writebacks_c{core}" for core in range(config.num_cores)
         ]
-        self._l1_evict_names = [
-            f"{c.config.name}_evictions" if c is not None else "" for c in self.l1
-        ]
+        self._l1_evict_names = [f"{c.config.name}_evictions" for c in self.l1]
         self._mlc_evict_names = [f"{c.config.name}_evictions" for c in self.mlc]
 
     # ------------------------------------------------------------------
@@ -397,12 +392,7 @@ class MemoryHierarchy:
 
     def _drop_private(self, core: int, addr: int) -> Optional[CacheLine]:
         """Remove ``addr`` from core's L1+MLC; returns the line (dirtiest view)."""
-        merged: Optional[CacheLine] = None
-        l1 = self.l1[core]
-        if l1 is not None:
-            l1_line = l1.remove(addr)
-            if l1_line is not None:
-                merged = l1_line
+        merged = self.l1[core].remove(addr)
         mlc_line = self.mlc[core].remove(addr)
         if mlc_line is not None:
             if merged is not None:
@@ -448,13 +438,11 @@ class MemoryHierarchy:
             return
         self._counter_values[self._mlc_evict_names[core]] += 1
         # Keep L1 included in MLC: back-invalidate the victim's L1 copy.
-        l1 = self.l1[core]
-        if l1 is not None:
-            l1_copy = l1.remove(victim.addr)
-            if l1_copy is not None:
-                if l1_copy.dirty:
-                    victim.dirty = True
-                self._retire_line(l1_copy)
+        l1_copy = self.l1[core].remove(victim.addr)
+        if l1_copy is not None:
+            if l1_copy.dirty:
+                victim.dirty = True
+            self._retire_line(l1_copy)
         self.llc.directory.remove(victim.addr, core)
         if self.llc.inclusive:
             # The LLC already holds a copy; just propagate dirtiness.
@@ -486,10 +474,7 @@ class MemoryHierarchy:
             self._llc_victim_to_dram(llc_victim, now)
 
     def _fill_l1(self, core: int, addr: int, dirty: bool, now: int) -> None:
-        l1 = self.l1[core]
-        if l1 is None:
-            return
-        victim = l1.insert(self._make_line(addr, dirty, "cpu", core))
+        victim = self.l1[core].insert(self._make_line(addr, dirty, "cpu", core))
         if victim is None:
             return
         self._counter_values[self._l1_evict_names[core]] += 1
@@ -524,25 +509,22 @@ class MemoryHierarchy:
         is_write = txn.kind == CPU_STORE
         hops = self._active_hops
         cv = self._counter_values
-        latency = 0
-        l1 = self.l1[core]
-        if l1 is not None:
-            latency += self._l1_lat[core]
-            hit = l1.lookup(addr)
-            if hit is not None:
-                if is_write:
-                    hit.dirty = True
-                    mlc_copy = self.mlc[core].peek(addr)
-                    if mlc_copy is not None:
-                        mlc_copy.dirty = True
-                cv["l1_hits"] += 1
-                if hops is not None:
-                    hops.append(Hop("l1", "hit", latency))
-                txn.latency = latency
-                txn.level = "l1"
-                return
+        latency = self._l1_lat[core]
+        hit = self.l1[core].lookup(addr)
+        if hit is not None:
+            if is_write:
+                hit.dirty = True
+                mlc_copy = self.mlc[core].peek(addr)
+                if mlc_copy is not None:
+                    mlc_copy.dirty = True
+            cv["l1_hits"] += 1
             if hops is not None:
-                hops.append(Hop("l1", "miss", latency))
+                hops.append(Hop("l1", "hit", latency))
+            txn.latency = latency
+            txn.level = "l1"
+            return
+        if hops is not None:
+            hops.append(Hop("l1", "miss", latency))
 
         mlc_lat = self._mlc_lat[core]
         latency += mlc_lat
@@ -777,11 +759,7 @@ class MemoryHierarchy:
         core = txn.core
         addr = txn.addr
         now = txn.now
-        if addr in self.mlc[core]._where:
-            txn.level = "dropped"
-            return
-        l1 = self.l1[core]
-        if l1 is not None and addr in l1._where:
+        if addr in self.mlc[core]._where or addr in self.l1[core]._where:
             txn.level = "dropped"
             return
         hops = self._active_hops
@@ -851,11 +829,7 @@ class MemoryHierarchy:
         addr = line_address(addr)
         holders: Dict[str, object] = {
             "mlc": [c for c in range(self.config.num_cores) if addr in self.mlc[c]],
-            "l1": [
-                c
-                for c in range(self.config.num_cores)
-                if self.l1[c] is not None and addr in self.l1[c]  # type: ignore[operator]
-            ],
+            "l1": [c for c in range(self.config.num_cores) if addr in self.l1[c]],
             "llc": addr in self.llc,
             "directory": addr in self.llc.directory,
         }

@@ -4,7 +4,7 @@ from .classifier import ClassifierConfig, IdioClassifier, gbps_to_bytes_per_inte
 from .descriptor import DESCRIPTOR_BYTES, DescriptorRing, RingFullError, RxDescriptor
 from .dma import DMAEngine
 from .flow_director import FlowDirector
-from .nic import NIC, NicConfig, NicQueue
+from .nic import NIC, NicQueue
 
 __all__ = [
     "ClassifierConfig",
@@ -14,7 +14,6 @@ __all__ = [
     "FlowDirector",
     "IdioClassifier",
     "NIC",
-    "NicConfig",
     "NicQueue",
     "RingFullError",
     "RxDescriptor",

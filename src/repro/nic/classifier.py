@@ -23,6 +23,10 @@ from ..pcie.tlp import IdioTag
 from ..sim import PeriodicTask, Simulator, units
 
 
+#: Burst-counter reset period (paper: 1 us).
+COUNTER_INTERVAL = units.microseconds(1)
+
+
 def gbps_to_bytes_per_interval(gbps: float, interval: int) -> int:
     """Convert a Gbps threshold into bytes per counter interval."""
     return int(units.gbps_to_bytes_per_tick(gbps) * interval)
@@ -34,8 +38,6 @@ class ClassifierConfig:
 
     #: rxBurstTHR, expressed as a bandwidth (paper: 10 Gbps).
     rx_burst_threshold_gbps: float = 10.0
-    #: Counter reset period (paper: 1 us).
-    counter_interval: int = units.microseconds(1)
     num_cores: int = 64
 
 
@@ -46,14 +48,14 @@ class IdioClassifier:
         self.sim = sim
         self.config = config
         self._threshold_bytes = gbps_to_bytes_per_interval(
-            config.rx_burst_threshold_gbps, config.counter_interval
+            config.rx_burst_threshold_gbps, COUNTER_INTERVAL
         )
         self._burst_counters: List[int] = [0] * config.num_cores
         self._window_crossed: List[bool] = [False] * config.num_cores
         self._burst_latched: List[bool] = [False] * config.num_cores
         self.bursts_detected = 0
         self._reset_task = PeriodicTask(
-            sim, config.counter_interval, self._reset_counters, "classifier-reset"
+            sim, COUNTER_INTERVAL, self._reset_counters, "classifier-reset"
         )
 
     def _reset_counters(self) -> None:

@@ -22,6 +22,9 @@ from ..net.packet import Packet
 #: Descriptor size in bytes (§III Observation 1).
 DESCRIPTOR_BYTES = 128
 
+#: DMA buffer stride: MTU-sized buffers are 2 KB-aligned (§IV-A).
+BUFFER_STRIDE = 2048
+
 
 @dataclass
 class RxDescriptor:

@@ -17,20 +17,17 @@ from ..pcie.root_complex import RootComplex
 from ..pcie.tlp import IdioTag
 from ..sim import Simulator, units
 
+#: PCIe link bandwidth available to DMA (Gbps).
+PCIE_GBPS = 256.0
+
 
 class DMAEngine:
     """Serial PCIe link server issuing line-granular DMA transactions."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        root_complex: RootComplex,
-        pcie_gbps: float = 256.0,
-    ) -> None:
+    def __init__(self, sim: Simulator, root_complex: RootComplex) -> None:
         self.sim = sim
         self.root_complex = root_complex
-        self.pcie_gbps = pcie_gbps
-        self._line_time = units.transfer_time(LINE_SIZE, pcie_gbps)
+        self._line_time = units.transfer_time(LINE_SIZE, PCIE_GBPS)
         self._link_free = 0
         self.lines_written = 0
         self.lines_read = 0

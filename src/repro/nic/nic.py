@@ -9,7 +9,7 @@ RX path (per packet):
    full (the paper's drop condition, §VI);
 4. after an RX pipeline delay the DMA engine writes the buffer's lines
    (with per-line IDIO tags when the classifier is enabled);
-5. the descriptor writeback follows ``descriptor_writeback_delay`` later —
+5. the descriptor writeback follows ``DESCRIPTOR_WRITEBACK_DELAY`` later —
    only then can the polling driver see the packet.  The paper measures
    this data-DMA-to-visibility lag at ~1.9 us (§VII).
 
@@ -19,37 +19,29 @@ MLC-resident lines back into the LLC (Fig. 3 right).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..net.packet import Packet
 from ..pcie.tlp import IdioTag
 from ..sim import Simulator, units
 from .classifier import ClassifierConfig, IdioClassifier
-from .descriptor import DESCRIPTOR_BYTES, DescriptorRing, RingFullError, RxDescriptor
+from .descriptor import (
+    BUFFER_STRIDE,
+    DESCRIPTOR_BYTES,
+    DescriptorRing,
+    RingFullError,
+    RxDescriptor,
+)
 from .dma import DMAEngine
 from .flow_director import FlowDirector
 from .tx import TxEngine, TxRing
 
 
-@dataclass
-class NicConfig:
-    """NIC tunables (defaults match the evaluated setup)."""
-
-    #: Ring slots per queue (DPDK default 1024, swept in Fig. 4).
-    ring_size: int = 1024
-    #: DMA buffer stride: MTU-sized buffers are 2 KB-aligned (§IV-A).
-    buffer_stride: int = 2048
-    #: PCIe link bandwidth available to DMA.
-    pcie_gbps: float = 256.0
-    #: NIC-internal latency from wire arrival to first DMA transaction.
-    rx_pipeline_delay: int = units.nanoseconds(300)
-    #: Data-DMA-completion to descriptor-writeback lag.  Tuned so that the
-    #: first-DMA-to-PMD-visibility delay is ~1.9 us as observed in Fig. 9.
-    descriptor_writeback_delay: int = units.nanoseconds(1700)
-    #: Enable the IDIO classifier (per-line tags + burst detection).
-    classifier_enabled: bool = False
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+#: NIC-internal latency from wire arrival to first DMA transaction.
+RX_PIPELINE_DELAY = units.nanoseconds(300)
+#: Data-DMA-completion to descriptor-writeback lag.  Tuned so that the
+#: first-DMA-to-PMD-visibility delay is ~1.9 us as observed in Fig. 9.
+DESCRIPTOR_WRITEBACK_DELAY = units.nanoseconds(1700)
 
 
 class NicQueue:
@@ -64,17 +56,23 @@ class NicQueue:
 
 
 class NIC:
-    """A multi-queue NIC with Flow Director steering and DMA to the host."""
+    """A multi-queue NIC with Flow Director steering and DMA to the host.
+
+    ``ring_size`` is the slots per queue (DPDK default 1024, swept in
+    Fig. 4).  A ``classifier`` config enables the IDIO classifier
+    (per-line tags + burst detection); ``None`` leaves DMA untagged.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         dma: DMAEngine,
-        config: Optional[NicConfig] = None,
+        ring_size: int = 1024,
+        classifier: Optional[ClassifierConfig] = None,
     ) -> None:
         self.sim = sim
         self.dma = dma
-        self.config = config or NicConfig()
+        self.ring_size = ring_size
         self.flow_director = FlowDirector()
         self.queues: Dict[int, NicQueue] = {}
         self._core_to_queue: Dict[int, NicQueue] = {}
@@ -83,8 +81,8 @@ class NIC:
         #: buffer reads for cores without one.
         self.tx_engines: Dict[int, TxEngine] = {}
         self.classifier: Optional[IdioClassifier] = None
-        if self.config.classifier_enabled:
-            self.classifier = IdioClassifier(sim, self.config.classifier)
+        if classifier is not None:
+            self.classifier = IdioClassifier(sim, classifier)
         #: Observers notified of every accepted RX packet (instrumentation).
         self.rx_observers: List[Callable[[Packet, int], None]] = []
         self.total_rx = 0
@@ -97,34 +95,27 @@ class NIC:
     # -- setup ----------------------------------------------------------
 
     def add_queue(
-        self,
-        queue_id: int,
-        core: int,
-        desc_base: int,
-        buffer_base: int,
-        ring_size: Optional[int] = None,
+        self, queue_id: int, core: int, desc_base: int, buffer_base: int
     ) -> NicQueue:
         """Create a queue pinned to ``core`` with its ring memory regions."""
         if queue_id in self.queues:
             raise ValueError(f"queue {queue_id} already exists")
         ring = DescriptorRing(
-            size=ring_size or self.config.ring_size,
+            size=self.ring_size,
             desc_base=desc_base,
             buffer_base=buffer_base,
-            buffer_stride=self.config.buffer_stride,
+            buffer_stride=BUFFER_STRIDE,
         )
         queue = NicQueue(queue_id, core, ring)
         self.queues[queue_id] = queue
         self._core_to_queue[core] = queue
         return queue
 
-    def add_tx_queue(
-        self, core: int, desc_base: int, ring_size: Optional[int] = None
-    ) -> TxEngine:
+    def add_tx_queue(self, core: int, desc_base: int) -> TxEngine:
         """Create a TX descriptor ring + engine pinned to ``core``."""
         if core in self.tx_engines:
             raise ValueError(f"core {core} already has a TX queue")
-        ring = TxRing(ring_size or self.config.ring_size, desc_base)
+        ring = TxRing(self.ring_size, desc_base)
         engine = TxEngine(self.sim, self.dma, ring)
         self.tx_engines[core] = engine
         return engine
@@ -175,7 +166,7 @@ class NIC:
                 on_complete=lambda: self._writeback_descriptor(queue, desc),
             )
 
-        self.sim.schedule_after(self.config.rx_pipeline_delay, start_dma, "nic-rx")
+        self.sim.schedule_after(RX_PIPELINE_DELAY, start_dma, "nic-rx")
         for observer in self.rx_observers:
             observer(packet, core)
         return True
@@ -200,7 +191,7 @@ class NIC:
                 on_complete=lambda: queue.ring.complete(desc),
             )
 
-        delay = self.config.descriptor_writeback_delay
+        delay = DESCRIPTOR_WRITEBACK_DELAY
         if self.faults is not None:
             delay += self.faults.wb_extra_ticks(self.sim.now)
         self.sim.schedule_after(delay, do_writeback, "desc-wb")

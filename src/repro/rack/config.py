@@ -22,6 +22,11 @@ from ..net.traffic import TRAFFIC_KINDS
 #: its unit is ring fills per burst, which has no aggregate-rate split.)
 RACK_TRAFFIC_KINDS = tuple(k for k in TRAFFIC_KINDS if k != "bursty")
 
+#: Peak-to-trough ratio for ``traffic="diurnal"``.
+DIURNAL_PEAK_RATIO = 2.0
+#: One compressed simulated "day" for ``traffic="diurnal"`` (us).
+DIURNAL_PERIOD_US = 500.0
+
 
 @dataclass
 class RackConfig:
@@ -49,10 +54,6 @@ class RackConfig:
     duration_us: float = 200.0
     #: Pareto shape for ``traffic="heavytail"``.
     heavy_tail_alpha: float = 1.5
-    #: Peak-to-trough ratio for ``traffic="diurnal"``.
-    diurnal_peak_ratio: float = 2.0
-    #: One compressed simulated "day" for ``traffic="diurnal"`` (us).
-    diurnal_period_us: float = 500.0
     #: Master seed; every per-server stream derives from it.
     seed: int = 0
 
@@ -81,10 +82,6 @@ class RackConfig:
         if self.duration_us <= 0:
             raise ValueError(
                 f"duration_us must be positive, got {self.duration_us}"
-            )
-        if self.diurnal_peak_ratio < 1.0:
-            raise ValueError(
-                f"diurnal_peak_ratio must be >= 1, got {self.diurnal_peak_ratio}"
             )
 
     def with_policy(self, policy: PolicyConfig) -> "RackConfig":

@@ -32,7 +32,7 @@ from ..harness.runner import run_sweep
 from ..net.flow import FlowSteering, _mix64, make_flows
 from ..obs.events import LaneMark, LaneSeries
 from ..sim import units
-from .config import RackConfig
+from .config import DIURNAL_PEAK_RATIO, DIURNAL_PERIOD_US, RackConfig
 
 #: Streams rendered as per-server lanes on the rack trace.
 LANE_STREAMS = ("pcie_writes", "mlc_writebacks", "llc_writebacks", "dram_writes")
@@ -109,8 +109,8 @@ class SimulatedRack:
             steady_rate_gbps_per_nf=per_nf,
             steady_duration=units.microseconds(config.duration_us),
             heavy_tail_alpha=config.heavy_tail_alpha,
-            diurnal_peak_gbps_per_nf=per_nf * config.diurnal_peak_ratio,
-            diurnal_period=units.microseconds(config.diurnal_period_us),
+            diurnal_peak_gbps_per_nf=per_nf * DIURNAL_PEAK_RATIO,
+            diurnal_period=units.microseconds(DIURNAL_PERIOD_US),
         )
 
     def matrix(self) -> Matrix:

@@ -69,7 +69,6 @@ class TenantConfig:
     #: NF cores dedicated to this tenant (assigned as one contiguous
     #: block, in tenant order, so DMA buffer ranges stay per-tenant).
     nf_cores: int = 1
-    flows_per_core: int = 1
     traffic: str = "steady"
     #: Per-core offered rate (steady/poisson/heavytail) or burst rate
     #: (bursty), in Gbps.
@@ -94,13 +93,9 @@ class TenantConfig:
             raise ValueError("tenant name must be non-empty")
         if self.nf_cores <= 0:
             raise ValueError(f"nf_cores must be positive, got {self.nf_cores}")
-        if self.flows_per_core <= 0:
+        if self.nf_cores > FLOW_LANE_SPAN:
             raise ValueError(
-                f"flows_per_core must be positive, got {self.flows_per_core}"
-            )
-        if self.num_flows > FLOW_LANE_SPAN:
-            raise ValueError(
-                f"tenant {self.tenant_id} needs {self.num_flows} flow slots; "
+                f"tenant {self.tenant_id} needs {self.nf_cores} flow slots; "
                 f"a lane holds {FLOW_LANE_SPAN}"
             )
         if self.traffic not in TENANT_TRAFFIC_KINDS:
@@ -123,11 +118,6 @@ class TenantConfig:
             )
         if self.antagonist_footprint_bytes <= 0:
             raise ValueError("antagonist_footprint_bytes must be positive")
-
-    @property
-    def num_flows(self) -> int:
-        """Distinct tagged flows this tenant offers (one lane's slots)."""
-        return self.nf_cores * self.flows_per_core
 
     def traffic_profile(
         self, duration: int, start: int = 0, packet_bytes: int = MTU_FRAME_BYTES, seed: int = 0
@@ -226,7 +216,7 @@ class TenantSet:
         for tenant in self.tenants:
             rng = tenant_rng(self.seed, tenant.tenant_id)
             seeded = "seed" in {f.name for f in fields(TRAFFIC_KINDS[tenant.traffic])}
-            for _ in range(tenant.num_flows):
+            for _ in range(tenant.nf_cores):
                 seed = rng.getrandbits(32) if seeded else 0
                 profiles.append(tenant.traffic_profile(duration, start, packet_bytes, seed))
         return profiles

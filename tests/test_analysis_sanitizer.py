@@ -27,7 +27,6 @@ from tests.traffic import offer_bursts
 
 def make_hierarchy(**kwargs):
     kwargs.setdefault("num_cores", 2)
-    kwargs.setdefault("l1_enabled", False)
     return MemoryHierarchy(HierarchyConfig(**kwargs))
 
 
@@ -64,7 +63,7 @@ class TestHierarchyState:
         assert f"{line.addr:#x}" in str(excinfo.value)
 
     def test_l1_without_mlc_copy(self):
-        h, san = make_sanitizer(l1_enabled=True)
+        h, san = make_sanitizer()
         warm(h)
         l1_line = next(h.l1[0].lines())
         # Drop the MLC copy behind the hierarchy's back; L1 ⊆ MLC breaks.

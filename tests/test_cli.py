@@ -71,6 +71,8 @@ class TestBadSweepInput:
         ["faults", "--retries", "-1"],
         ["faults", "--timeout-s", "0"],
         ["faults", "--timeout-s", "-5"],
+        ["trace", "--ring", "0"],
+        ["trace", "--rate", "-5"],
     ], ids=" ".join)
     def test_rejected_in_one_line(self, argv, capsys):
         assert main(argv) == 2

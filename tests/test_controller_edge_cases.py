@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import IDIOConfig
+from repro.core.config import CONTROL_INTERVAL
 from repro.core.controller import IDIOController
 from repro.core.policies import idio
 from repro.harness.server import ServerConfig, SimulatedServer
@@ -17,7 +17,7 @@ from tests.traffic import offer_bursts
 class TestControllerEdgeCases:
     def make(self):
         sim = Simulator()
-        h = MemoryHierarchy(HierarchyConfig(num_cores=2, l1_enabled=False))
+        h = MemoryHierarchy(HierarchyConfig(num_cores=2))
         return sim, h, IDIOController(sim, h)
 
     def test_dest_core_beyond_topology_is_safe(self):
@@ -38,7 +38,7 @@ class TestControllerEdgeCases:
 
     def test_status_of_static(self):
         sim = Simulator()
-        h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+        h = MemoryHierarchy(HierarchyConfig(num_cores=1))
         ctl = IDIOController(sim, h, static_mlc=True)
         # No burst was seen, yet a payload line is still steered to the MLC.
         ctl.steer(IdioTag(dest_core=0), 0x1000, 0)
@@ -48,7 +48,7 @@ class TestControllerEdgeCases:
         """Two controllers on one hierarchy both see one writeback: each
         reads the shared counter without consuming it."""
         sim = Simulator()
-        h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+        h = MemoryHierarchy(HierarchyConfig(num_cores=1))
         a = IDIOController(sim, h)
         b = IDIOController(sim, h)
         # One more line than the MLC holds evicts exactly one victim.
@@ -66,7 +66,7 @@ class TestServerLifecycle:
         server = SimulatedServer(ServerConfig(ring_size=64, antagonist=True,
                                               policy=idio()))
         server.start()
-        server.run(server.steering.config.control_interval)
+        server.run(CONTROL_INTERVAL)
         assert server.steering.mlc_wb_acc[2] == server.stats.counters.get(
             "mlc_writebacks_c2"
         )

@@ -76,13 +76,13 @@ class TestCacheDirectorController:
     def make(self):
         sim = Simulator()
         h = MemoryHierarchy(
-            HierarchyConfig(num_cores=2, l1_enabled=False, llc_slices=8)
+            HierarchyConfig(num_cores=2, llc_slices=8)
         )
         return sim, h, CacheDirectorController(sim, h)
 
     def test_requires_sliced_llc(self):
         sim = Simulator()
-        h = MemoryHierarchy(HierarchyConfig(num_cores=2, l1_enabled=False))
+        h = MemoryHierarchy(HierarchyConfig(num_cores=2))
         with pytest.raises(ValueError):
             CacheDirectorController(sim, h)
 

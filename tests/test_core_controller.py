@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import IDIOConfig
+from repro.core.config import AVERAGE_WINDOW_SAMPLES, IDIOConfig
 from repro.core.controller import IDIOController
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.pcie.tlp import IdioTag
@@ -11,7 +11,7 @@ from repro.sim import Simulator, units
 
 def make_controller(static=False, prefetch=True, direct_dram=True, mlc_thr=50.0):
     sim = Simulator()
-    h = MemoryHierarchy(HierarchyConfig(num_cores=2, l1_enabled=False))
+    h = MemoryHierarchy(HierarchyConfig(num_cores=2))
     ctl = IDIOController(
         sim,
         h,
@@ -109,14 +109,18 @@ class TestControlPlane:
         assert ctl.mlc_wb_acc[0] == 1  # a quiet interval samples 0
 
     def test_average_window_rolls_over(self):
+        # One writeback in each of the first four 1 us samples: the
+        # average stays 0 until the 8192-sample window closes.
         sim, h, ctl = make_controller()
-        ctl.config.average_window_samples = 4  # shrink for the test
         def tick_wb():
             h.stats.bump("mlc_writebacks_c0", sim.now)
         for i in range(4):
             sim.schedule_at(units.microseconds(i) + 1, tick_wb)
-        sim.run(until=units.microseconds(4) + 2)
-        assert ctl.mlc_wb_avg[0] == pytest.approx(1.0)
+        sim.run(until=units.microseconds(AVERAGE_WINDOW_SAMPLES - 1) + 2)
+        assert ctl.mlc_wb_avg[0] == 0.0
+        assert ctl.mlc_wb_acc[0] == 4
+        sim.run(until=units.microseconds(AVERAGE_WINDOW_SAMPLES) + 2)
+        assert ctl.mlc_wb_avg[0] == pytest.approx(4 / AVERAGE_WINDOW_SAMPLES)
         assert ctl.mlc_wb_acc[0] == 0
 
     def test_threshold_units(self):
@@ -137,12 +141,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"control_interval": 0},
-            {"average_window_samples": 0},
             {"mlc_threshold_mtps": -1},
-            {"prefetch_queue_depth": 0},
-            {"num_cores": 0},
-            {"num_cores": 64},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -12,7 +12,7 @@ from repro.sim import Simulator, units
 
 def make_controller(**kwargs):
     sim = Simulator()
-    h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+    h = MemoryHierarchy(HierarchyConfig(num_cores=1))
     return sim, h, IATController(sim, h, **kwargs)
 
 

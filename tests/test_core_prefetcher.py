@@ -10,7 +10,7 @@ from tests.memtxn import cpu_access, pcie_write
 
 def make_prefetcher(queue_depth=32, service_time=units.nanoseconds(4)):
     sim = Simulator()
-    h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+    h = MemoryHierarchy(HierarchyConfig(num_cores=1))
     pf = MLCPrefetcher(sim, h, 0, queue_depth=queue_depth, service_time=service_time)
     return sim, h, pf
 
@@ -35,7 +35,7 @@ class TestQueue:
 
     def test_default_queue_depth_is_32(self):
         sim = Simulator()
-        h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+        h = MemoryHierarchy(HierarchyConfig(num_cores=1))
         pf = MLCPrefetcher(sim, h, 0)
         assert pf.queue_depth == 32
 

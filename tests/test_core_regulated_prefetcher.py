@@ -15,7 +15,7 @@ from tests.memtxn import pcie_write
 
 def make_setup(max_ahead=4, ring_size=16):
     sim = Simulator()
-    h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+    h = MemoryHierarchy(HierarchyConfig(num_cores=1))
     pf = RegulatedMLCPrefetcher(
         sim, h, 0, service_time=units.nanoseconds(4), max_ahead_packets=max_ahead
     )

@@ -19,7 +19,7 @@ BUF = 0x100000
 
 def make_core():
     sim = Simulator()
-    h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+    h = MemoryHierarchy(HierarchyConfig(num_cores=1))
     return sim, h, Core(sim, 0, h)
 
 

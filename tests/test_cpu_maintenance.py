@@ -11,7 +11,7 @@ BUF = 0x40000  # page- and line-aligned
 
 
 def make_unit(with_page_table=False, scope="all"):
-    h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+    h = MemoryHierarchy(HierarchyConfig(num_cores=1))
     pt = None
     if with_page_table:
         pt = PageTable()

@@ -12,7 +12,7 @@ from repro.core.policies import (
     static_idio,
     static_partition,
 )
-from repro.harness.experiment import Experiment
+from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig, SimulatedServer
 from repro.net.traffic import ImixProfile, PoissonProfile, SteadyProfile
 from repro.pcie.tlp import IdioTag
@@ -49,11 +49,21 @@ class TestConfigValidation:
             ({"antagonist": True, "antagonist_buffer_bytes": 0},
              "antagonist_buffer_bytes must be at least 1, got 0"),
             ({"llc_slices": -1}, "llc_slices must be non-negative, got -1"),
+            ({"num_nf_cores": 64, "ring_size": 8, "policy": idio()},
+             "num_nf_cores must be at most 63 under idio"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ServerConfig(**kwargs)
+
+    def test_63_nf_cores_run_under_a_tagging_policy(self):
+        # Core 62 is the highest destination a TLP tag can name.
+        server = ServerConfig(num_nf_cores=63, ring_size=8, policy=idio())
+        exp = Experiment(server=server, packets_per_burst=1,
+                         drain_allowance=units.microseconds(20))
+        summary = run_experiment(exp).summary()
+        assert summary.completed == summary.offered_packets == 63
 
     def test_quota_check_only_for_partitioning_policies(self):
         ServerConfig(tenants=tenant_mix("noisy-neighbor"), ddio_ways=1)
@@ -78,6 +88,8 @@ class TestTrafficValidation:
              "bandwidth must be positive"),
             ({"traffic": "bursty", "num_bursts": 0},
              "burst shape parameters must be positive"),
+            ({"packets_per_burst": 0}, "packets_per_burst must be at least 1, got 0"),
+            ({"drain_allowance": -1}, "drain_allowance must be non-negative, got -1"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.policies import ddio, idio
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig
+from repro.nic.nic import DESCRIPTOR_WRITEBACK_DELAY, RX_PIPELINE_DELAY
 from repro.sim import units
 
 
@@ -26,8 +27,7 @@ class TestDecomposition:
 
     def test_queueing_includes_nic_visibility_delay(self):
         result = run(50.0)
-        nic = result.server.nics[0]
-        floor = nic.config.rx_pipeline_delay + nic.config.descriptor_writeback_delay
+        floor = RX_PIPELINE_DELAY + DESCRIPTOR_WRITEBACK_DELAY
         for p in result.server.completed_packets():
             assert p.queueing_delay >= floor
 

@@ -9,7 +9,7 @@ ADDR = 0x200000
 
 
 def make_hierarchy(num_cores=2):
-    return MemoryHierarchy(HierarchyConfig(num_cores=num_cores, l1_enabled=False))
+    return MemoryHierarchy(HierarchyConfig(num_cores=num_cores))
 
 
 class TestCacheToCache:

@@ -19,10 +19,9 @@ from repro.obs.events import MlcWritebackEvent
 from tests.memtxn import cpu_access, invalidate, pcie_read, pcie_write, prefetch_fill
 
 
-def make_hierarchy(num_cores=2, l1=False, llc_bytes=None, ddio_ways=2, inclusive=False):
+def make_hierarchy(num_cores=2, llc_bytes=None, ddio_ways=2, inclusive=False):
     cfg = HierarchyConfig(
         num_cores=num_cores,
-        l1_enabled=l1,
         ddio_ways=ddio_ways,
         llc_inclusive=inclusive,
     )
@@ -153,7 +152,14 @@ class TestDemandPath:
     def test_mlc_hit(self):
         h = make_hierarchy()
         cpu_access(h, 0, ADDR, False, 0)
-        result = cpu_access(h, 0, ADDR, False, 1)
+        # Two more lines in ADDR's L1 set evict its clean L1 copy; the
+        # MLC, with more sets, keeps all three.
+        l1 = h.l1[0]
+        stride = l1.num_sets * LINE_SIZE
+        for k in range(1, l1.assoc + 1):
+            cpu_access(h, 0, ADDR + k * stride, False, k)
+        assert ADDR not in l1 and ADDR in h.mlc[0]
+        result = cpu_access(h, 0, ADDR, False, 10)
         assert result.level == "mlc"
 
     def test_write_marks_dirty(self):
@@ -257,13 +263,13 @@ class TestPrefetchFill:
 
 class TestL1:
     def test_l1_hit_after_first_access(self):
-        h = make_hierarchy(l1=True)
+        h = make_hierarchy()
         cpu_access(h, 0, ADDR, False, 0)
         result = cpu_access(h, 0, ADDR, False, 1)
         assert result.level == "l1"
 
     def test_pcie_write_invalidates_l1_copy(self):
-        h = make_hierarchy(l1=True)
+        h = make_hierarchy()
         pcie_write(h, ADDR, 0)
         cpu_access(h, 0, ADDR, False, 0)
         assert ADDR in h.l1[0]
@@ -271,7 +277,7 @@ class TestL1:
         assert ADDR not in h.l1[0]
 
     def test_l1_write_propagates_dirty_to_mlc(self):
-        h = make_hierarchy(l1=True)
+        h = make_hierarchy()
         cpu_access(h, 0, ADDR, False, 0)
         cpu_access(h, 0, ADDR, True, 1)  # L1 hit write
         assert h.mlc[0].peek(ADDR).dirty

@@ -30,7 +30,7 @@ def ignore(txn):
 
 def make_hierarchy(num_cores=2, observed=True):
     """A hierarchy, observed by default so every access records hops."""
-    h = MemoryHierarchy(HierarchyConfig(num_cores=num_cores, l1_enabled=False))
+    h = MemoryHierarchy(HierarchyConfig(num_cores=num_cores))
     if observed:
         h.observe(ignore)
     return h
@@ -217,6 +217,7 @@ class TestCpuPathHops:
         txn = cpu_access_txn(0, ADDR, False, 0)
         h.access(txn)
         assert hops_of(txn) == [
+            ("l1", "miss"),
             ("mlc", "miss"),
             ("llc", "miss"),
             ("dram", "read"),
@@ -228,8 +229,8 @@ class TestCpuPathHops:
         cpu_access(h, 0, ADDR, False, 0)
         txn = cpu_access_txn(0, ADDR, False, 1)
         h.access(txn)
-        assert txn.level == "mlc"
-        assert hops_of(txn) == [("mlc", "hit")]
+        assert txn.level == "l1"
+        assert hops_of(txn) == [("l1", "hit")]
 
 
 class TestHop:
@@ -247,7 +248,7 @@ class TestObserve:
         h.observe(ignore)
         txn = cpu_access_txn(0, ADDR, False, 0)
         h.access(txn)
-        assert hops_of(txn)[0] == ("mlc", "miss")
+        assert hops_of(txn)[0] == ("l1", "miss")
         h.unobserve(ignore)
         txn = cpu_access_txn(0, ADDR + LINE_SIZE, False, 1)
         h.access(txn)

@@ -6,18 +6,19 @@ from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.net.flow import make_flow
 from repro.net.packet import Packet
 from repro.nic.dma import DMAEngine
-from repro.nic.nic import NIC, NicConfig
+from repro.nic.classifier import ClassifierConfig
+from repro.nic.nic import DESCRIPTOR_WRITEBACK_DELAY, NIC, RX_PIPELINE_DELAY
 from repro.pcie.root_complex import RootComplex
 from repro.pcie.tlp import IdioTag
 from repro.sim import Simulator, units
 
 
-def make_stack(nic_config=None, hook=None):
+def make_stack(ring_size=8, classifier=None, hook=None):
     sim = Simulator()
-    hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=2, l1_enabled=False))
+    hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=2))
     rc = RootComplex(sim, hierarchy, hook)
-    dma = DMAEngine(sim, rc, pcie_gbps=256.0)
-    nic = NIC(sim, dma, nic_config or NicConfig(ring_size=8))
+    dma = DMAEngine(sim, rc)
+    nic = NIC(sim, dma, ring_size, classifier)
     return sim, hierarchy, dma, nic
 
 
@@ -98,11 +99,11 @@ class TestNicRx:
         sim.schedule_at(0, check)
         sim.run(until=units.microseconds(10))
         assert ready_time, "packet never became visible"
-        lag = ready_time[0] - nic.config.rx_pipeline_delay
-        assert lag >= nic.config.descriptor_writeback_delay
+        lag = ready_time[0] - RX_PIPELINE_DELAY
+        assert lag >= DESCRIPTOR_WRITEBACK_DELAY
 
     def test_ring_full_drops(self):
-        sim, h, dma, nic = make_stack(NicConfig(ring_size=2))
+        sim, h, dma, nic = make_stack(ring_size=2)
         flow = self.setup_queue(nic)
         results = [nic.receive(Packet(flow=flow)) for _ in range(3)]
         assert results == [True, True, False]
@@ -149,8 +150,7 @@ class TestClassifierIntegration:
             seen_tags.append(tag)
             return "llc"
 
-        cfg = NicConfig(ring_size=8, classifier_enabled=True)
-        sim, h, dma, nic = make_stack(cfg, hook)
+        sim, h, dma, nic = make_stack(classifier=ClassifierConfig(), hook=hook)
         flow = make_flow(0)
         nic.flow_director.install_rule(flow, 0)
         nic.add_queue(0, 0, desc_base=0x1000, buffer_base=0x100000)

@@ -15,7 +15,7 @@ from tests.memtxn import cpu_access, pcie_write
 
 def make_tx(size=4):
     sim = Simulator()
-    h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+    h = MemoryHierarchy(HierarchyConfig(num_cores=1))
     rc = RootComplex(sim, h)
     dma = DMAEngine(sim, rc)
     ring = TxRing(size, desc_base=0x8000)

@@ -63,7 +63,6 @@ def _evicting_hierarchy():
     return MemoryHierarchy(
         HierarchyConfig(
             num_cores=1,
-            l1_enabled=False,
             mlc=CacheConfig("mlc", 2 * LINE_SIZE, 2, 1),
             llc=CacheConfig("llc", 2 * LINE_SIZE, 2, 1),
             ddio_ways=1,
@@ -126,7 +125,7 @@ class TestHierarchyPublishing:
     def test_transactions_published_when_subscribed(self):
         """Completed transactions go to the hierarchy's observers, not
         the bus."""
-        h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+        h = MemoryHierarchy(HierarchyConfig(num_cores=1))
         seen = []
         h.observe(seen.append)
         cpu_access(h, 0, 0x1000, False, 0)
@@ -153,7 +152,7 @@ class TestCategorize:
 
 class TestTraceRecorder:
     def make(self, **kwargs):
-        h = MemoryHierarchy(HierarchyConfig(num_cores=1, l1_enabled=False))
+        h = MemoryHierarchy(HierarchyConfig(num_cores=1))
         rec = TraceRecorder(**kwargs).attach(h)
         return h, rec
 

@@ -8,7 +8,7 @@ from repro.sim import Simulator
 
 def make_rc(hook=None):
     sim = Simulator()
-    hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=2, l1_enabled=False))
+    hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=2))
     return sim, hierarchy, RootComplex(sim, hierarchy, hook)
 
 

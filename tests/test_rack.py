@@ -43,7 +43,6 @@ class TestRackConfig:
             {"traffic": "bursty"},
             {"offered_gbps": 0.0},
             {"duration_us": -1.0},
-            {"diurnal_peak_ratio": 0.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
