@@ -134,14 +134,19 @@ class PollModeDriver:
     def init_ring(self) -> None:
         """Initialize the descriptor ring, as rte_eth_rx_queue_setup does.
 
-        The driver writes every descriptor once, so descriptors are warm in
-        the hierarchy before traffic starts (no cold DRAM misses on the
-        first poll of each slot).
+        The driver writes every line of every descriptor once, in ring
+        order, so descriptors are warm in the hierarchy before traffic
+        starts (no cold DRAM misses on the first poll of each slot).  The
+        stores take one :meth:`~repro.mem.hierarchy.MemoryHierarchy.store_lines`
+        pass; no latency is charged, as warm-up runs before any statistic
+        counts.
         """
-        for desc in self.queue.ring.descriptors:
-            self.core.mem_write(desc.desc_addr)
-            if DESCRIPTOR_BYTES > LINE_SIZE:
-                self.core.mem_write(desc.desc_addr + LINE_SIZE)
+        span = range(0, DESCRIPTOR_BYTES, LINE_SIZE)
+        self.core.hierarchy.store_lines(
+            self.core.core_id,
+            (desc.desc_addr + off for desc in self.queue.ring.descriptors for off in span),
+            self.sim.now,
+        )
 
     def start(self, at: Optional[int] = None) -> None:
         """Begin polling at ``at`` (defaults to now)."""
@@ -383,13 +388,20 @@ class AntagonistDriver:
     def warmup(self) -> None:
         """Initialize (touch) the whole buffer, as the paper does (§VI).
 
-        One demand store per line, all at time 0.  In a sweep, later
-        cells with the same warm-up restore the hierarchy this left from
-        a :class:`~repro.harness.server.WarmCheckpoint` instead (see
+        Every line is stored once, in address order, in one
+        :meth:`~repro.mem.hierarchy.MemoryHierarchy.store_lines` pass at
+        the current time; the hierarchy ends as one demand store per line
+        would leave it.  In a sweep, later cells with the same warm-up
+        restore the hierarchy this left from a
+        :class:`~repro.harness.server.WarmCheckpoint` instead (see
         :meth:`~repro.harness.server.SimulatedServer.start`).
         """
-        for i in range(self.app.num_lines()):
-            self.core.mem_write(self.app.buffer_base + i * LINE_SIZE)
+        base = self.app.buffer_base
+        self.core.hierarchy.store_lines(
+            self.core.core_id,
+            range(base, base + self.app.num_lines() * LINE_SIZE, LINE_SIZE),
+            self.sim.now,
+        )
 
     def start(self, at: Optional[int] = None) -> None:
         t = self.sim.now if at is None else at

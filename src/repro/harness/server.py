@@ -44,7 +44,7 @@ from ..mem.hierarchy import (
     default_llc_config,
     default_mlc_config,
 )
-from ..mem.line import num_lines
+from ..mem.line import LINE_SIZE, num_lines
 from ..mem.stats import StatsBundle
 from ..net.flow import make_flow, make_tenant_flow
 from ..net.packet import MTU_FRAME_BYTES, Packet
@@ -152,9 +152,9 @@ class ServerConfig:
                 f"nf_cat_ways must be in 1..{cpu_ways} (the non-DDIO ways), "
                 f"got {self.nf_cat_ways}"
             )
-        if self.antagonist and self.antagonist_buffer_bytes < 1:
+        if self.antagonist and self.antagonist_buffer_bytes < LINE_SIZE:
             raise ValueError(
-                "antagonist_buffer_bytes must be at least 1, "
+                f"antagonist_buffer_bytes must be at least {LINE_SIZE} (one line), "
                 f"got {self.antagonist_buffer_bytes}"
             )
         if self.llc_slices < 0:
@@ -554,7 +554,10 @@ class SimulatedServer:
         """Warm up, reset statistics, and start all software agents.
 
         Warm-up runs at time 0: each antagonist writes its whole buffer
-        and each driver writes its descriptor ring.  With a ``warm``
+        and each driver writes its descriptor ring, each in one
+        :meth:`~repro.mem.hierarchy.MemoryHierarchy.store_lines` pass
+        that leaves the hierarchy as one demand store per line would
+        (everything it counts is reset below).  With a ``warm``
         checkpoint (one per sweep, held by the sweep runner) a server
         whose warm-up nothing can watch restores the hierarchy that an
         earlier cell's identical warm-up left, instead of replaying it.

@@ -65,7 +65,6 @@ class SetAssociativeCache:
         "_where",
         "_last_use",
         "_tick",
-        "_all_ways",
     )
 
     def __init__(self, config: CacheConfig) -> None:
@@ -86,7 +85,6 @@ class SetAssociativeCache:
             [0] * self.assoc for _ in range(self.num_sets)
         ]
         self._tick = 0
-        self._all_ways: Tuple[int, ...] = tuple(range(self.assoc))
 
     # -- addressing ---------------------------------------------------
 
@@ -166,24 +164,17 @@ class SetAssociativeCache:
             row[way] = tick
             return None
 
-        # One pass finds the first free way in mask order *and* tracks
-        # the least recently used occupied way (the first one on ties).
+        # An empty way's stamp is 0 and occupied ways' stamps are distinct
+        # positive ticks, so the first minimum in mask order is the first
+        # free way, or else the least recently used way.  When the mask
+        # lists every way and none is free, its order cannot matter.
+        if way_mask is None or (len(way_mask) == self.assoc and 0 not in row):
+            target_way = row.index(min(row))
+        else:
+            target_way = min(way_mask, key=row.__getitem__)
         cache_set = self._sets[set_idx]
-        target_way = -1
-        best_way = -1
-        best_tick = -1
-        for w in self._all_ways if way_mask is None else way_mask:
-            if cache_set[w] is None:
-                target_way = w
-                break
-            t = row[w]
-            if best_tick < 0 or t < best_tick:
-                best_way = w
-                best_tick = t
-        victim: Optional[CacheLine] = None
-        if target_way < 0:
-            target_way = best_way
-            victim = cache_set[target_way]
+        victim = cache_set[target_way]
+        if victim is not None:
             del where[victim.addr]
         cache_set[target_way] = line
         where[addr] = target_way

@@ -2,7 +2,7 @@
 
 This module wires per-core private caches (optional L1D + MLC), the shared
 non-inclusive LLC with DDIO ways, and DRAM into one object exposing a
-single typed entry point:
+typed entry point and a bulk one:
 
 * :meth:`MemoryHierarchy.access` — execute one
   :class:`~repro.mem.transaction.MemoryTransaction` (demand load/store,
@@ -10,6 +10,10 @@ single typed entry point:
   paper's invalidate-without-writeback maintenance operation, §IV-A/§V-D)
   and fill in its outcome: total latency, serving level, and — while the
   hierarchy is observed — a per-component hop list.
+* :meth:`MemoryHierarchy.store_lines` — one core's demand stores to a
+  run of lines, for warm-up: the same end state as one store
+  transaction per line, with no outcome reported, in one pass that
+  fuses each full miss and sums its statistics.
 
 All traffic flows through one handler per kind: callers construct the
 :class:`MemoryTransaction` themselves (simlint's SIM005 flags any
@@ -37,14 +41,14 @@ the counters already bumped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.bus import EventBus
 from ..obs.events import LlcWritebackEvent, MlcWritebackEvent
 from ..sim import units
 from .cache import CacheConfig, SetAssociativeCache
 from .dram import DRAM
-from .line import CacheLine, line_address
+from .line import _LINE_MASK, CacheLine, line_address
 from .llc import NonInclusiveLLC, owner_cores
 from .stats import StatsBundle
 from .transaction import (
@@ -611,6 +615,155 @@ class MemoryHierarchy:
         self._fill_l1(core, addr, False, now)
         txn.latency = latency
         txn.level = level
+
+    def store_lines(self, core: int, addrs: Iterable[int], now: int) -> None:
+        """Demand-store every line of ``addrs`` from ``core`` at ``now``, in order.
+
+        The warm-up entry point: the caches, recency stamps, directory,
+        counters and event streams end exactly as one ``CPU_STORE``
+        :meth:`_run_cpu` per address would leave them, and no latency or
+        level is reported.  A line no cache or directory entry holds
+        takes a fused full miss (DRAM read, MLC fill and its victim's
+        way to the LLC, L1 fill) whose counter and event-stream updates
+        are summed and applied once at the end.  Any other line takes
+        :meth:`_run_cpu`, and so does every line while an inclusive LLC,
+        an observer, a writeback subscriber or a DRAM fault injector
+        could tell the difference.
+
+        The fused miss repeats :meth:`_fill_mlc`'s non-inclusive victim
+        path and :meth:`_fill_l1`'s victim handling, so a change to
+        either policy must be made here too
+        (``tests/test_mem_bulk_store.py`` fails on a mismatch).  A
+        version that called the two helpers left the tenant server's
+        start about 0.09 s slower ("Warm-up stores in bulk" in
+        ``docs/performance.md``).
+        """
+        txn = MemoryTransaction(CPU_STORE, 0, now, core=core)
+        per_line = (
+            self.llc.inclusive
+            or bool(self._observers)
+            or bool(self._mlc_wb_subs)
+            or bool(self._llc_wb_subs)
+            or self.dram.faults is not None
+        )
+        run_cpu = self._run_cpu
+        pool = self._line_pool
+        l1 = self.l1[core]
+        mlc = self.mlc[core]
+        llc_data = self._llc_data
+        l1_where = l1._where
+        mlc_where = mlc._where
+        llc_where = llc_data._where
+        dir_entries = self._dir_entries
+        llc_mask = self.llc._core_masks.get(core, self.llc._cpu_fill_order)
+        bit = 1 << core
+        misses = l1_evictions = mlc_evictions = dirty_wbs = clean_wbs = 0
+        llc_evictions = llc_wbs = llc_drops = 0
+        # The freelist pops and pushes below are _make_line and
+        # _retire_line, inlined.
+        for addr in addrs:
+            addr &= _LINE_MASK
+            if (
+                per_line
+                or addr in l1_where
+                or addr in mlc_where
+                or addr in dir_entries
+                or addr in llc_where
+            ):
+                txn.addr = addr
+                run_cpu(txn)
+                continue
+            misses += 1
+            if pool:
+                line = pool.pop()
+                line.addr = addr
+                line.dirty = True
+                line.origin = "cpu"
+                line.owner = core
+            else:
+                line = CacheLine(addr, True, "cpu", core)
+            victim = mlc.insert(line)
+            if victim is not None:
+                # _fill_mlc's non-inclusive victim path.
+                mlc_evictions += 1
+                vaddr = victim.addr
+                if vaddr in l1_where:
+                    l1_copy = l1.remove(vaddr)
+                    assert l1_copy is not None
+                    if l1_copy.dirty:
+                        victim.dirty = True
+                    if len(pool) < 256:
+                        pool.append(l1_copy)
+                mask = dir_entries.get(vaddr, 0) & ~bit
+                if mask:
+                    dir_entries[vaddr] = mask
+                else:
+                    dir_entries.pop(vaddr, None)
+                if victim.dirty:
+                    dirty_wbs += 1
+                else:
+                    clean_wbs += 1
+                llc_victim = llc_data.insert(victim, llc_mask)
+                if llc_victim is not None:
+                    llc_evictions += 1
+                    if llc_victim.dirty:
+                        llc_wbs += 1
+                    else:
+                        llc_drops += 1
+                    if len(pool) < 256:
+                        pool.append(llc_victim)
+            dir_entries[addr] = bit
+            if pool:
+                line = pool.pop()
+                line.addr = addr
+                line.dirty = False
+                line.origin = "cpu"
+                line.owner = core
+            else:
+                line = CacheLine(addr, False, "cpu", core)
+            victim = l1.insert(line)
+            if victim is None:
+                continue
+            l1_evictions += 1
+            if not victim.dirty:
+                if len(pool) < 256:
+                    pool.append(victim)
+                continue
+            # _fill_l1's dirty-victim path (only a line that was already
+            # dirty in the L1 can take it).
+            mlc_line = mlc.peek(victim.addr)
+            if mlc_line is not None:
+                mlc_line.dirty = True
+                self._retire_line(victim)
+            else:
+                self._mlc_writeback(core, now)
+                llc_victim = self.llc.fill_cpu(victim, now, core=core)
+                if llc_victim is not None:
+                    self._llc_victim_to_dram(llc_victim, now)
+        # Every deferred event is at ``now``, so appending them last leaves
+        # each stream as the per-line stores' interleaved appends would.
+        mlc_wbs = dirty_wbs + clean_wbs
+        counts = (
+            ("dram_reads", misses, True),
+            ("llc_misses", misses, False),
+            (self._mlc_evict_names[core], mlc_evictions, False),
+            ("mlc_writebacks", mlc_wbs, True),
+            (self._mlc_wb_names[core], mlc_wbs, False),
+            ("mlc_writebacks_dirty", dirty_wbs, False),
+            ("mlc_writebacks_clean", clean_wbs, False),
+            ("llc_evictions", llc_evictions, False),
+            ("dram_writes", llc_wbs, True),
+            ("llc_writebacks", llc_wbs, True),
+            ("llc_clean_drops", llc_drops, False),
+            (self._l1_evict_names[core], l1_evictions, False),
+        )
+        cv = self._counter_values
+        streams = self._event_streams
+        for name, count, logged in counts:
+            if count:
+                cv[name] += count
+                if logged:
+                    streams[name].extend([now] * count)
 
     # ------------------------------------------------------------------
     # PCIe ingress (Fig. 1, DDIO write path)

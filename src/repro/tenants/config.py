@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field, fields
 from typing import List, Tuple
 
+from ..mem.line import LINE_SIZE
 from ..net.flow import FLOW_LANE_SPAN, _mix64
 from ..net.packet import MTU_FRAME_BYTES
 from ..net.traffic import TRAFFIC_KINDS, TrafficProfile, make_profile
@@ -116,8 +117,11 @@ class TenantConfig:
             raise ValueError(
                 f"unknown tenant role {self.role!r}; choose from {TENANT_ROLES}"
             )
-        if self.antagonist_footprint_bytes <= 0:
-            raise ValueError("antagonist_footprint_bytes must be positive")
+        if self.antagonist_footprint_bytes < LINE_SIZE:
+            raise ValueError(
+                f"antagonist_footprint_bytes must be at least {LINE_SIZE} (one line), "
+                f"got {self.antagonist_footprint_bytes}"
+            )
 
     def traffic_profile(
         self, duration: int, start: int = 0, packet_bytes: int = MTU_FRAME_BYTES, seed: int = 0

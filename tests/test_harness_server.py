@@ -47,10 +47,12 @@ class TestConfigValidation:
             ({"nf_cat_ways": 0}, r"nf_cat_ways must be in 1\.\.10 \(the non-DDIO ways\), got 0"),
             ({"nf_cat_ways": 11}, r"nf_cat_ways must be in 1\.\.10 \(the non-DDIO ways\), got 11"),
             ({"antagonist": True, "antagonist_buffer_bytes": 0},
-             "antagonist_buffer_bytes must be at least 1, got 0"),
+             r"antagonist_buffer_bytes must be at least 64 \(one line\), got 0"),
             ({"llc_slices": -1}, "llc_slices must be non-negative, got -1"),
             ({"num_nf_cores": 64, "ring_size": 8, "policy": idio()},
              "num_nf_cores must be at most 63 under idio"),
+            ({"antagonist": True, "antagonist_buffer_bytes": 32},
+             r"antagonist_buffer_bytes must be at least 64 \(one line\), got 32"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):

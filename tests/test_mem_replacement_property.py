@@ -1,7 +1,8 @@
 """Property tests: the cache's fused LRU scan matches the reference LRU.
 
-:meth:`SetAssociativeCache.insert` finds the first free way in mask order
-and the least recently used occupied way in one pass over the set.  The
+:meth:`SetAssociativeCache.insert` finds the first free way in mask order,
+or else the least recently used occupied way, with one ``min()`` over the
+set's recency stamps (an empty way's stamp is 0).  The
 reference in ``tests/lru_reference.py`` keeps the original dict +
 ``min()`` LRU and a separate free-way scan, including the tie-break
 toward the *first* eligible way among never-touched ways.  Hypothesis

@@ -109,6 +109,10 @@ class TestTenantTrafficProfiles:
         with pytest.raises(ValueError, match="unknown tenant traffic 'heavy-tail'"):
             TenantConfig(tenant_id=0, name="t0", traffic="heavy-tail")
 
+    def test_sub_line_antagonist_footprint_fails_when_the_tenant_is_built(self):
+        with pytest.raises(ValueError, match="antagonist_footprint_bytes must be at least 64"):
+            TenantConfig(tenant_id=0, name="t0", antagonist=True, antagonist_footprint_bytes=32)
+
 
 class TestIOCAApportionment:
     def _server(self, tenants=2, policy=None):

@@ -10,6 +10,11 @@ forces a cold warm-up, that watched or faulted servers never reuse, and
 that the checkpoint never outlives its sweep.  The IDIO and IAT
 controllers read counters that ``start`` resets after warm-up, so their
 cells restore too, and fingerprint like their cold-warmed twins.
+
+A cold warm-up itself stores each buffer in one
+``MemoryHierarchy.store_lines`` pass; the tests at the end check that it
+leaves the structures one demand store per line leaves, and that an
+observer or a DRAM fault still sees every store.
 """
 
 import pickle
@@ -19,10 +24,11 @@ import pytest
 
 from repro.analysis.determinism import fingerprint_digest
 from repro.core.policies import ddio, iat, policy_by_name
-from repro.faults import standard_plan
+from repro.faults import FaultPlan, FaultSpec, standard_plan
 from repro.harness import runner
 from repro.harness.experiment import Experiment, run_experiment
 from repro.harness.server import ServerConfig, SimulatedServer, WarmCheckpoint
+from repro.mem.transaction import CPU_STORE
 from repro.tenants.scenarios import tenant_experiment, tenant_mix, tenant_server
 from repro.tenants.sweep import run_tenants
 from tests.test_golden_fingerprints import CORUN_DIGESTS
@@ -35,7 +41,7 @@ TENANT_SWEEP_DIGEST = "09746512ce274897bea695d160de9d0ba08b7709f5f67f723f79dfe9a
 def _structures(server: SimulatedServer):
     """Every structure warm-up mutates, as plain values."""
     h = server.hierarchy
-    caches = [c for c in h.l1 if c is not None] + h.mlc + [h.llc.data]
+    caches = h.l1 + h.mlc + [h.llc.data]
     return [
         (
             [
@@ -245,3 +251,28 @@ def test_tenant_sweep_matches_its_cold_golden(cold_warmups):
     )
     assert len(cold_warmups) == 1  # four cells, one warm-up
     assert summary.fingerprint == TENANT_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(RESTORE_CASES))
+def test_bulk_warm_up_equals_per_line_warm_up(case):
+    bulk = _started(RESTORE_CASES[case]())
+    per_line = SimulatedServer(RESTORE_CASES[case]())
+    per_line.hierarchy.observe(lambda txn: None)  # forces one _run_cpu per line
+    per_line.start()
+    assert _structures(bulk) == _structures(per_line)
+
+
+def test_an_observer_sees_every_warm_up_store():
+    server = SimulatedServer(_tenant_config("noisy-neighbor"))
+    kinds = []
+    server.hierarchy.observe(lambda txn: kinds.append(txn.kind))
+    server.start()
+    # One 4 MB antagonist buffer, and two 1024-slot rings of two-line
+    # descriptors.
+    assert kinds == [CPU_STORE] * 69_632
+
+
+def test_a_dram_spike_at_time_zero_is_counted_during_warm_up():
+    spike = FaultSpec("mem.dram_spike", start_us=0.0, duration_us=5.0, magnitude=100.0)
+    server = _started(ServerConfig(**KEY_BASE, fault_plan=FaultPlan((spike,), seed=3)))
+    assert server.fault_counts == {"mem.dram_spike": 1}
