@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-benchmarks validate lint analyze check faults-smoke rack-smoke tenants-smoke examples-smoke
+.PHONY: test test-benchmarks validate lint analyze check faults-smoke tenants-smoke examples-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,12 +27,6 @@ check:
 # invariant (see docs/api.md).
 faults-smoke:
 	$(PYTHON) -m repro.cli faults --quick --checked --jobs 4
-
-# Rack-tier smoke gate: a tiny 2-server rack sweep with the invariant
-# sanitizer attached to every server (see `repro rack --help`).
-rack-smoke:
-	$(PYTHON) -m repro.cli rack --servers 2 --flows 1024 --rate 20 \
-		--duration-us 100 --jobs 2 --checked
 
 # Tenant-tier smoke gate: the 2-tenant noisy-neighbor isolation sweep
 # under DDIO vs IDIO vs IOCA with checked mode on; fails unless the

@@ -37,10 +37,8 @@ from .api import (
     FaultSpec,
     Matrix,
     PolicyConfig,
-    RackConfig,
     ResultCache,
     ServerConfig,
-    SimulatedRack,
     SimulatedServer,
     Simulator,
     SweepRecord,
@@ -55,14 +53,13 @@ from .api import (
     run_experiment,
     run_experiments,
     run_policy_comparison,
-    run_rack,
     run_sweep,
     run_tenants,
     standard_plan,
     units,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "Experiment",
@@ -75,10 +72,8 @@ __all__ = [
     "FaultSpec",
     "Matrix",
     "PolicyConfig",
-    "RackConfig",
     "ResultCache",
     "ServerConfig",
-    "SimulatedRack",
     "SimulatedServer",
     "Simulator",
     "SweepRecord",
@@ -93,7 +88,6 @@ __all__ = [
     "run_experiment",
     "run_experiments",
     "run_policy_comparison",
-    "run_rack",
     "run_sweep",
     "run_tenants",
     "standard_plan",

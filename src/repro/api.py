@@ -8,7 +8,7 @@ any release.  ``repro/__init__`` re-exports exactly this module, so
 ``from repro import run_experiment`` and ``from repro.api import
 run_experiment`` are the same promise.
 
-The facade covers the three things external code does:
+The facade covers the five things external code does:
 
 * **build & run** — :func:`build_server`, :func:`run_experiment`,
   :func:`run_experiments`, :func:`run_policy_comparison`, configured via
@@ -20,9 +20,6 @@ The facade covers the three things external code does:
 * **fault injection** — :class:`FaultPlan` / :class:`FaultSpec` /
   :func:`standard_plan` schedules riding inside ``ServerConfig``, with
   injections observable as :class:`FaultEvent` counts;
-* **rack-scale sweeps** — :class:`RackConfig` / :class:`SimulatedRack` /
-  :func:`run_rack`, a ToR load balancer steering flows across N servers,
-  one ``server`` cell per server with a rack aggregate row;
 * **multi-tenant isolation** — :class:`TenantConfig` / :class:`TenantSet`
   riding on ``ServerConfig.tenants`` for per-tenant flow tagging and DMA
   attribution, the :func:`ioca` dynamic way-partitioning policy, and
@@ -54,7 +51,6 @@ from .harness.experiment import (
 from .harness.matrix import Matrix, SweepRecord, SweepResult
 from .harness.runner import run_experiments, run_sweep
 from .harness.server import ServerConfig, SimulatedServer
-from .rack import RackConfig, SimulatedRack, run_rack
 from .sim import Simulator, units
 from .tenants.config import TenantConfig, TenantSet
 from .tenants.sweep import run_tenants
@@ -84,10 +80,8 @@ __all__ = [
     "FaultSpec",
     "Matrix",
     "PolicyConfig",
-    "RackConfig",
     "ResultCache",
     "ServerConfig",
-    "SimulatedRack",
     "SimulatedServer",
     "Simulator",
     "SweepRecord",
@@ -102,7 +96,6 @@ __all__ = [
     "run_experiment",
     "run_experiments",
     "run_policy_comparison",
-    "run_rack",
     "run_sweep",
     "run_tenants",
     "standard_plan",

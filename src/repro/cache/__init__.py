@@ -5,9 +5,9 @@ ExperimentSummary` objects on disk, keyed by a canonical *config digest*
 over the whole experiment (every config field, every seed, the fault
 plan, and the code version: ``repro.__version__`` plus a hash of the
 package sources — see :mod:`repro.cache.digest`).  The sweep runner
-consults it before dispatching to the warm pool, and the rack tier
-reuses unchanged per-server shards.  ``docs/caching.md`` documents the
-key derivation and the invalidation rules.
+consults it before dispatching to the warm pool, so a re-run sweep
+recomputes only the cells whose configs moved.  ``docs/caching.md``
+documents the key derivation and the invalidation rules.
 
 Correctness anchor: a cache hit returns a summary whose fingerprint is
 byte-identical to a cold recompute — entries self-verify on load, and
@@ -17,7 +17,7 @@ mode) and evicts any divergence.
 Two ways to use it:
 
 * explicitly — pass a :class:`ResultCache` to ``run_sweep`` /
-  ``run_experiments`` / ``SimulatedRack.run``;
+  ``run_experiments`` / ``run_tenants``;
 * ambiently — install a process-default cache (:func:`set_default_cache`
   or the :func:`cache_session` context manager) and every runner call
   without an explicit ``cache=`` picks it up.  This is how the CLI's

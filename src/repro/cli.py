@@ -11,7 +11,6 @@ Installed as the ``idio-repro`` console script::
     idio-repro trace --out idio-trace.json         # Chrome-trace export
     idio-repro check --quick                       # sanitizer + determinism
     idio-repro faults --quick                      # degradation matrix
-    idio-repro rack --servers 4 --jobs 4           # rack-scale fleet sweep
     idio-repro tenants --policies ddio,idio,ioca   # isolation matrix
     idio-repro compare --cache-dir .repro-cache    # memoize the sweep
     idio-repro cache stats                         # result-cache census
@@ -20,8 +19,8 @@ The flag vocabulary is shared across subcommands via argparse parent
 parsers: every command that runs experiments accepts the same
 ``--workload``/``--app``, ``--policy``, ``--jobs``, ``--seed``, and
 ``--out`` spellings with the same semantics, and the multi-tenant
-commands (``tenants``, ``faults``, ``rack``) share the scenario
-vocabulary ``--tenants``/``--tenant-mix``/``--intensity``.  Caching is opt-in:
+commands (``tenants``, ``faults``) share the scenario vocabulary
+``--tenants``/``--tenant-mix``/``--intensity``.  Caching is opt-in:
 ``--cache-dir`` (or the ``REPRO_CACHE_DIR`` environment variable)
 installs a result cache for the invocation, and ``--no-cache`` disables
 it even when the variable is set.
@@ -77,7 +76,6 @@ FIGURE_QUICK_ARGS: Dict[str, Dict[str, object]] = {
 
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
-    from .rack import RACK_TRAFFIC_KINDS
 
     parser = _Parser(
         prog="idio-repro",
@@ -205,65 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="transactions between structural-barrier sweeps "
         "(default: %(default)s)",
-    )
-
-    rack_p = sub.add_parser(
-        "rack",
-        help="run a rack-scale sweep: a ToR load balancer steering flows "
-        "across N simulated servers",
-        parents=[
-            _jobs_parent(),
-            _policy_parent("ddio"),
-            _cache_parent(),
-            _scenario_parent(),
-            _sweep_parent(),
-        ],
-    )
-    rack_p.add_argument(
-        "--servers",
-        type=_positive_int,
-        default=4,
-        metavar="N",
-        help="servers behind the ToR switch (default: %(default)s)",
-    )
-    rack_p.add_argument(
-        "--flows",
-        type=_positive_int,
-        default=8192,
-        metavar="N",
-        help="concurrent flows the ToR flow table steers (default: %(default)s)",
-    )
-    rack_p.add_argument(
-        "--steering",
-        choices=("rss", "rendezvous"),
-        default="rss",
-        help="flow-to-server steering mode (default: %(default)s)",
-    )
-    rack_p.add_argument(
-        "--profile",
-        choices=RACK_TRAFFIC_KINDS,
-        default="heavytail",
-        help="rack traffic profile (default: %(default)s)",
-    )
-    rack_p.add_argument(
-        "--rate",
-        type=_positive_float,
-        default=100.0,
-        help="aggregate offered load across the rack in Gbps (default: %(default)s)",
-    )
-    rack_p.add_argument(
-        "--duration-us",
-        type=_positive_float,
-        default=200.0,
-        help="traffic duration per server (default: %(default)s)",
-    )
-    rack_p.add_argument(
-        "--seed", type=int, default=0, help="rack master seed (default: %(default)s)"
-    )
-    rack_p.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="export per-server lanes as a Chrome-trace JSON",
     )
 
     tenants_p = sub.add_parser(
@@ -494,7 +433,7 @@ def _cache_parent() -> argparse.ArgumentParser:
 
 
 def _scenario_parent() -> argparse.ArgumentParser:
-    """Shared multi-tenant scenario vocabulary (``tenants``/``faults``/``rack``).
+    """Shared multi-tenant scenario vocabulary (``tenants``/``faults``).
 
     ``--tenants 0`` (the default everywhere but the ``tenants``
     subcommand) means single-tenant: no :class:`TenantSet` is attached
@@ -528,7 +467,7 @@ def _scenario_parent() -> argparse.ArgumentParser:
 
 
 def _sweep_parent() -> argparse.ArgumentParser:
-    """Shared matrix-command flags (``faults``/``rack``/``tenants``)."""
+    """Shared matrix-command flags (``faults``/``tenants``)."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
         "--checked",
@@ -943,43 +882,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_rack(args: argparse.Namespace) -> int:
-    """Run one rack sweep and print the per-server + aggregate table.
-
-    The first failed server's exception is re-raised.  With
-    ``--trace-out`` every server shows up as its own Chrome-trace
-    process with counter lanes per stream.
-    """
-    from .rack import RackConfig, SimulatedRack
-
-    config = RackConfig(
-        name="cli-rack",
-        num_servers=args.servers,
-        server=ServerConfig(
-            policy=policies.policy_by_name(args.policy),
-            checked_mode=args.checked,
-            **_scenario(args, nf_cores=2),
-        ),
-        total_flows=args.flows,
-        steering=args.steering,
-        traffic=args.profile,
-        offered_gbps=args.rate,
-        duration_us=args.duration_us,
-        seed=args.seed,
-    )
-    result = SimulatedRack(config).run(jobs=args.jobs)
-    summaries = [cell.summary for cell in result.cells]
-    events = sum(s.events_fired for s in summaries)
-    wall = sum(s.wall_seconds for s in summaries)
-    return _finish_sweep(
-        args,
-        result,
-        "rack summary",
-        f"[{events} events in {wall:.2f}s sim wall time]",
-        label="rack",
-    )
-
-
 def cmd_tenants(args: argparse.Namespace) -> int:
     """Run the multi-tenant isolation matrix and print it.
 
@@ -1138,7 +1040,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "figure": cmd_figure,
         "validate": cmd_validate,
         "check": cmd_check,
-        "rack": cmd_rack,
         "trace": cmd_trace,
         "faults": cmd_faults,
         "tenants": cmd_tenants,

@@ -40,6 +40,13 @@ SUMMARY_STREAMS: Tuple[str, ...] = (
 #: Tick the offered traffic starts at, after warm-up settles.
 TRAFFIC_START = units.microseconds(20)
 
+#: Pareto shape for ``traffic="heavytail"``.
+HEAVY_TAIL_ALPHA = 1.5
+
+#: Peak-to-trough ratio for ``traffic="diurnal"``; the trough is
+#: ``steady_rate_gbps_per_nf``.
+DIURNAL_PEAK_RATIO = 2.0
+
 
 @dataclass
 class Experiment:
@@ -58,11 +65,6 @@ class Experiment:
     burst_period: int = units.milliseconds(10)
     steady_rate_gbps_per_nf: float = 10.0
     steady_duration: int = units.milliseconds(1)
-    #: Pareto shape for ``traffic="heavytail"`` (must exceed 1).
-    heavy_tail_alpha: float = 1.5
-    #: Peak rate for ``traffic="diurnal"``; the trough is
-    #: ``steady_rate_gbps_per_nf`` (``None`` = 2x the trough).
-    diurnal_peak_gbps_per_nf: Optional[float] = None
     #: One simulated "day" for ``traffic="diurnal"``.
     diurnal_period: int = units.milliseconds(1)
     #: Extra time after the traffic ends to let the CPUs drain the rings.
@@ -87,7 +89,6 @@ class Experiment:
         """The profile one NF generator follows under ``seed``.  Bursts
         default to one ring fill each (the paper's burst length)."""
         rate = self.steady_rate_gbps_per_nf
-        peak = self.diurnal_peak_gbps_per_nf
         burst = self.packets_per_burst
         return make_profile(
             self.traffic,
@@ -97,9 +98,9 @@ class Experiment:
             num_bursts=self.num_bursts,
             rate_gbps=rate,
             trough_rate_gbps=rate,
-            peak_rate_gbps=2.0 * rate if peak is None else peak,
+            peak_rate_gbps=DIURNAL_PEAK_RATIO * rate,
             period=self.diurnal_period,
-            alpha=self.heavy_tail_alpha,
+            alpha=HEAVY_TAIL_ALPHA,
             duration=self.steady_duration,
             packet_bytes=self.server.packet_bytes,
             start=TRAFFIC_START,

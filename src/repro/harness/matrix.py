@@ -8,8 +8,8 @@ footer), and the payload its fingerprint folds.
 :class:`SweepResult` with one :class:`Cell` per experiment, in input
 order.  The result has one ``render``, one ``rows`` view, one
 ``to_json``, one ``lanes`` view and one digest fold, so every paper
-figure and the ``faults``, ``rack`` and ``tenants`` commands differ only
-in their matrices.  A row is a dict; each column names its header and
+figure and the ``faults`` and ``tenants`` commands differ only in their
+matrices.  A row is a dict; each column names its header and
 the row key it shows once, so the printed table and the rows that
 claims read (:mod:`repro.harness.claims`) come from one spec.  A bare
 experiment list is a one-axis matrix keyed by ``name``.
@@ -52,8 +52,8 @@ class Matrix:
     #: a summary beyond its axis values, status and digest.
     info: Optional[Callable[["SweepResult"], Dict[str, Any]]] = None
     cell_info: Optional[Callable[["Cell"], Dict[str, Any]]] = None
-    #: Trace lanes (:class:`~repro.obs.events.LaneSeries` and
-    #: :class:`~repro.obs.events.LaneMark`), built only on request.
+    #: Trace lanes (:class:`~repro.obs.events.LaneSeries`), built only on
+    #: request.
     lanes: Optional[Callable[["SweepResult"], Iterable[Any]]] = None
 
     @property

@@ -1,13 +1,9 @@
-"""Network substrate: packets, flows, steering, and load generators."""
+"""Network substrate: packets, flows, and load generators."""
 
 from .flow import (
     FLOW_LANE_SPAN,
     MAX_FLOWS,
-    STEERING_MODES,
-    FlowSteering,
-    flow_key,
     make_flow,
-    make_flows,
 )
 from .packet import (
     APP_CLASS_LONG_USE,
@@ -37,7 +33,6 @@ __all__ = [
     "DiurnalProfile",
     "FLOW_LANE_SPAN",
     "FiveTuple",
-    "FlowSteering",
     "HEADER_BYTES",
     "HeavyTailProfile",
     "IMIX_DISTRIBUTION",
@@ -46,12 +41,9 @@ __all__ = [
     "MTU_FRAME_BYTES",
     "Packet",
     "PoissonProfile",
-    "STEERING_MODES",
     "SteadyProfile",
     "TRAFFIC_KINDS",
     "TrafficGenerator",
     "WIRE_OVERHEAD_BYTES",
-    "flow_key",
     "make_flow",
-    "make_flows",
 ]

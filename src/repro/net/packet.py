@@ -41,17 +41,6 @@ class FiveTuple:
     dst_port: int
     protocol: int = 6  # TCP
 
-    def hash_value(self, table_bits: int) -> int:
-        """Deterministic hash into a ``2**table_bits``-entry filter table."""
-        h = (
-            self.src_ip * 0x9E3779B1
-            ^ self.dst_ip * 0x85EBCA77
-            ^ (self.src_port << 16 | self.dst_port) * 0xC2B2AE3D
-            ^ self.protocol * 0x27D4EB2F
-        ) & 0xFFFFFFFF
-        h ^= h >> 15
-        return h & ((1 << table_bits) - 1)
-
 
 @dataclass(slots=True)
 class Packet:

@@ -157,11 +157,10 @@ class HeavyTailProfile(TrafficProfile):
     """Pareto (heavy-tailed) inter-arrival gaps at a target mean rate.
 
     Datacenter inbound traffic is famously not Poisson: a few long idle
-    gaps separate trains of closely spaced packets (the "last mile"
-    observation the rack tier models).  Gaps are drawn from a Pareto
-    distribution with shape ``alpha`` scaled so the *mean* gap matches
-    ``rate_gbps`` — smaller ``alpha`` means burstier trains and longer
-    tails; ``alpha`` must exceed 1 for the mean to exist at all.
+    gaps separate trains of closely spaced packets.  Gaps are drawn from
+    a Pareto distribution with shape ``alpha`` scaled so the *mean* gap
+    matches ``rate_gbps`` — smaller ``alpha`` means burstier trains and
+    longer tails; ``alpha`` must exceed 1 for the mean to exist at all.
     """
 
     event: ClassVar[str] = "heavytail-arrival"
@@ -294,7 +293,7 @@ class BurstProfile(TrafficProfile):
 
 
 #: Traffic kind name -> profile class.  The names are the vocabulary of
-#: ``Experiment.traffic``, ``TenantConfig.traffic`` and ``RackConfig.traffic``.
+#: ``Experiment.traffic`` and ``TenantConfig.traffic``.
 TRAFFIC_KINDS: Dict[str, Type[TrafficProfile]] = {
     "bursty": BurstProfile,
     "steady": SteadyProfile,

@@ -5,16 +5,14 @@
 hierarchy and the software stack to the optional trace recorder and to
 fault counters; the controllers read the hierarchy's counters instead,
 so nothing on the untraced path subscribes to a writeback.  A swept
-result's lanes (the rack and tenant tiers'
-:class:`~repro.obs.events.LaneSeries` and
-:class:`~repro.obs.events.LaneMark`) go to the same
+result's lanes (the tenants sweep's
+:class:`~repro.obs.events.LaneSeries`) go to the same
 :class:`~repro.obs.trace.TraceRecorder`, which renders them as one
-Chrome-trace process per server or tenant.
+Chrome-trace process per tenant.
 """
 
 from .bus import EventBus
 from .events import (
-    LaneMark,
     LaneSeries,
     LlcWritebackEvent,
     MlcWritebackEvent,
@@ -24,7 +22,6 @@ from .trace import TraceRecorder
 
 __all__ = [
     "EventBus",
-    "LaneMark",
     "LaneSeries",
     "LlcWritebackEvent",
     "MlcWritebackEvent",

@@ -4,8 +4,8 @@ Completed :class:`~repro.mem.transaction.MemoryTransaction` objects are
 not a bus topic: they go to the hierarchy's observers
 (:meth:`~repro.mem.hierarchy.MemoryHierarchy.observe`).  The events here
 cover everything else the memory path and the software stack announce.
-:class:`LaneSeries` and :class:`LaneMark` are not published: a swept
-result yields them for a trace recorder.
+:class:`LaneSeries` is not published: a swept result yields it for a
+trace recorder.
 """
 
 from __future__ import annotations
@@ -49,11 +49,9 @@ class LaneSeries:
     Sweeps run their experiments in worker processes, so per-hop tracing
     cannot ride home in a summary; instead a swept result's
     :meth:`~repro.harness.matrix.SweepResult.lanes` builds binned samples
-    per (process, lane) from the summaries.  The rack yields a
-    ``server-N`` process per server with one lane per summary stream
-    (``(time_us, MTPS)``); the tenants sweep yields a ``tenant-N``
-    process per tenant with one ``policy:pXX_us`` lane per percentile
-    (``(intensity x 1000, us)``).
+    per (process, lane) from the summaries.  The tenants sweep yields a
+    ``tenant-N`` process per tenant with one ``policy:pXX_us`` lane per
+    percentile (``(intensity x 1000, us)``).
     :meth:`~repro.obs.trace.TraceRecorder.add_lanes` renders each as a
     Chrome-trace counter lane.
     """
@@ -62,17 +60,5 @@ class LaneSeries:
     lane: str
     #: ``((timestamp, value), ...)`` — timestamps in trace microseconds.
     points: tuple
-    #: Name of the counter value (``"mtps"``, ``"us"``).
+    #: Name of the counter value (``"us"``).
     unit: str
-
-
-@dataclass(frozen=True, slots=True)
-class LaneMark:
-    """One instant on a sweep-level trace lane, at time 0 (a rack
-    server's completion, with its counts and digest as ``args``)."""
-
-    process: str
-    lane: str
-    name: str
-    category: str
-    args: dict

@@ -16,9 +16,8 @@ sources:
   access) that the harness surfaces.  Observing is what makes the
   hierarchy record hops; it does not change which transactions run.
 * **a sweep** — ``add_lanes(result.lanes())`` records a swept result's
-  :class:`~repro.obs.events.LaneSeries` counter samples (one ``server-N``
-  process per rack server, one ``tenant-N`` process per tenant) and its
-  :class:`~repro.obs.events.LaneMark` instants (rack server completions).
+  :class:`~repro.obs.events.LaneSeries` counter samples (one ``tenant-N``
+  process per tenant).
 
 ``export()`` writes the trace; ``chrome://tracing`` and Perfetto
 (``ui.perfetto.dev``) both load it.
@@ -39,7 +38,6 @@ from ..mem.transaction import (
 )
 from ..sim import units
 from .events import (
-    LaneMark,
     LlcWritebackEvent,
     MlcWritebackEvent,
     PmdBatchEvent,
@@ -198,27 +196,9 @@ class TraceRecorder:
 
     def add_lanes(self, lanes: Iterable[Any]) -> "TraceRecorder":
         """Record a swept result's lanes: each
-        :class:`~repro.obs.events.LaneSeries` as counter samples, each
-        :class:`LaneMark` as a process instant."""
+        :class:`~repro.obs.events.LaneSeries` as counter samples."""
         for lane in lanes:
             pid, tid = self._lane(lane.process, lane.lane)
-            if isinstance(lane, LaneMark):
-                self.category_counts[lane.category] = (
-                    self.category_counts.get(lane.category, 0) + 1
-                )
-                self._emit(
-                    {
-                        "name": lane.name,
-                        "cat": lane.category,
-                        "ph": "i",
-                        "s": "p",
-                        "ts": 0.0,
-                        "pid": pid,
-                        "tid": tid,
-                        "args": lane.args,
-                    }
-                )
-                continue
             for ts, value in lane.points:
                 self._emit(
                     {

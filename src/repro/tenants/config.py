@@ -7,10 +7,10 @@ partitioning controller weighs.  A :class:`TenantSet` groups the tenants
 co-located on one server and rides on ``ServerConfig.tenants`` so the
 whole arrangement is digest- and fingerprint-visible (SIM013).
 
-Randomness discipline mirrors the rack tier: every stochastic draw a
-tenant makes must come from :func:`tenant_rng`, the per-tenant seeded
-stream, so adding or reordering tenants never perturbs another tenant's
-arrivals (enforced by simlint SIM016).
+Randomness discipline: every stochastic draw a tenant makes must come
+from :func:`tenant_rng`, the per-tenant seeded stream, so adding or
+reordering tenants never perturbs another tenant's arrivals (enforced by
+simlint SIM016).
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ MAX_TENANTS = 16
 def tenant_rng(seed: int, tenant: int) -> random.Random:
     """The per-tenant RNG stream for ``tenant`` under sweep ``seed``.
 
-    Mirrors ``repro.rack.server_rng``: the sweep seed occupies the high
-    bits and the tenant id perturbs the low bits before a SplitMix64
-    avalanche, so streams are decorrelated across both axes and tenant
-    ``k``'s draws never depend on how many tenants precede it.
+    The stream is seeded with a SplitMix64 avalanche of
+    ``((seed & 0xFFFFFFFF) << 24) ^ (tenant + 1)``: the sweep seed's low
+    32 bits occupy the high bits and the tenant id perturbs the low bits,
+    so streams are decorrelated across both axes and tenant ``k``'s draws
+    never depend on how many tenants precede it.
     """
     return random.Random(_mix64(((seed & 0xFFFF_FFFF) << 24) ^ (tenant + 1)))
 

@@ -13,7 +13,7 @@ The sweep is a ``policy`` x ``intensity``
 :class:`~repro.harness.matrix.Matrix` run by
 :func:`repro.harness.runner.run_sweep`, so it shards over the warm
 worker pool and memoizes per-cell summaries in the result cache exactly
-like the fault and rack sweeps.
+like the fault sweep.
 
 This module imports the harness, so it must *not* be re-exported from
 ``repro.tenants.__init__`` (the harness imports ``repro.tenants.config``;

@@ -1,12 +1,19 @@
-"""Tests for the stable facade (``repro.api``) and the wrapper removal.
+"""Tests for the stable facade (``repro.api``) and the removals.
 
 The contract under test: everything a downstream user needs lives behind
 ``import repro`` (round-trip an experiment without one deep import), the
 top-level namespace re-exports exactly the facade, and the legacy
 ``MemoryHierarchy`` convenience wrappers — deprecated through the 0.4
 line — are gone in 0.5.0 in favor of the one typed entry point,
-``access(txn)`` (see ``tests/memtxn.py`` for the migration).
+``access(txn)`` (see ``tests/memtxn.py`` for the migration).  The rack
+tier is gone in 0.20.0: ``import repro`` loads none of it and
+``idio-repro rack`` is an unknown command.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import repro
 import repro.api
@@ -85,3 +92,36 @@ class TestLegacyWrapperRemoval:
         h = self._hierarchy()
         pcie_write(h, self.ADDR, 0)
         assert h.llc.peek(self.ADDR) is not None
+
+
+class TestRackRemoval:
+    def test_import_loads_no_rack_module(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, repro; print(sorted(m for m in sys.modules if 'rack' in m))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_rack_names_are_gone(self):
+        import repro.net
+        import repro.obs
+
+        for module, names in (
+            (repro, ("RackConfig", "SimulatedRack", "run_rack")),
+            (repro.net, ("FlowSteering", "STEERING_MODES", "flow_key", "make_flows")),
+            (repro.obs, ("LaneMark",)),
+        ):
+            for name in names:
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+        fields = repro.Experiment.__dataclass_fields__
+        assert "heavy_tail_alpha" not in fields
+        assert "diurnal_peak_gbps_per_nf" not in fields
+
+    def test_rack_command_is_unknown(self, capsys):
+        from repro.cli import main
+
+        assert main(["rack"]) == 2
+        assert "invalid choice: 'rack'" in capsys.readouterr().err

@@ -45,7 +45,7 @@ from repro.harness.runner import (
     shutdown_pool,
 )
 from repro.harness.server import ServerConfig
-from repro.rack import RackConfig, SimulatedRack
+from repro.tenants.sweep import run_tenants
 
 
 def tiny_experiment(name="cache-exp", **overrides):
@@ -337,29 +337,25 @@ class TestRunnerIntegration:
         assert cache.hits == 0
 
 
-class TestRackIncremental:
-    def rack_config(self, **overrides):
-        defaults = dict(
-            num_servers=2, total_flows=256, offered_gbps=20.0,
-            duration_us=50.0,
+class TestTenantsIncremental:
+    def tenants(self, cache, duration_us=30.0):
+        return run_tenants(
+            [ddio()], intensities=(0.5, 2.0), duration_us=duration_us, seed=5, cache=cache
         )
-        defaults.update(overrides)
-        return RackConfig(**defaults)
 
-    def test_second_run_reuses_every_shard(self, tmp_path):
+    def test_second_run_reuses_every_cell(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = SimulatedRack(self.rack_config()).run(cache=cache)
+        cold = self.tenants(cache)
         assert [cell.cached for cell in cold.cells] == [False, False]
-        warm = SimulatedRack(self.rack_config()).run(cache=cache)
+        warm = self.tenants(cache)
         assert [cell.cached for cell in warm.cells] == [True, True]
+        assert [cell.digest for cell in warm.cells] == [cell.digest for cell in cold.cells]
         assert warm.fingerprint == cold.fingerprint
 
-    def test_config_change_recomputes_every_shard(self, tmp_path):
+    def test_config_change_recomputes_every_cell(self, tmp_path):
         cache = ResultCache(tmp_path)
-        SimulatedRack(self.rack_config()).run(cache=cache)
-        changed = SimulatedRack(
-            self.rack_config(offered_gbps=30.0)
-        ).run(cache=cache)
+        self.tenants(cache)
+        changed = self.tenants(cache, duration_us=40.0)
         assert [cell.cached for cell in changed.cells] == [False, False]
 
 

@@ -55,19 +55,17 @@ class TestBadSweepInput:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--policy", "bogus"],
-        ["rack", "--policy", "bogus"],
         ["compare", "--policies", "ddio,bogus"],
         ["faults", "--policies", "bogus"],
         ["tenants", "--policies", "bogus"],
         ["faults", "--intensities=0,-1"],
         ["tenants", "--intensities=-1"],
-        ["rack", "--rate", "-5"],
-        ["rack", "--tenants", "-1"],
+        ["faults", "--tenants", "-1"],
         ["run", "--rate", "-5"],
         ["compare", "--ring", "0"],
         ["tenants", "--tenants", "1"],
         ["tenants", "--tenants", "0"],
-        ["rack", "--tenants", "1"],
+        ["faults", "--tenants", "1"],
         ["faults", "--retries", "-1"],
         ["faults", "--timeout-s", "0"],
         ["faults", "--timeout-s", "-5"],

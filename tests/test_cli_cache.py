@@ -35,7 +35,7 @@ class TestCacheParser:
         assert args.cache_dir == str(tmp_path)
 
     def test_sweep_commands_take_cache_flags(self):
-        for cmd in (["compare"], ["figure", "fig13"], ["faults"], ["rack"]):
+        for cmd in (["compare"], ["figure", "fig13"], ["faults"], ["tenants"]):
             args = build_parser().parse_args(
                 cmd + ["--cache-dir", "/tmp/x", "--no-cache"]
             )

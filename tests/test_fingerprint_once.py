@@ -5,8 +5,8 @@ of a summary, timestamp streams included, so it is one of the larger
 per-result costs of a sweep.  ``run_sweep`` keeps the digest on the
 result's :class:`~repro.harness.runner.SweepRecord`: on a cache hit it is
 the digest the cache just verified, on a fresh result the one computed for
-the cache entry (or on first use).  The tenant and rack fingerprint folds
-read it from there.  Every ``fingerprint_digest`` call goes through
+the cache entry (or on first use).  The tenant fingerprint fold reads it
+from there.  Every ``fingerprint_digest`` call goes through
 ``ExperimentSummary.fingerprint``, so the tests count calls of that method.
 All sweeps here run serially, so every call happens in this process.
 """
@@ -21,7 +21,6 @@ from repro.analysis.determinism import fingerprint_digest
 from repro.cache import ResultCache
 from repro.harness.experiment import ExperimentSummary
 from repro.harness.runner import run_experiment_summary, run_sweep
-from repro.rack import RackConfig, SimulatedRack
 from repro.tenants.sweep import run_tenants
 
 TENANT_KWARGS = dict(
@@ -30,9 +29,6 @@ TENANT_KWARGS = dict(
     duration_us=30.0,
     seed=5,
     jobs=1,
-)
-RACK_CONFIG = RackConfig(
-    num_servers=2, total_flows=256, offered_gbps=20.0, duration_us=50.0
 )
 
 
@@ -69,20 +65,6 @@ class TestTenantCells:
         sweep = run_tenants(cache=False, **TENANT_KWARGS)
         assert sweep.fingerprint == sweep.to_json()["fingerprint"]
         assert len(sweep.cells) == len(fingerprint_calls) == 2
-
-
-class TestRackShards:
-    @pytest.mark.parametrize("mode", ["uncached", "cold", "cached"])
-    def test_one_fingerprint_per_shard(self, tmp_path, fingerprint_calls, mode):
-        cache = False if mode == "uncached" else ResultCache(tmp_path)
-        if mode == "cached":
-            SimulatedRack(RACK_CONFIG).run(cache=cache)
-            fingerprint_calls.clear()
-        rack = SimulatedRack(RACK_CONFIG).run(cache=cache)
-        assert [cell.cached for cell in rack.cells] == [mode == "cached"] * 2
-        rack.render()  # the table shows each digest and the rack fold
-        rack.to_json()
-        assert len(fingerprint_calls) == RACK_CONFIG.num_servers
 
 
 def _tiny(name="fp-once"):

@@ -78,10 +78,10 @@ class TestTrafficValidation:
         "kwargs,message",
         [
             ({"traffic": "square-wave"}, "unknown traffic kind 'square-wave'"),
-            ({"traffic": "heavytail", "heavy_tail_alpha": 1.0},
-             "alpha must exceed 1"),
-            ({"traffic": "diurnal", "steady_rate_gbps_per_nf": 20.0,
-              "diurnal_peak_gbps_per_nf": 10.0}, "trough rate exceeds the peak"),
+            ({"traffic": "diurnal", "diurnal_period": 0},
+             "diurnal period must be positive, got 0"),
+            ({"traffic": "diurnal", "steady_rate_gbps_per_nf": -1.0},
+             "diurnal trough rate must be non-negative"),
             ({"traffic": "steady", "steady_rate_gbps_per_nf": 1e12},
              "too high for 1514 B packets"),
             ({"traffic": "poisson", "steady_rate_gbps_per_nf": 1e12},

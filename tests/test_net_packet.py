@@ -1,14 +1,12 @@
 """Unit tests for packets, flows, and DSCP classes."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.net.flow import make_flow, make_flows
+from repro.net.flow import make_flow
 from repro.net.packet import (
     APP_CLASS_LONG_USE,
     APP_CLASS_SHORT_USE,
     MTU_FRAME_BYTES,
-    FiveTuple,
     Packet,
 )
 from repro.net.traffic import SteadyProfile
@@ -56,26 +54,9 @@ class TestPacket:
         assert len(ids) == 100
 
 
-class TestFiveTuple:
-    def test_hash_in_table_range(self):
-        flow = FiveTuple(1, 2, 3, 4)
-        assert 0 <= flow.hash_value(13) < 8192
-
-    def test_hash_deterministic(self):
-        a = FiveTuple(10, 20, 30, 40)
-        b = FiveTuple(10, 20, 30, 40)
-        assert a.hash_value(13) == b.hash_value(13)
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1),
-           st.integers(min_value=0, max_value=2**16 - 1))
-    def test_hash_range_property(self, ip, port):
-        flow = FiveTuple(ip, ip ^ 0xFFFF, port, port ^ 0xFF)
-        assert 0 <= flow.hash_value(13) < 8192
-
-
 class TestFlowFactory:
     def test_flows_distinct(self):
-        flows = make_flows(16)
+        flows = [make_flow(i) for i in range(16)]
         assert len(set(flows)) == 16
 
     def test_deterministic(self):

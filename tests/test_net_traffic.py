@@ -239,7 +239,7 @@ class TestDiurnalProfile:
         assert times(7) != times(8)
 
     def test_invalid_rates_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trough rate exceeds the peak"):
             DiurnalProfile(
                 trough_rate_gbps=20.0,
                 peak_rate_gbps=10.0,

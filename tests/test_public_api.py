@@ -36,7 +36,7 @@ def test_all_is_sorted(module):
 
 def test_walk_covers_every_subpackage():
     """The walk reaches the packages a hand-written list once missed."""
-    for package in ("repro.cache", "repro.rack", "repro.rack.rack", "repro.tenants"):
+    for package in ("repro.cache", "repro.faults.events", "repro.tenants", "repro.tenants.sweep"):
         assert package in MODULES
 
 

@@ -47,7 +47,6 @@ FIXTURE_CASES = [
     ("sim005_legacy_wrapper.py", "SIM005", 3),
     ("sim006_subscriber.py", "SIM006", 3),
     ("sim007_units.py", "SIM007", 3),
-    ("sim009_rack_rng.py", "SIM009", 5),
     ("sim010_cache_write.py", "SIM010", 5),
     ("sim016_tenant_rng.py", "SIM016", 5),
 ]
@@ -71,12 +70,6 @@ def test_every_rule_has_a_fixture():
 
 def test_clean_fixture_is_clean():
     path = FIXTURES / "clean.py"
-    assert lint_file(str(path), module=_fixture_module(path)) == []
-
-
-def test_sim009_clean_fixture_is_clean():
-    """The clean half of the SIM009 pair: per-server streams pass."""
-    path = FIXTURES / "sim009_rack_rng_clean.py"
     assert lint_file(str(path), module=_fixture_module(path)) == []
 
 
@@ -116,17 +109,6 @@ def test_sim010_scope_gating():
     # Read-mode opens never trip the rule.
     reads = 'def load(path):\n    return open(path, "rb").read()\n'
     assert lint_source(reads, "repro.cache.store") == []
-
-
-def test_sim009_scope_gating():
-    src = "import random\nx = random.Random(7)\n"
-    # A seeded module-level Random is fine outside the rack tier ...
-    assert lint_source(src, "repro.harness.runner") == []
-    # ... but is one shared stream for every server inside it.
-    assert [v.rule for v in lint_source(src, "repro.rack.rack")] == ["SIM009"]
-    # Seeded, inside a function: the blessed per-server-stream shape.
-    good = "import random\ndef rng(seed, server):\n    return random.Random(seed + server)\n"
-    assert lint_source(good, "repro.rack.rack") == []
 
 
 def test_pragma_suppression():

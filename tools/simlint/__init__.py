@@ -12,7 +12,6 @@ SIM004   ``__slots__`` required on hot-path classes
 SIM005   memory traffic goes through ``MemoryHierarchy.access(txn)``
 SIM006   EventBus subscriber signatures must match the event type
 SIM007   tick-vs-wall-time suffix hygiene (``sim.units`` conventions)
-SIM009   rack code draws from seeded per-server RNG streams
 SIM010   cache writes go through the atomic store helper
 SIM016   tenant code draws from seeded per-tenant RNG streams
 =======  ==============================================================

@@ -219,7 +219,7 @@ def _check_cross_module_handler(
 # ----------------------------------------------------------------------
 
 #: Config dataclasses whose every field must survive the canonical walk.
-DIGEST_ROOT_CLASSES = ("Experiment", "ServerConfig", "RackConfig")
+DIGEST_ROOT_CLASSES = ("Experiment", "ServerConfig")
 
 #: ``(class name, field name)`` pairs deliberately excluded from digest
 #: coverage.  Empty on purpose: an entry here is a documented decision

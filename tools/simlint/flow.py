@@ -1,8 +1,8 @@
 """Taint-style dataflow: provenance tracking for determinism (SIM011).
 
 The reproduction's correctness story rests on byte-identical
-determinism: serial, warm-pool, rack-sharded, and cache-hit runs of the
-same seeded experiment must produce equal fingerprints.  The per-file
+determinism: serial, warm-pool, and cache-hit runs of the same seeded
+experiment must produce equal fingerprints.  The per-file
 rules forbid *calling* wall-clock and unseeded-RNG functions inside
 simulation modules, but they cannot see a nondeterministic value flowing
 *through* a helper into fingerprint-relevant state — which is exactly

@@ -25,19 +25,12 @@ RULES: Dict[str, str] = {
     "SIM005": "legacy memory-wrapper call; route through MemoryHierarchy.access()",
     "SIM006": "EventBus subscriber signature does not match the subscribed event type",
     "SIM007": "tick-vs-wall-time unit suffix mismatch (sim.units conventions)",
-    "SIM009": "shared or module-level RNG in rack/fleet code; use seeded per-server streams",
     "SIM010": "cache write outside the atomic store helper (repro.cache)",
     "SIM016": "shared or module-level RNG in tenant code; use seeded per-tenant streams",
 }
 
 #: Packages whose modules count as simulation code (SIM001/002/003/007).
 SIM_SCOPE = ("repro.sim", "repro.mem", "repro.core", "repro.nic", "repro.cpu", "repro.pcie")
-
-#: Packages whose modules count as rack/fleet code (SIM009).  Fleet code
-#: fans per-server work across processes, so any randomness must come
-#: from a seeded per-server stream (``repro.rack.server_rng``) — shared
-#: module-level RNG state silently decorrelates serial and sharded runs.
-RACK_SCOPE = ("repro.rack",)
 
 #: Packages whose modules count as tenant code (SIM016).  A tenant's
 #: stochastic draws (traffic shapes, antagonist walks) must come from a
@@ -134,10 +127,6 @@ def _in_sim_scope(module: str) -> bool:
     return any(module == p or module.startswith(p + ".") for p in SIM_SCOPE)
 
 
-def _in_rack_scope(module: str) -> bool:
-    return any(module == p or module.startswith(p + ".") for p in RACK_SCOPE)
-
-
 def _in_tenant_scope(module: str) -> bool:
     return any(module == p or module.startswith(p + ".") for p in TENANT_SCOPE)
 
@@ -191,7 +180,6 @@ class _Checker(ast.NodeVisitor):
         self.path = path
         self.violations: List[Violation] = []
         self.sim_scope = _in_sim_scope(module)
-        self.rack_scope = _in_rack_scope(module)
         self.tenant_scope = _in_tenant_scope(module)
         self.cache_scope = _in_cache_scope(module)
         self.slots_scope = module in SLOTS_MODULES
@@ -461,8 +449,6 @@ class _Checker(ast.NodeVisitor):
             self._check_wallclock(node, func, name)
         if self.sim_scope:
             self._check_randomness(node, func, name)
-        if self.rack_scope:
-            self._check_rack_randomness(node, func, name)
         if self.tenant_scope:
             self._check_tenant_randomness(node, func, name)
         if self.cache_scope:
@@ -547,84 +533,17 @@ class _Checker(ast.NodeVisitor):
                     "explicit seed",
                 )
 
-    def _check_rack_randomness(
-        self, node: ast.Call, func: ast.AST, name: Optional[str]
-    ) -> None:
-        """SIM009: fleet code must derive randomness per server, per seed.
-
-        Three shapes are rejected: module-global ``random.*()`` calls
-        (one shared stream for the whole rack), unseeded ``Random()``
-        construction, and ``Random(seed)`` created at module level (a
-        shared instance every server would consume from).  The blessed
-        shape is a seeded ``Random`` built *inside* a function from a
-        value mixed with the server index (``repro.rack.server_rng``).
-        """
-        advice = (
-            "rack code must draw from a seeded per-server stream "
-            "(see repro.rack.server_rng)"
-        )
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.random_aliases
-        ):
-            if name == "Random":
-                if not node.args and not node.keywords:
-                    self._emit(
-                        node, "SIM009", f"random.Random() without a seed; {advice}"
-                    )
-                elif self._function_depth == 0:
-                    self._emit(
-                        node,
-                        "SIM009",
-                        f"module-level random.Random(...) is one shared "
-                        f"stream for every server; {advice}",
-                    )
-            elif name == "SystemRandom":
-                self._emit(
-                    node, "SIM009", f"SystemRandom is inherently unseeded; {advice}"
-                )
-            else:
-                self._emit(
-                    node,
-                    "SIM009",
-                    f"module-global random.{name}() shares one stream "
-                    f"across the fleet; {advice}",
-                )
-            return
-        if isinstance(func, ast.Name):
-            if func.id in self.random_func_names:
-                self._emit(
-                    node,
-                    "SIM009",
-                    f"module-global {func.id}() shares one stream across "
-                    f"the fleet; {advice}",
-                )
-            elif func.id in self.random_class_names:
-                if not node.args and not node.keywords:
-                    self._emit(
-                        node, "SIM009", f"Random() without a seed; {advice}"
-                    )
-                elif self._function_depth == 0:
-                    self._emit(
-                        node,
-                        "SIM009",
-                        f"module-level Random(...) is one shared stream "
-                        f"for every server; {advice}",
-                    )
-
     def _check_tenant_randomness(
         self, node: ast.Call, func: ast.AST, name: Optional[str]
     ) -> None:
         """SIM016: tenant code must derive randomness per tenant, per seed.
 
-        Mirrors SIM009 for the tenant tier: module-global ``random.*()``
-        calls (one stream coupling every tenant), unseeded ``Random()``
-        construction, and module-level ``Random(seed)`` (a shared
-        instance every tenant would consume from) are all rejected.  The
-        blessed shape is a seeded ``Random`` built *inside* a function
-        from the sweep seed mixed with the tenant id
-        (``repro.tenants.tenant_rng``).
+        Module-global ``random.*()`` calls (one stream coupling every
+        tenant), unseeded ``Random()`` construction, and module-level
+        ``Random(seed)`` (a shared instance every tenant would consume
+        from) are all rejected.  The blessed shape is a seeded ``Random``
+        built *inside* a function from the sweep seed mixed with the
+        tenant id (``repro.tenants.tenant_rng``).
         """
         advice = (
             "tenant code must draw from a seeded per-tenant stream "
