@@ -1,10 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-benchmarks validate lint analyze check faults-smoke tenants-smoke examples-smoke
+.PHONY: test test-benchmarks validate lint analyze check faults-smoke tenants-smoke examples-smoke fuzz-bulk
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Deep differential fuzz of the hierarchy's bulk line runs against
+# per-line transactions (2000 examples per property, see
+# tests/conftest.py).  Checked mode observes the hierarchy, which turns
+# the fused paths off, so these tests are their only oracle.
+fuzz-bulk:
+	$(PYTHON) -m pytest tests/test_mem_bulk_store.py -q --hypothesis-profile=deep
 
 # Requires ruff (pip install ruff); configuration lives in pyproject.toml.
 lint:

@@ -59,7 +59,7 @@ from .api import (
     units,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 __all__ = [
     "Experiment",

@@ -44,6 +44,10 @@ TOUCH_CYCLES_PER_LINE = 30.0
 HEADER_CYCLES = 300.0
 #: Overlap factor for streaming (independent) line fetches.
 MEM_OVERLAP = 8.0
+#: LLCAntagonist random reads per driver iteration.
+ANTAGONIST_ACCESSES_PER_ITERATION = 64
+#: LLCAntagonist work per random read, in cycles.
+ANTAGONIST_COMPUTE_CYCLES_PER_ACCESS = 6.0
 
 
 class NetworkFunction:
@@ -80,19 +84,17 @@ class TouchDrop(NetworkFunction):
     def process(self, core: Core, packet: Packet) -> int:
         assert packet.buffer_addr is not None, "packet was never DMA-ed"
         latency = core.compute(BASE_CYCLES)
-        # The per-line touch cost is a constant: convert it once and batch
-        # the compute-tick accounting after the loop instead of calling
-        # core.compute() per cacheline (this loop touches every line of
-        # every received packet — the hottest application loop there is).
-        touch_ticks = units.cycles(TOUCH_CYCLES_PER_LINE)
-        mem_read = core.mem_read
-        touched = 0
-        for addr in lines_spanning(packet.buffer_addr, packet.size_bytes):
-            # Streaming touch loop: line fetches overlap (MLP), so only the
-            # effective (divided) stall is charged to the packet.
-            latency += int(mem_read(addr) / MEM_OVERLAP) + touch_ticks
-            touched += 1
-        core.stats.compute_ticks += touch_ticks * touched
+        # This loop touches every line of every received packet, the
+        # hottest application loop there is: the lines take one hierarchy
+        # run, and the constant per-line touch cost is accounted once.
+        lats = core.read_lines(lines_spanning(packet.buffer_addr, packet.size_bytes))
+        touch_ticks = units.cycles(TOUCH_CYCLES_PER_LINE) * len(lats)
+        core.stats.compute_ticks += touch_ticks
+        # Streaming touch loop: line fetches overlap (MLP), so only the
+        # effective (divided) stall is charged to the packet.
+        latency += touch_ticks
+        for lat in lats:
+            latency += int(lat / MEM_OVERLAP)
         self.packets_processed += 1
         self.bytes_processed += packet.size_bytes
         return latency
@@ -159,7 +161,9 @@ class LLCAntagonist:
 
     Creates LLC interference at a configurable degree via the buffer size.
     The paper warms the buffer before collecting stats and shrinks the
-    antagonist core's MLC to 256 KB so it is LLC-sensitive (§VI).
+    antagonist core's MLC to 256 KB so it is LLC-sensitive (§VI).  Each
+    iteration of its driver reads ``ANTAGONIST_ACCESSES_PER_ITERATION``
+    random lines at ``ANTAGONIST_COMPUTE_CYCLES_PER_ACCESS`` cycles each.
     """
 
     name = "llcantagonist"
@@ -168,16 +172,12 @@ class LLCAntagonist:
         self,
         buffer_base: int,
         buffer_bytes: int = 2 * 1024 * 1024,
-        accesses_per_iteration: int = 64,
-        compute_cycles_per_access: float = 6.0,
         seed: int = 42,
     ) -> None:
         if buffer_bytes < LINE_SIZE:
             raise ValueError("antagonist buffer must hold at least one line")
         self.buffer_base = buffer_base
         self.buffer_bytes = buffer_bytes
-        self.accesses_per_iteration = accesses_per_iteration
-        self.compute_cycles_per_access = compute_cycles_per_access
         self.seed = seed
         self.accesses_done = 0
 

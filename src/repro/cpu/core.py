@@ -10,8 +10,8 @@ hierarchy's level-dependent latency.  The model is calibrated (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Iterable, List
 
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.transaction import CPU_LOAD, CPU_STORE, _LINE_MASK, MemoryTransaction
@@ -25,7 +25,6 @@ class CoreStats:
     mem_accesses: int = 0
     mem_ticks: int = 0
     compute_ticks: int = 0
-    hits_by_level: Dict[str, int] = field(default_factory=dict)
 
     def average_access_ns(self) -> float:
         """Average memory access latency in ns (the antagonist's CPI proxy)."""
@@ -59,8 +58,8 @@ class Core:
         """Issue one demand access; returns its latency in ticks.
 
         Body of :meth:`mem_read`/:meth:`mem_write` with the transaction
-        construction and stats recording inlined (one call per touched
-        cacheline — the hottest application-side path in the simulator).
+        construction and stats recording inlined (one call per access
+        outside :meth:`read_lines` runs: PMD polls, headers, copies).
         """
         txn = self._scratch_txn
         txn.kind = kind
@@ -73,9 +72,6 @@ class Core:
         st.mem_accesses += 1
         latency = txn.latency
         st.mem_ticks += latency
-        hits = st.hits_by_level
-        level = txn.level
-        hits[level] = hits.get(level, 0) + 1
         return latency
 
     def mem_read(self, addr: int) -> int:
@@ -85,6 +81,17 @@ class Core:
     def mem_write(self, addr: int) -> int:
         """Issue a demand store; returns its latency in ticks."""
         return self._issue(CPU_STORE, addr)
+
+    def read_lines(self, addrs: Iterable[int]) -> List[int]:
+        """Issue a demand load to every line of ``addrs``, in order, in one
+        :meth:`~repro.mem.hierarchy.MemoryHierarchy.demand_lines` run;
+        returns each load's latency in ticks, as :meth:`mem_read` would."""
+        latencies = self.hierarchy.demand_lines(self.core_id, CPU_LOAD, addrs, self.sim._now)
+        assert latencies is not None
+        st = self.stats
+        st.mem_accesses += len(latencies)
+        st.mem_ticks += sum(latencies)
+        return latencies
 
     def compute(self, num_cycles: float) -> int:
         """Charge ``num_cycles`` of non-memory work; returns ticks."""

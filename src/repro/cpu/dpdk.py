@@ -26,12 +26,19 @@ import random
 from typing import List, Optional, Tuple
 
 from ..mem.line import LINE_SIZE
+from ..mem.transaction import CPU_STORE
 from ..nic.descriptor import DESCRIPTOR_BYTES, RxDescriptor
 from ..nic.nic import NIC, NicQueue
 from ..obs.events import PmdBatchEvent
 from ..sim import Simulator
 from ..sim import units
-from .apps import MEM_OVERLAP, LLCAntagonist, NetworkFunction
+from .apps import (
+    ANTAGONIST_ACCESSES_PER_ITERATION,
+    ANTAGONIST_COMPUTE_CYCLES_PER_ACCESS,
+    MEM_OVERLAP,
+    LLCAntagonist,
+    NetworkFunction,
+)
 from .core import Core
 from .maintenance import MaintenanceUnit
 
@@ -137,13 +144,14 @@ class PollModeDriver:
         The driver writes every line of every descriptor once, in ring
         order, so descriptors are warm in the hierarchy before traffic
         starts (no cold DRAM misses on the first poll of each slot).  The
-        stores take one :meth:`~repro.mem.hierarchy.MemoryHierarchy.store_lines`
+        stores take one :meth:`~repro.mem.hierarchy.MemoryHierarchy.demand_lines`
         pass; no latency is charged, as warm-up runs before any statistic
         counts.
         """
         span = range(0, DESCRIPTOR_BYTES, LINE_SIZE)
-        self.core.hierarchy.store_lines(
+        self.core.hierarchy.demand_lines(
             self.core.core_id,
+            CPU_STORE,
             (desc.desc_addr + off for desc in self.queue.ring.descriptors for off in span),
             self.sim.now,
         )
@@ -389,7 +397,7 @@ class AntagonistDriver:
         """Initialize (touch) the whole buffer, as the paper does (§VI).
 
         Every line is stored once, in address order, in one
-        :meth:`~repro.mem.hierarchy.MemoryHierarchy.store_lines` pass at
+        :meth:`~repro.mem.hierarchy.MemoryHierarchy.demand_lines` pass at
         the current time; the hierarchy ends as one demand store per line
         would leave it.  In a sweep, later cells with the same warm-up
         restore the hierarchy this left from a
@@ -397,8 +405,9 @@ class AntagonistDriver:
         :meth:`~repro.harness.server.SimulatedServer.start`).
         """
         base = self.app.buffer_base
-        self.core.hierarchy.store_lines(
+        self.core.hierarchy.demand_lines(
             self.core.core_id,
+            CPU_STORE,
             range(base, base + self.app.num_lines() * LINE_SIZE, LINE_SIZE),
             self.sim.now,
         )
@@ -430,18 +439,20 @@ class AntagonistDriver:
             return
         app = self.app
         core = self.core
-        latency = 0
         n_lines = app.num_lines()
         base = app.buffer_base
         randrange = self._rng.randrange
-        mem_read = core.mem_read
+        # The walk draws only addresses from its RNG, so drawing them all
+        # first keeps the sequence; the reads then take one hierarchy run.
+        addrs = [
+            base + randrange(n_lines) * LINE_SIZE
+            for _ in range(ANTAGONIST_ACCESSES_PER_ITERATION)
+        ]
         # Constant per-access compute cost: convert once, account once.
-        compute_ticks = units.cycles(app.compute_cycles_per_access)
-        n = app.accesses_per_iteration
-        for _ in range(n):
-            latency += mem_read(base + randrange(n_lines) * LINE_SIZE) + compute_ticks
-        core.stats.compute_ticks += compute_ticks * n
-        app.accesses_done += n
+        compute = units.cycles(ANTAGONIST_COMPUTE_CYCLES_PER_ACCESS) * len(addrs)
+        latency = sum(core.read_lines(addrs)) + compute
+        core.stats.compute_ticks += compute
+        app.accesses_done += len(addrs)
         self.iterations += 1
         self.samples.append(
             (self.sim.now, self.app.accesses_done, self.core.stats.mem_ticks)

@@ -555,7 +555,7 @@ class SimulatedServer:
 
         Warm-up runs at time 0: each antagonist writes its whole buffer
         and each driver writes its descriptor ring, each in one
-        :meth:`~repro.mem.hierarchy.MemoryHierarchy.store_lines` pass
+        :meth:`~repro.mem.hierarchy.MemoryHierarchy.demand_lines` pass
         that leaves the hierarchy as one demand store per line would
         (everything it counts is reset below).  With a ``warm``
         checkpoint (one per sweep, held by the sweep runner) a server
@@ -575,7 +575,6 @@ class SimulatedServer:
             core.stats.mem_accesses = 0
             core.stats.mem_ticks = 0
             core.stats.compute_ticks = 0
-            core.stats.hits_by_level.clear()
         for driver in self.drivers:
             driver.start()
         for antagonist in self.antagonists:

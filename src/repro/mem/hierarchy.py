@@ -2,7 +2,7 @@
 
 This module wires per-core private caches (optional L1D + MLC), the shared
 non-inclusive LLC with DDIO ways, and DRAM into one object exposing a
-typed entry point and a bulk one:
+typed entry point and two bulk ones:
 
 * :meth:`MemoryHierarchy.access` — execute one
   :class:`~repro.mem.transaction.MemoryTransaction` (demand load/store,
@@ -10,10 +10,16 @@ typed entry point and a bulk one:
   paper's invalidate-without-writeback maintenance operation, §IV-A/§V-D)
   and fill in its outcome: total latency, serving level, and — while the
   hierarchy is observed — a per-component hop list.
-* :meth:`MemoryHierarchy.store_lines` — one core's demand stores to a
-  run of lines, for warm-up: the same end state as one store
-  transaction per line, with no outcome reported, in one pass that
-  fuses each full miss and sums its statistics.
+* :meth:`MemoryHierarchy.demand_lines` — one core's demand loads or
+  stores to a run of lines (a packet's touch loop, an antagonist
+  iteration, a warm-up buffer), returning each load's latency.
+* :meth:`MemoryHierarchy.dma_write_lines` — one DDIO burst of inbound
+  DMA writes with LLC placement.
+
+Each bulk entry point leaves the hierarchy exactly as one transaction per
+line would, in one pass that fuses the common cases and sums their
+statistics; it falls back to the per-line handler wherever an observer or
+a model variant could tell the difference.
 
 All traffic flows through one handler per kind: callers construct the
 :class:`MemoryTransaction` themselves (simlint's SIM005 flags any
@@ -41,13 +47,13 @@ the counters already bumped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.bus import EventBus
 from ..obs.events import LlcWritebackEvent, MlcWritebackEvent
 from ..sim import units
 from .cache import CacheConfig, SetAssociativeCache
-from .dram import DRAM
+from .dram import DRAM, DRAM_LATENCY
 from .line import _LINE_MASK, CacheLine, line_address
 from .llc import NonInclusiveLLC, owner_cores
 from .stats import StatsBundle
@@ -61,6 +67,9 @@ from .transaction import (
     Hop,
     MemoryTransaction,
 )
+
+if TYPE_CHECKING:  # import at runtime would cycle through repro.pcie
+    from ..pcie.tlp import IdioTag
 
 
 #: Per-ring-hop latency of the NUCA LLC (``HierarchyConfig.llc_slices``).
@@ -616,72 +625,102 @@ class MemoryHierarchy:
         txn.latency = latency
         txn.level = level
 
-    def store_lines(self, core: int, addrs: Iterable[int], now: int) -> None:
-        """Demand-store every line of ``addrs`` from ``core`` at ``now``, in order.
+    def demand_lines(
+        self, core: int, kind: str, addrs: Iterable[int], now: int
+    ) -> Optional[List[int]]:
+        """Demand-load or -store (``kind``) every line of ``addrs`` from
+        ``core`` at ``now``, in order.
 
-        The warm-up entry point: the caches, recency stamps, directory,
-        counters and event streams end exactly as one ``CPU_STORE``
-        :meth:`_run_cpu` per address would leave them, and no latency or
-        level is reported.  A line no cache or directory entry holds
-        takes a fused full miss (DRAM read, MLC fill and its victim's
-        way to the LLC, L1 fill) whose counter and event-stream updates
-        are summed and applied once at the end.  Any other line takes
+        The caches, recency stamps, directory, freelist, counters and
+        event streams end exactly as one ``kind`` :meth:`_run_cpu` per
+        address would leave them.  Loads return each line's latency;
+        stores return ``None``.
+
+        Two cases of a line no directory entry holds (so no private
+        cache either) are fused: the full miss (DRAM read, MLC fill and
+        its victim's way to the LLC, L1 fill), and the non-inclusive LLC
+        hit (the LLC line migrates to the MLC, then the L1 fill).  Their
+        latencies are constants, and their counter and event-stream
+        updates are summed and applied once at the end.  Any other line takes
         :meth:`_run_cpu`, and so does every line while an inclusive LLC,
         an observer, a writeback subscriber or a DRAM fault injector
-        could tell the difference.
+        could tell the difference, and every load under NUCA (whose LLC
+        latency depends on the line's slice).
 
-        The fused miss repeats :meth:`_fill_mlc`'s non-inclusive victim
+        The fused lines repeat :meth:`_fill_mlc`'s non-inclusive victim
         path and :meth:`_fill_l1`'s victim handling, so a change to
         either policy must be made here too
         (``tests/test_mem_bulk_store.py`` fails on a mismatch).  A
         version that called the two helpers left the tenant server's
-        start about 0.09 s slower ("Warm-up stores in bulk" in
+        start about 0.09 s slower ("Bulk line runs" in
         ``docs/performance.md``).
         """
-        txn = MemoryTransaction(CPU_STORE, 0, now, core=core)
+        if kind == CPU_LOAD:
+            is_load = True
+        elif kind == CPU_STORE:
+            is_load = False
+        else:
+            raise ValueError(f"demand_lines takes {CPU_LOAD!r} or {CPU_STORE!r}, got {kind!r}")
         per_line = (
             self.llc.inclusive
             or bool(self._observers)
             or bool(self._mlc_wb_subs)
             or bool(self._llc_wb_subs)
             or self.dram.faults is not None
+            or (is_load and not self._flat_llc)
         )
-        run_cpu = self._run_cpu
+        latencies: List[int] = []
+        hit_latency = self._l1_lat[core] + self._mlc_lat[core] + self._llc_lat
+        miss_latency = hit_latency + DRAM_LATENCY
+        txn: Optional[MemoryTransaction] = None
         pool = self._line_pool
         l1 = self.l1[core]
         mlc = self.mlc[core]
         llc_data = self._llc_data
         l1_where = l1._where
-        mlc_where = mlc._where
         llc_where = llc_data._where
         dir_entries = self._dir_entries
         llc_mask = self.llc._core_masks.get(core, self.llc._cpu_fill_order)
         bit = 1 << core
-        misses = l1_evictions = mlc_evictions = dirty_wbs = clean_wbs = 0
+        misses = llc_hits = l1_evictions = mlc_evictions = dirty_wbs = clean_wbs = 0
         llc_evictions = llc_wbs = llc_drops = 0
-        # The freelist pops and pushes below are _make_line and
+        # The directory holds every line some core's MLC holds, and each
+        # L1 lies inside its MLC, so a line it lacks is in no private
+        # cache.  The freelist pops and pushes below are _make_line and
         # _retire_line, inlined.
         for addr in addrs:
             addr &= _LINE_MASK
-            if (
-                per_line
-                or addr in l1_where
-                or addr in mlc_where
-                or addr in dir_entries
-                or addr in llc_where
-            ):
+            if per_line or addr in dir_entries:
+                if txn is None:
+                    txn = MemoryTransaction(kind, addr, now, core=core)
                 txn.addr = addr
-                run_cpu(txn)
+                self._run_cpu(txn)
+                if is_load:
+                    latencies.append(txn.latency)
                 continue
-            misses += 1
-            if pool:
-                line = pool.pop()
-                line.addr = addr
-                line.dirty = True
-                line.origin = "cpu"
+            if addr in llc_where:
+                # _run_cpu's non-inclusive LLC hit: the LLC line migrates.
+                llc_hits += 1
+                llc_data.lookup(addr)
+                line = llc_data.remove(addr)
+                assert line is not None
                 line.owner = core
+                if is_load:
+                    latencies.append(hit_latency)
+                else:
+                    line.dirty = True
             else:
-                line = CacheLine(addr, True, "cpu", core)
+                misses += 1
+                if is_load:
+                    latencies.append(miss_latency)
+                if pool:
+                    line = pool.pop()
+                    line.addr = addr
+                    line.dirty = not is_load
+                    line.origin = "cpu"
+                    line.owner = core
+                else:
+                    line = CacheLine(addr, not is_load, "cpu", core)
             victim = mlc.insert(line)
             if victim is not None:
                 # _fill_mlc's non-inclusive victim path.
@@ -740,23 +779,33 @@ class MemoryHierarchy:
                 llc_victim = self.llc.fill_cpu(victim, now, core=core)
                 if llc_victim is not None:
                     self._llc_victim_to_dram(llc_victim, now)
-        # Every deferred event is at ``now``, so appending them last leaves
-        # each stream as the per-line stores' interleaved appends would.
         mlc_wbs = dirty_wbs + clean_wbs
-        counts = (
-            ("dram_reads", misses, True),
-            ("llc_misses", misses, False),
-            (self._mlc_evict_names[core], mlc_evictions, False),
-            ("mlc_writebacks", mlc_wbs, True),
-            (self._mlc_wb_names[core], mlc_wbs, False),
-            ("mlc_writebacks_dirty", dirty_wbs, False),
-            ("mlc_writebacks_clean", clean_wbs, False),
-            ("llc_evictions", llc_evictions, False),
-            ("dram_writes", llc_wbs, True),
-            ("llc_writebacks", llc_wbs, True),
-            ("llc_clean_drops", llc_drops, False),
-            (self._l1_evict_names[core], l1_evictions, False),
+        self._apply_counts(
+            now,
+            (
+                ("dram_reads", misses, True),
+                ("llc_misses", misses, False),
+                ("llc_hits", llc_hits, False),
+                (self._mlc_evict_names[core], mlc_evictions, False),
+                ("mlc_writebacks", mlc_wbs, True),
+                (self._mlc_wb_names[core], mlc_wbs, False),
+                ("mlc_writebacks_dirty", dirty_wbs, False),
+                ("mlc_writebacks_clean", clean_wbs, False),
+                ("llc_evictions", llc_evictions, False),
+                ("dram_writes", llc_wbs, True),
+                ("llc_writebacks", llc_wbs, True),
+                ("llc_clean_drops", llc_drops, False),
+                (self._l1_evict_names[core], l1_evictions, False),
+            ),
         )
+        return latencies if is_load else None
+
+    def _apply_counts(self, now: int, counts: Iterable[Tuple[str, int, bool]]) -> None:
+        """Add a fused run's summed ``(counter, count, logged)`` updates.
+
+        Every deferred event is at ``now``, so appending them last leaves
+        each stream as the per-line handlers' interleaved appends would.
+        """
         cv = self._counter_values
         streams = self._event_streams
         for name, count, logged in counts:
@@ -850,6 +899,107 @@ class MemoryHierarchy:
                 self._llc_victim_to_dram(victim, now)
         txn.latency = latency
         txn.level = "llc"
+
+    def dma_write_lines(
+        self,
+        addrs: Iterable[int],
+        now: int,
+        core: int = -1,
+        tag: Optional[IdioTag] = None,
+    ) -> None:
+        """DMA-write every line of ``addrs`` at ``now`` with LLC placement,
+        in order: one DDIO burst.
+
+        The caches, recency stamps, directory, freelist, counters and
+        event streams end exactly as one ``DMA_WRITE``
+        :meth:`_run_dma_write` per address would leave them.  A line no
+        directory entry holds is fused: the in-place update of a resident
+        line, or the write-allocate into the DDIO ways (the tenant's I/O
+        ways when a partition is installed) and its victim's way to DRAM,
+        with the tenant attribution.  Its counter and event-stream
+        updates are summed and applied once at the end.  A line with
+        private owners takes :meth:`_run_dma_write`, and so does every
+        line while an inclusive LLC, an observer, an LLC writeback
+        subscriber or a DRAM fault injector could tell the difference (no
+        DMA write writes an MLC line back, and none reports a NUCA
+        latency).  ``core`` and ``tag`` are the request fields those
+        transactions carry, so observers see what per-line writes would
+        show them.
+        """
+        per_line = (
+            self.llc.inclusive
+            or bool(self._observers)
+            or bool(self._llc_wb_subs)
+            or self.dram.faults is not None
+        )
+        txn: Optional[MemoryTransaction] = None
+        cv = self._counter_values
+        pool = self._line_pool
+        llc_data = self._llc_data
+        llc_where = llc_data._where
+        dir_entries = self._dir_entries
+        ranges = self._tenant_ranges
+        tenant_names = self._tenant_dma_names
+        io_mask = self.llc._io_mask
+        tenant_masks = self.llc._tenant_io_masks
+        writes = updates = allocations = llc_evictions = llc_wbs = llc_drops = 0
+        for addr in addrs:
+            addr &= _LINE_MASK
+            if per_line or addr in dir_entries:
+                if txn is None:
+                    txn = MemoryTransaction(DMA_WRITE, addr, now, core=core, tag=tag)
+                txn.addr = addr
+                self._run_dma_write(txn)
+                continue
+            writes += 1
+            mask = io_mask
+            if ranges:
+                for start, end, tenant in ranges:
+                    if start <= addr < end:
+                        cv[tenant_names[tenant]] += 1
+                        if tenant_masks:
+                            mask = tenant_masks.get(tenant, io_mask)
+                        break
+            if addr in llc_where:
+                # In-place update (P2-2 / P3-1).
+                resident = llc_data.lookup(addr)
+                assert resident is not None
+                resident.dirty = True
+                resident.origin = "io"
+                updates += 1
+                continue
+            # Write-allocate (P1-2 / P5-1): fill_io and _make_line, inlined.
+            allocations += 1
+            if pool:
+                line = pool.pop()
+                line.addr = addr
+                line.dirty = True
+                line.origin = "io"
+                line.owner = -1
+            else:
+                line = CacheLine(addr, True, "io", -1)
+            victim = llc_data.insert(line, mask)
+            if victim is not None:
+                # _llc_victim_to_dram, non-inclusive.
+                llc_evictions += 1
+                if victim.dirty:
+                    llc_wbs += 1
+                else:
+                    llc_drops += 1
+                if len(pool) < 256:
+                    pool.append(victim)
+        self._apply_counts(
+            now,
+            (
+                ("pcie_writes", writes, True),
+                ("ddio_updates", updates, False),
+                ("ddio_allocations", allocations, False),
+                ("llc_evictions", llc_evictions, False),
+                ("dram_writes", llc_wbs, True),
+                ("llc_writebacks", llc_wbs, True),
+                ("llc_clean_drops", llc_drops, False),
+            ),
+        )
 
     # ------------------------------------------------------------------
     # PCIe egress (Fig. 1, read path)

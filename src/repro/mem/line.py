@@ -7,8 +7,6 @@ line addresses.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 #: Cacheline size in bytes (fixed, matching the evaluated platforms).
 LINE_SIZE = 64
 _LINE_SHIFT = LINE_SIZE.bit_length() - 1
@@ -20,17 +18,15 @@ def line_address(byte_address: int) -> int:
     return byte_address & _LINE_MASK
 
 
-def lines_spanning(byte_address: int, num_bytes: int) -> Iterator[int]:
-    """Yield the line-aligned addresses covering ``[addr, addr+num_bytes)``.
+def lines_spanning(byte_address: int, num_bytes: int) -> range:
+    """The line-aligned addresses covering ``[addr, addr+num_bytes)``.
 
     A 1514-byte Ethernet frame starting on a line boundary spans 24 lines.
     """
     if num_bytes <= 0:
-        return
+        return range(0)
     first = line_address(byte_address)
-    last = line_address(byte_address + num_bytes - 1)
-    for addr in range(first, last + 1, LINE_SIZE):
-        yield addr
+    return range(first, line_address(byte_address + num_bytes - 1) + 1, LINE_SIZE)
 
 
 def num_lines(num_bytes: int) -> int:

@@ -66,7 +66,10 @@ class RootComplex:
         (encoded on the NIC side, decoded here) before the steering hook
         sees it, without constructing a TLP object per line — the
         encode/decode pair is memoized on the handful of distinct tags a
-        run produces.  This is the RX data path's hottest entry point.
+        run produces.  This is the RX data path's hottest entry point.  The
+        DDIO baseline (untagged, no steering hook) takes one
+        :meth:`~repro.mem.hierarchy.MemoryHierarchy.dma_write_lines` run
+        per burst.
         """
         faults = self.faults
         if faults is not None and faults.data_faults:
@@ -79,18 +82,15 @@ class RootComplex:
         txn.now = now
         if tags is None:
             tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(_UNTAGGED))
+            if hook is None:
+                self.hierarchy.dma_write_lines(addrs, now, tag.dest_core, tag)
+                return
             txn.core = tag.dest_core
             txn.tag = tag
-            if hook is None:
-                txn.placement = "llc"  # baseline DDIO: static LLC placement
-                for addr in addrs:
-                    txn.addr = addr & _LINE_MASK
-                    run(txn)
-            else:
-                for addr in addrs:
-                    txn.addr = addr & _LINE_MASK
-                    txn.placement = hook(tag, addr, now)
-                    run(txn)
+            for addr in addrs:
+                txn.addr = addr & _LINE_MASK
+                txn.placement = hook(tag, addr, now)
+                run(txn)
             return
         for addr, raw_tag in zip(addrs, tags):
             tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(raw_tag))

@@ -21,38 +21,47 @@ from repro.tenants.scenarios import tenant_mix
 from tests.traffic import offer_bursts
 
 
+def _case(row, kwargs, message):
+    """One bad-input row, with an explicit id: deleting a row leaves
+    every other row's id as it was."""
+    return pytest.param(kwargs, message, id=f"kwargs{row}-{message}")
+
+
 class TestConfigValidation:
     """A bad config fails when it is built, with one message."""
 
     @pytest.mark.parametrize(
         "kwargs,message",
         [
-            ({"apps": ["touchdrop"], "num_nf_cores": 2}, "apps lists 1 entries for 2"),
-            ({"app": "webserver"}, "unknown app 'webserver'"),
-            ({"apps": ["touchdrop", "webserver"]}, "unknown app 'webserver'"),
-            ({"tenants": tenant_mix("noisy-neighbor"), "num_nf_cores": 3},
-             "tenant set needs 2 NF cores"),
-            ({"tenants": tenant_mix("noisy-neighbor"), "policy": static_partition(),
-              "ddio_ways": 1}, "tenant way quotas sum to 2"),
-            ({"num_nics": 0}, "num_nics must be at least 1"),
-            ({"recycle_mode": "recycle-bin"}, "unknown recycle mode"),
-            ({"num_nf_cores": 0}, "num_nf_cores must be at least 1"),
-            ({"packet_bytes": 0}, "packet_bytes must be at least 1"),
-            ({"ring_size": 0}, "ring_size must be at least 1"),
-            ({"llc_bytes": 1000}, "llc_bytes: size 1000 B is not a positive multiple"),
-            ({"llc_ways": 0}, "llc_ways must be at least 1, got 0"),
-            ({"ddio_ways": 0}, r"ddio_ways must be in 1\.\.12, got 0"),
-            ({"ddio_ways": 13}, r"ddio_ways must be in 1\.\.12, got 13"),
-            ({"nf_mlc_bytes": 1000}, "nf_mlc_bytes: size 1000 B is not a positive multiple"),
-            ({"nf_cat_ways": 0}, r"nf_cat_ways must be in 1\.\.10 \(the non-DDIO ways\), got 0"),
-            ({"nf_cat_ways": 11}, r"nf_cat_ways must be in 1\.\.10 \(the non-DDIO ways\), got 11"),
-            ({"antagonist": True, "antagonist_buffer_bytes": 0},
-             r"antagonist_buffer_bytes must be at least 64 \(one line\), got 0"),
-            ({"llc_slices": -1}, "llc_slices must be non-negative, got -1"),
-            ({"num_nf_cores": 64, "ring_size": 8, "policy": idio()},
-             "num_nf_cores must be at most 63 under idio"),
-            ({"antagonist": True, "antagonist_buffer_bytes": 32},
-             r"antagonist_buffer_bytes must be at least 64 \(one line\), got 32"),
+            _case(0, {"apps": ["touchdrop"], "num_nf_cores": 2}, "apps lists 1 entries for 2"),
+            _case(1, {"app": "webserver"}, "unknown app 'webserver'"),
+            _case(2, {"apps": ["touchdrop", "webserver"]}, "unknown app 'webserver'"),
+            _case(3, {"tenants": tenant_mix("noisy-neighbor"), "num_nf_cores": 3},
+                  "tenant set needs 2 NF cores"),
+            _case(4, {"tenants": tenant_mix("noisy-neighbor"), "policy": static_partition(),
+                      "ddio_ways": 1}, "tenant way quotas sum to 2"),
+            _case(5, {"num_nics": 0}, "num_nics must be at least 1"),
+            _case(6, {"recycle_mode": "recycle-bin"}, "unknown recycle mode"),
+            _case(7, {"num_nf_cores": 0}, "num_nf_cores must be at least 1"),
+            _case(8, {"packet_bytes": 0}, "packet_bytes must be at least 1"),
+            _case(9, {"ring_size": 0}, "ring_size must be at least 1"),
+            _case(10, {"llc_bytes": 1000}, "llc_bytes: size 1000 B is not a positive multiple"),
+            _case(11, {"llc_ways": 0}, "llc_ways must be at least 1, got 0"),
+            _case(12, {"ddio_ways": 0}, r"ddio_ways must be in 1\.\.12, got 0"),
+            _case(13, {"ddio_ways": 13}, r"ddio_ways must be in 1\.\.12, got 13"),
+            _case(14, {"nf_mlc_bytes": 1000},
+                  "nf_mlc_bytes: size 1000 B is not a positive multiple"),
+            _case(15, {"nf_cat_ways": 0},
+                  r"nf_cat_ways must be in 1\.\.10 \(the non-DDIO ways\), got 0"),
+            _case(16, {"nf_cat_ways": 11},
+                  r"nf_cat_ways must be in 1\.\.10 \(the non-DDIO ways\), got 11"),
+            _case(17, {"antagonist": True, "antagonist_buffer_bytes": 0},
+                  r"antagonist_buffer_bytes must be at least 64 \(one line\), got 0"),
+            _case(18, {"llc_slices": -1}, "llc_slices must be non-negative, got -1"),
+            _case(19, {"num_nf_cores": 64, "ring_size": 8, "policy": idio()},
+                  "num_nf_cores must be at most 63 under idio"),
+            _case(20, {"antagonist": True, "antagonist_buffer_bytes": 32},
+                  r"antagonist_buffer_bytes must be at least 64 \(one line\), got 32"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):
@@ -77,21 +86,21 @@ class TestTrafficValidation:
     @pytest.mark.parametrize(
         "kwargs,message",
         [
-            ({"traffic": "square-wave"}, "unknown traffic kind 'square-wave'"),
-            ({"traffic": "diurnal", "diurnal_period": 0},
-             "diurnal period must be positive, got 0"),
-            ({"traffic": "diurnal", "steady_rate_gbps_per_nf": -1.0},
-             "diurnal trough rate must be non-negative"),
-            ({"traffic": "steady", "steady_rate_gbps_per_nf": 1e12},
-             "too high for 1514 B packets"),
-            ({"traffic": "poisson", "steady_rate_gbps_per_nf": 1e12},
-             "too high for 1514 B packets"),
-            ({"traffic": "bursty", "burst_rate_gbps": 0.0},
-             "bandwidth must be positive"),
-            ({"traffic": "bursty", "num_bursts": 0},
-             "burst shape parameters must be positive"),
-            ({"packets_per_burst": 0}, "packets_per_burst must be at least 1, got 0"),
-            ({"drain_allowance": -1}, "drain_allowance must be non-negative, got -1"),
+            _case(0, {"traffic": "square-wave"}, "unknown traffic kind 'square-wave'"),
+            _case(1, {"traffic": "diurnal", "diurnal_period": 0},
+                  "diurnal period must be positive, got 0"),
+            _case(2, {"traffic": "diurnal", "steady_rate_gbps_per_nf": -1.0},
+                  "diurnal trough rate must be non-negative"),
+            _case(3, {"traffic": "steady", "steady_rate_gbps_per_nf": 1e12},
+                  "too high for 1514 B packets"),
+            _case(4, {"traffic": "poisson", "steady_rate_gbps_per_nf": 1e12},
+                  "too high for 1514 B packets"),
+            _case(5, {"traffic": "bursty", "burst_rate_gbps": 0.0},
+                  "bandwidth must be positive"),
+            _case(6, {"traffic": "bursty", "num_bursts": 0},
+                  "burst shape parameters must be positive"),
+            _case(7, {"packets_per_burst": 0}, "packets_per_burst must be at least 1, got 0"),
+            _case(8, {"drain_allowance": -1}, "drain_allowance must be non-negative, got -1"),
         ],
     )
     def test_rejected_at_construction(self, kwargs, message):

@@ -1,6 +1,7 @@
 """Unit tests for the root complex and its steering hook."""
 
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.mem.transaction import DMA_WRITE
 from repro.pcie.root_complex import RootComplex
 from repro.pcie.tlp import IdioTag
 from repro.sim import Simulator
@@ -17,6 +18,17 @@ class TestBaseline:
         sim, h, rc = make_rc()
         rc.memory_write_batch([0x1000], [IdioTag()])
         assert 0x1000 in h.llc
+
+    def test_an_untagged_burst_shows_observers_the_decoded_tag(self):
+        """The DDIO burst takes one hierarchy run, and an observer still
+        sees one write per line carrying the untagged TLP's fields."""
+        sim, h, rc = make_rc()
+        seen = []
+        h.observe(seen.append)
+        rc.memory_write_batch([0x1000, 0x1040, 0x1000])
+        assert [(t.kind, t.addr, t.core, t.tag, t.placement) for t in seen] == [
+            (DMA_WRITE, addr, 0, IdioTag(), "llc") for addr in (0x1000, 0x1040, 0x1000)
+        ]
 
     def test_read_counts(self):
         sim, h, rc = make_rc()
